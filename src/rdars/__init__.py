@@ -26,9 +26,9 @@ from .metrics import (BeamformingSolution, RateReport, cscc, mse_all, mse_k,
 from .scenario import (Geometry, Scenario, ScenarioError, SystemConfig,
                        default_scenario, derive_geometry, load_scenario,
                        parse_scenario_text, path_gain, scenario_geometry)
-from .wmmse import (AoResult, ConvergenceError, PhaseQuadratic, ao_solve,
-                    build_phase_quadratic, effective_noise, phase_objective,
-                    power_iteration, precoders_at, solve_fixed_eta,
+from .wmmse import (AoResult, PhaseQuadratic, ao_solve, build_phase_quadratic,
+                    effective_noise, phase_objective, power_iteration,
+                    precoders_at, solve_fixed_eta,
                     sparsity_search, surrogate_value, update_precoders,
                     update_receivers, update_weights, wa_solve, zf_init)
 
@@ -37,7 +37,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGORITHMS", "AoResult", "BeamformingSolution", "CASE2", "CASE3",
     "CSV_FIELDS",
-    "Campaign", "ChannelSet", "ConvergenceError", "Geometry", "ModeSelection",
+    "Campaign", "ChannelSet", "Geometry", "ModeSelection",
     "PassiveBeam", "PhaseQuadratic", "RateReport", "SUBCASE1", "SUBCASE2",
     "Scenario", "ScenarioError", "SingleUeSolution", "SparsitySelection",
     "SystemConfig", "TrialRow", "TwoUeAnalysis", "analyze_two_ue", "ao_solve",

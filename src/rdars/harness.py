@@ -3,9 +3,18 @@
 Runs the competing design procedures over seeded UE drops and emits one
 CSV row per (trial, sweep value, algorithm). Determinism contract: trial
 t always uses the generator seeded with seed XOR t, and every trial draws
-in a fixed order (all UE radii, all UE angles, then the sparsity level if
-the algorithm needs one), so UE positions agree across algorithms and
-sweep values and reruns are byte-identical apart from wall times.
+in a fixed order (all UE radii, all UE angles, then the sparsity level
+for ``RANDOM_ETA``), so UE positions agree across algorithms and sweep
+values and reruns are byte-identical apart from wall times.
+
+A campaign's unit of work is the drop, one (sweep value, trial) pair: its
+geometry, channels and random sparsity pick are made once, and the
+alternating optimization runs at most once per sparsity level, shared by
+every algorithm that needs that level (the scan of ``WA_OPT_ETA`` and
+``EXHAUSTIVE_ETA``, level 1 of ``COMPACT_ETA1``, the pick of
+``RANDOM_ETA``). Rows are the same as when each trial runs alone; only
+``wall_ms`` differs, because a shared piece of work is charged to the
+first row that needs it and later rows reuse it.
 """
 
 from __future__ import annotations
@@ -18,12 +27,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import feasible_sparsities
+from .arrays import ChannelSet, ModeSelection, feasible_sparsities, los_channels
 from .closed_form import (case2_cscc, make_mode, reference_passive,
                           select_two_ue_eta, single_ue_solution, two_ue_analysis,
                           two_ue_sinr)
-from .scenario import Scenario, scenario_geometry
-from .wmmse import solve_fixed_eta, wa_solve
+from .scenario import Geometry, Scenario, SystemConfig, scenario_geometry
+from .wmmse import AoResult, ao_solve, sparsity_search
 
 ALGORITHMS = ("WA_OPT_ETA", "EXHAUSTIVE_ETA", "COMPACT_ETA1", "RANDOM_ETA",
               "SINGLE_UE_CLOSED", "TWO_UE_PROP1")
@@ -107,33 +116,73 @@ class TrialRow:
     status: str
 
 
+class _Drop:
+    """One seeded UE drop at one transmit power, shared by the algorithms
+    of a campaign. The geometry (with the random sparsity pick drawn right
+    after it), the channels and one solve per sparsity level are each made
+    on first use and kept."""
+
+    def __init__(self, campaign: Campaign, trial: int, sweep_dbm: float):
+        self.config = replace(campaign.scenario.config,
+                              total_power=dbm_to_watt(sweep_dbm))
+        self._scenario = replace(campaign.scenario, config=self.config)
+        self._seed = campaign.seed ^ trial
+        self._geometry: Geometry | None = None
+        self._channels: ChannelSet | None = None
+        self._solved: dict[int, AoResult] = {}
+        self.random_eta = 0
+
+    def geometry(self) -> Geometry:
+        if self._geometry is None:
+            rng = np.random.default_rng(self._seed)
+            geometry = scenario_geometry(self._scenario, rng)
+            fset = feasible_sparsities(self.config.n_elems,
+                                       self.config.n_connected)
+            self.random_eta = fset[int(rng.integers(len(fset)))]
+            self._geometry = geometry
+        return self._geometry
+
+    def channels(self) -> ChannelSet:
+        if self._channels is None:
+            self._channels = los_channels(self.geometry(), self.config)
+        return self._channels
+
+    def solve(self, channels: ChannelSet, mode: ModeSelection,
+              config: SystemConfig) -> AoResult:
+        """``ao_solve`` memoized per sparsity level; the arguments must be
+        this drop's channels and config."""
+        result = self._solved.get(mode.eta)
+        if result is None:
+            result = self._solved[mode.eta] = ao_solve(channels, mode, config)
+        return result
+
+    def solve_at(self, eta: int) -> AoResult:
+        mode = make_mode(self.config.n_elems, self.config.n_connected, eta)
+        return self.solve(self.channels(), mode, self.config)
+
+
 def run_trial(campaign: Campaign, trial: int, algorithm: str,
-              sweep_dbm: float) -> TrialRow:
+              sweep_dbm: float, _drop: _Drop | None = None) -> TrialRow:
     """One seeded trial of one algorithm at one transmit power.
 
     Failures are captured as a row with status ``failed:<ExceptionName>``
-    and NaN rates rather than aborting the campaign.
+    and NaN rates rather than aborting the campaign. ``run_campaign``
+    passes the drop it shares across the trial's algorithms as ``_drop``;
+    the row is the same without it, apart from ``wall_ms``.
     """
-    scenario = campaign.scenario
-    config = replace(scenario.config, total_power=dbm_to_watt(sweep_dbm))
-    rng = np.random.default_rng(campaign.seed ^ trial)
+    drop = _drop if _drop is not None else _Drop(campaign, trial, sweep_dbm)
+    config = drop.config
     t0 = time.perf_counter()
     try:
-        geometry = scenario_geometry(replace(scenario, config=config), rng)
+        geometry = drop.geometry()
+        result = None
         if algorithm in ("WA_OPT_ETA", "EXHAUSTIVE_ETA"):
-            _, mode, report = wa_solve(geometry, config)
-            eta, srate = mode.eta, report.sum_rate
-            min_rate, iters = float(np.min(report.rate)), report.iterations
+            result, _ = sparsity_search(lambda mode: drop.channels(), config,
+                                        inner_solver=drop.solve)
         elif algorithm == "COMPACT_ETA1":
-            _, mode, report = solve_fixed_eta(geometry, config, 1)
-            eta, srate = mode.eta, report.sum_rate
-            min_rate, iters = float(np.min(report.rate)), report.iterations
+            result = drop.solve_at(1)
         elif algorithm == "RANDOM_ETA":
-            fset = feasible_sparsities(config.n_elems, config.n_connected)
-            pick = fset[int(rng.integers(len(fset)))]
-            _, mode, report = solve_fixed_eta(geometry, config, pick)
-            eta, srate = mode.eta, report.sum_rate
-            min_rate, iters = float(np.min(report.rate)), report.iterations
+            result = drop.solve_at(drop.random_eta)
         elif algorithm == "SINGLE_UE_CLOSED":
             mode = make_mode(config.n_elems, config.n_connected, 1)
             sol = single_ue_solution(geometry, config, mode)
@@ -155,6 +204,10 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
             srate, min_rate, iters = float(rates.sum()), float(rates.min()), 0
         else:
             raise ValueError(f"unknown algorithm {algorithm!r}")
+        if result is not None:
+            report = result.report
+            eta, srate = result.mode.eta, report.sum_rate
+            min_rate, iters = float(np.min(report.rate)), report.iterations
         status = "ok"
     except Exception as exc:
         eta, srate, min_rate, iters = 0, math.nan, math.nan, 0
@@ -165,22 +218,27 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
                     iters=iters, wall_ms=wall_ms, status=status)
 
 
-def _run_task(args) -> TrialRow:
-    return run_trial(*args)
+def _run_drop(args) -> list[TrialRow]:
+    campaign, trial, sweep = args
+    drop = _Drop(campaign, trial, sweep)
+    return [run_trial(campaign, trial, alg, sweep, drop)
+            for alg in campaign.algorithms]
 
 
 def run_campaign(campaign: Campaign, jobs: int = 1) -> list[TrialRow]:
-    """Run every (sweep value, algorithm, trial) combination; with jobs
-    greater than one the trials run in worker processes. The row set is
-    identical either way."""
-    tasks = [(campaign, trial, alg, sweep)
+    """Run every (sweep value, algorithm, trial) combination, one task per
+    drop (sweep value, trial), rows in drop order; with jobs greater than
+    one the drops run in worker processes. The row set is identical
+    either way."""
+    tasks = [(campaign, trial, sweep)
              for sweep in campaign.sweep_points()
-             for alg in campaign.algorithms
              for trial in range(campaign.n_trials)]
     if jobs <= 1:
-        return [_run_task(task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_run_task, tasks))
+        per_drop = [_run_drop(task) for task in tasks]
+    else:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            per_drop = list(pool.map(_run_drop, tasks))
+    return [row for rows in per_drop for row in rows]
 
 
 def emit_csv(rows, stream) -> None:

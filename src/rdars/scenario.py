@@ -65,7 +65,6 @@ class SystemConfig:
     conv_threshold: float = 1e-4
     max_outer_iters: int = 200
     max_inner_iters: int = 500
-    bisection_tol: float = 1e-9
     shift_nu: float = 0.0
     bs_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
     rdars_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
@@ -95,8 +94,8 @@ class SystemConfig:
             raise ScenarioError("total_power and noise_power must be positive")
         if self.pathloss_exp_bs_rdars <= 0.0 or self.pathloss_exp_rdars_ue <= 0.0:
             raise ScenarioError("path-loss exponents must be positive")
-        if self.conv_threshold <= 0.0 or self.bisection_tol <= 0.0:
-            raise ScenarioError("tolerances must be positive")
+        if self.conv_threshold <= 0.0:
+            raise ScenarioError("conv_threshold must be positive")
         if self.max_outer_iters < 1 or self.max_inner_iters < 1:
             raise ScenarioError("iteration limits must be at least 1")
         if self.shift_nu < 0.0:
@@ -197,8 +196,7 @@ _INT_KEYS = {"n_tx", "n_elems", "n_connected", "n_ues",
              "max_outer_iters", "max_inner_iters"}
 _FLOAT_KEYS = {"carrier_freq", "wavelength", "spacing", "total_power",
                "noise_power", "ref_pathloss_db", "pathloss_exp_bs_rdars",
-               "pathloss_exp_rdars_ue", "conv_threshold", "bisection_tol",
-               "shift_nu"}
+               "pathloss_exp_rdars_ue", "conv_threshold", "shift_nu"}
 _VEC_KEYS = {"bs_axis", "rdars_axis", "bs_pos", "rdars_pos", "ue_center"}
 _ALLOWED_KEYS = _INT_KEYS | _FLOAT_KEYS | _VEC_KEYS | {"ue_pos", "ue_radius"}
 

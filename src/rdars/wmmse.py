@@ -26,11 +26,6 @@ from .metrics import BeamformingSolution, RateReport, mse_all, sum_rate
 from .scenario import Geometry, SystemConfig
 
 
-class ConvergenceError(RuntimeError):
-    """An inner search (multiplier growth or bisection) ran out of
-    iterations before meeting its tolerance."""
-
-
 def effective_noise(V: np.ndarray, noise_power: float,
                     total_power: float) -> float:
     """Noise power scaled by the fraction of the budget actually spent."""
@@ -90,63 +85,67 @@ def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
 
 
 def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
-                     total_power: float, bisection_tol: float = 1e-9,
-                     max_inner_iters: int = 500) -> np.ndarray:
-    """Constrained precoder update.
+                     total_power: float) -> np.ndarray:
+    """Constrained precoder update, the WMMSE multiplier step.
 
-    Tries the unregularized minimum-norm solution first; if it exceeds the
-    power budget, bisects the multiplier until the budget is met from
-    below. Always returns the upper-bracket iterate, so the power
-    constraint holds exactly up to the bisection tolerance.
+    One eigendecomposition A0 = U diag(lam) U^H of the weighted channel
+    Gram matrix turns the power of ``precoders_at`` into the scalar
+    function sum_i c_i / (lam_i + t)^2 of the shift t = rho s0, with c_i
+    the squared row norms of U^H times the right-hand side. Eigenvalues
+    at or below dim * eps * lam_max are dropped: the right-hand side lies
+    in the range of A0, so the t = 0 solution is the minimum-norm one. If
+    that solution is over budget, the shift that meets it is found by
+    safeguarded Newton and taken from the feasible side, so the returned
+    power is at most the budget and within about 1e-13 relative of it.
+    A zero Gram matrix (no weight anywhere) returns zeros.
     """
     w = zeta * np.abs(mu) ** 2
-    if float(np.sum(w)) == 0.0:
-        return np.zeros((h.shape[1], h.shape[0]), dtype=complex)
+    n_ues, dim = h.shape
+    lam, U = np.linalg.eigh((h.conj().T * w) @ h)
+    if not lam[-1] > 0.0:
+        return np.zeros((dim, n_ues), dtype=complex)
+    keep = lam > dim * np.finfo(float).eps * lam[-1]
+    lam, U = lam[keep], U[:, keep]
+    b = U.conj().T @ (h.conj().T * (zeta * mu))
+    c = np.sum(np.abs(b) ** 2, axis=1)
+    t = _budget_shift(lam, c, total_power)
+    return U @ (b / (lam + t)[:, None])
 
-    def attempt(rho: float):
-        try:
-            V = precoders_at(h, mu, zeta, rho)
-        except np.linalg.LinAlgError:
-            return None, math.inf
-        tr = float(np.sum(np.abs(V) ** 2))
-        if not math.isfinite(tr):
-            return None, math.inf
-        return V, tr
 
-    # The unregularized normal matrix is singular whenever there are fewer
-    # users than transmit dimensions, but the right-hand side lies in its
-    # range, so the minimum-norm solution is the correct rho = 0 limit. A
-    # plain solve would amplify null-space noise and overstate the power.
-    a0 = (h.conj().T * w) @ h
-    rhs = h.conj().T * (zeta * mu)
-    V0 = np.linalg.lstsq(a0, rhs, rcond=None)[0]
-    tr0 = float(np.sum(np.abs(V0) ** 2))
-    if math.isfinite(tr0) and tr0 <= total_power:
-        return V0
+def _budget_shift(lam: np.ndarray, c: np.ndarray, total_power: float) -> float:
+    """Smallest t >= 0 with p(t) = sum c / (lam + t)^2 <= total_power, to
+    1e-13 relative.
 
-    lo, hi = 0.0, 1.0
-    spent = 0
-    V_hi, tr_hi = attempt(hi)
-    while V_hi is None or tr_hi > total_power:
-        lo, hi = hi, 2.0 * hi
-        spent += 1
-        if spent > max_inner_iters:
-            raise ConvergenceError("multiplier growth exceeded the "
-                                   "inner iteration budget")
-        V_hi, tr_hi = attempt(hi)
-
-    while total_power - tr_hi > bisection_tol:
-        spent += 1
-        if spent > max_inner_iters:
-            raise ConvergenceError("power bisection exceeded the inner "
-                                   "iteration budget")
-        mid = 0.5 * (lo + hi)
-        V_mid, tr_mid = attempt(mid)
-        if V_mid is None or tr_mid > total_power:
-            lo = mid
+    Keeps a bracket [lo, hi] whose upper end is an evaluated point within
+    budget, and returns that end. Newton runs on p(t)^(-1/2), which is
+    concave and nearly linear, so every Newton point is a lower bound on
+    the root and raises lo; the next evaluation sits just above it, where
+    it lands within budget once lo is within rtol/2 of the root. When
+    Newton does not move lo, the bracket is bisected. Newton needs a
+    handful of steps; the step cap only bounds a pathological case, and
+    the returned end is within budget either way.
+    """
+    rtol = 1e-13
+    if float(np.sum(c / lam ** 2)) <= total_power:
+        return 0.0
+    lo, hi = 0.0, math.sqrt(float(np.sum(c)) / total_power)
+    t = 0.0
+    for _ in range(200):
+        q = c / (lam + t) ** 2
+        p = float(np.sum(q))
+        if p > total_power:
+            lo = t
         else:
-            hi, V_hi, tr_hi = mid, V_mid, tr_mid
-    return V_hi
+            hi = t
+        dp = -2.0 * float(np.sum(q / (lam + t)))
+        t_newton = t + 2.0 * p * (1.0 - math.sqrt(p / total_power)) / dp
+        moved = t_newton > lo
+        if moved:
+            lo = min(t_newton, hi)
+        if hi - lo <= rtol * hi:
+            break
+        t = lo + 0.5 * rtol * hi if moved else 0.5 * (lo + hi)
+    return hi
 
 
 @dataclass(frozen=True)
@@ -195,14 +194,18 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray,
 
     Minimizes x^H C x + 2 Re(beta^H x) over unit-modulus x via the
     homogenized matrix D = [[-C, -beta], [-beta^H, 0]] shifted by nu I to
-    make it positive semidefinite. With no shift given, a Gershgorin bound
-    plus a small Frobenius margin is used. Entries whose matrix-vector
-    product vanishes keep their previous phase.
+    make it positive semidefinite. With no shift given, the smallest such
+    shift, max(0, -lambda_min(D)), is used with a 1e-9 ||D||_F margin: the
+    lambda_max majorizer of the MM literature, the tightest shift that
+    keeps the ascent guarantee, so each step goes as far as it allows.
+    Entries whose matrix-vector product vanishes keep their previous
+    phase.
 
     With no start point given, both the all-ones vector and the phases of
-    the leading eigenvector of the shifted matrix are tried and the better
-    finisher is kept; an explicit ``p0`` (e.g. a warm start from an outer
-    loop) runs alone, so the result never falls below the start value.
+    the leading eigenvector of D (the same eigendecomposition that gives
+    lambda_min) are tried and the better finisher is kept; an explicit
+    ``p0`` (e.g. a warm start from an outer loop) runs alone, so the
+    result never falls below the start value.
 
     Returns the optimized x and the trace of the homogenized objective
     p^H D p, which is nondecreasing by construction; a decrease beyond
@@ -213,14 +216,16 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray,
     D[:n, :n] = -C
     D[:n, n] = -beta_vec
     D[n, :n] = -beta_vec.conj()
+    if p0 is None:
+        evals, evecs = np.linalg.eigh(D)
+    elif nu is None:
+        evals = np.linalg.eigvalsh(D)
     if nu is None:
-        radii = np.sum(np.abs(D), axis=1) - np.abs(np.diag(D))
-        gersh = max(0.0, -float(np.min(np.real(np.diag(D)) - radii)))
-        nu = gersh + 1e-6 * float(np.linalg.norm(D))
+        nu = max(0.0, -float(evals[0])) + 1e-9 * float(np.linalg.norm(D))
     shifted = D + nu * np.eye(n + 1)
 
     if p0 is None:
-        lead = np.linalg.eigh(shifted)[1][:, -1]
+        lead = evecs[:, -1]
         mags = np.abs(lead)
         lead = np.where(mags > 0.0,
                         lead / np.where(mags > 0.0, mags, 1.0), 1.0)
@@ -304,8 +309,7 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
         s1 = surrogate_value(h, V, mu, zeta, noise, power)
         zeta = update_weights(h, V, mu, noise, power)
         s2 = surrogate_value(h, V, mu, zeta, noise, power)
-        V = update_precoders(h, mu, zeta, power, config.bisection_tol,
-                             config.max_inner_iters)
+        V = update_precoders(h, mu, zeta, power)
         s3 = surrogate_value(h, V, mu, zeta, noise, power)
 
         quad = build_phase_quadratic(channels, mode, V[:n_tx], V[n_tx:],
@@ -348,8 +352,9 @@ def sparsity_search(channels_factory, config: SystemConfig,
                     inner_solver=ao_solve) -> tuple[AoResult, list[tuple[int, float]]]:
     """Exhaustive search over the feasible sparsity levels.
 
-    Each level gets a fresh channel set and a fresh solver start. Ties are
-    broken toward the smaller level by the strict comparison.
+    Each level gets the factory's channel set for its mode and a fresh
+    solver start. Ties are broken toward the smaller level by the strict
+    comparison.
     """
     best = None
     scanned = []
@@ -366,8 +371,8 @@ def wa_solve(geometry: Geometry, config: SystemConfig
              ) -> tuple[BeamformingSolution, ModeSelection, RateReport]:
     """Whole procedure for one geometry: scan sparsity levels, run the
     alternating optimization on each, keep the best."""
-    best, _ = sparsity_search(lambda mode: los_channels(geometry, config),
-                              config)
+    channels = los_channels(geometry, config)
+    best, _ = sparsity_search(lambda mode: channels, config)
     return best.solution, best.mode, best.report
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 from rdars import (ALGORITHMS, CSV_FIELDS, Campaign, Scenario, TrialRow,
                    analyze_two_ue, dbm_to_watt, derive_geometry, drop_ues,
-                   emit_csv, run_campaign, run_trial, watt_to_dbm)
+                   emit_csv, harness, run_campaign, run_trial, watt_to_dbm)
 
 from helpers import BS, CENTER, SURFACE, small_config
 
@@ -170,6 +170,46 @@ def test_run_campaign_parallel_matches_serial():
     stripped = lambda rows: [replace(r, wall_ms=0.0)
                              for r in sorted(rows, key=key)]
     assert stripped(serial) == stripped(parallel)
+
+
+def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
+    counts = {"ao_solve": 0, "los_channels": 0}
+
+    def counted(name):
+        inner = getattr(harness, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in counts:
+        monkeypatch.setattr(harness, name, counted(name))
+    camp = Campaign(_scenario(), ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
+                    n_trials=2, seed=21)
+    rows = run_campaign(camp)
+    assert all(row.status == "ok" for row in rows)
+    # N=16, a=4: five levels per drop; the scan covers the other two rows
+    assert counts == {"ao_solve": 2 * 5, "los_channels": 2}
+
+
+def test_run_campaign_rows_match_standalone_trials():
+    algorithms = ("RANDOM_ETA", "WA_OPT_ETA", "EXHAUSTIVE_ETA",
+                  "COMPACT_ETA1", "RANDOM_ETA", "SINGLE_UE_CLOSED",
+                  "TWO_UE_PROP1")
+    camp = Campaign(_scenario(), algorithms, n_trials=2, seed=17,
+                    sweep_dbm=(10.0, 30.0))
+    key = lambda r: (r.sweep_value, r.algorithm, r.trial)
+    shared = sorted((replace(r, wall_ms=0.0) for r in run_campaign(camp)),
+                    key=key)
+    alone = sorted((replace(run_trial(camp, t, alg, sweep), wall_ms=0.0)
+                    for sweep in (10.0, 30.0) for alg in algorithms
+                    for t in range(2)), key=key)
+    assert shared == alone
+    picks = [r.eta for r in shared if r.algorithm == "RANDOM_ETA"]
+    assert picks[0::2] == picks[1::2]      # a repeated algorithm repeats
+    assert [r.status for r in shared if r.algorithm == "SINGLE_UE_CLOSED"] \
+        == ["failed:ValueError"] * 4
 
 
 def test_emit_csv_formats_and_sorts():

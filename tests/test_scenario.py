@@ -66,7 +66,7 @@ def test_config_rejects_inconsistent_wavelength():
     dict(carrier_freq=-1.0),
     dict(conv_threshold=0.0),
     dict(max_outer_iters=0),
-    dict(bisection_tol=0.0),
+    dict(max_inner_iters=0),
     dict(shift_nu=-1.0),
 ])
 def test_config_validation(kwargs):
@@ -124,6 +124,7 @@ def test_parse_scenario_roundtrip():
     "n_tx 4",
     "n_tx = x",
     "bs_pos = 1 2",
+    "bisection_tol = 1e-9",     # a retired SystemConfig field
 ])
 def test_parse_scenario_rejects_bad_lines(line):
     with pytest.raises(ScenarioError):

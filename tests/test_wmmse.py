@@ -2,15 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from rdars import (AoResult, BeamformingSolution, ConvergenceError,
-                   PassiveBeam, PhaseQuadratic, RateReport, ao_solve,
-                   build_phase_quadratic, effective_matrix, effective_noise,
-                   los_channels, make_mode, mse_all, phase_objective,
-                   power_iteration, precoders_at, sinr_all, solve_fixed_eta,
-                   sparsity_search, sum_rate, surrogate_value,
-                   update_precoders, update_receivers, update_weights,
-                   wa_solve, zf_init)
+from rdars import (AoResult, BeamformingSolution, PassiveBeam, PhaseQuadratic,
+                   RateReport, ao_solve, build_phase_quadratic, dbm_to_watt,
+                   effective_matrix, effective_noise, los_channels, make_mode,
+                   mse_all, phase_objective, power_iteration, precoders_at,
+                   sinr_all, solve_fixed_eta, sparsity_search, sum_rate,
+                   surrogate_value, update_precoders, update_receivers,
+                   update_weights, wa_solve, zf_init)
 
 from helpers import random_geometry, small_config
 
@@ -154,6 +154,41 @@ def test_update_precoders_keeps_slack_when_budget_is_loose():
     np.testing.assert_allclose(V, want, rtol=1e-12)
 
 
+def test_update_precoders_binding_budget_matches_reference():
+    """The spectral step lands on precoders_at at the multiplier that
+    meets the budget; the multiplier is read back from stationarity."""
+    rng = np.random.default_rng(8)
+    h = _random_h(rng, 3, 6)
+    mu = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    zeta = rng.uniform(0.5, 3.0, 3)
+    power = 0.05
+    V = update_precoders(h, mu, zeta, power)
+    tr = float(np.sum(np.abs(V) ** 2))
+    assert tr == pytest.approx(power, rel=1e-12)
+    w = zeta * np.abs(mu) ** 2
+    a0 = (h.conj().T * w) @ h
+    rhs = h.conj().T * (zeta * mu)
+    rho = float(np.real(np.vdot(V, rhs - a0 @ V))) / (tr * w.sum())
+    assert rho > 0.0
+    np.testing.assert_allclose(V, precoders_at(h, mu, zeta, rho),
+                               rtol=1e-10, atol=1e-12 * np.max(np.abs(V)))
+
+
+def test_update_precoders_tiny_receiver_lands_on_budget():
+    # a 1e-12 receiver puts the minimum-norm precoder 1e23 over budget
+    V = update_precoders(np.ones((1, 3), dtype=complex),
+                         np.array([1e-12 + 0j]), np.array([1.0]), 1.0)
+    assert float(np.sum(np.abs(V) ** 2)) == pytest.approx(1.0, rel=1e-12)
+    np.testing.assert_allclose(V[:, 0], V[0, 0], rtol=1e-12)
+
+
+def test_update_precoders_zero_gram_returns_zeros():
+    V = update_precoders(np.ones((2, 3), dtype=complex), np.zeros(2),
+                         np.ones(2), 1.0)
+    assert V.shape == (3, 2)
+    assert np.all(V == 0.0)
+
+
 def test_update_precoders_never_increases_surrogate():
     rng = np.random.default_rng(9)
     noise, power = 0.05, 1.3
@@ -169,11 +204,18 @@ def test_update_precoders_never_increases_surrogate():
         assert after <= before + 1e-10 * (1.0 + abs(before))
 
 
-def test_update_precoders_exhausts_iteration_budget():
-    h = np.ones((1, 3), dtype=complex)
-    with pytest.raises(ConvergenceError):
-        update_precoders(h, np.array([1e-12 + 0j]), np.array([1.0]), 1.0,
-                         max_inner_iters=5)
+@settings(max_examples=40)
+@given(st.floats(min_value=-40.0, max_value=90.0),
+       st.integers(min_value=1, max_value=5),
+       st.integers(min_value=0, max_value=2 ** 16))
+def test_solve_fixed_eta_holds_constraints_at_any_power(dbm, eta, seed):
+    cfg = small_config(total_power=dbm_to_watt(dbm))
+    geo = random_geometry(cfg, np.random.default_rng(seed))
+    sol, _, report = solve_fixed_eta(geo, cfg, eta)
+    assert sol.transmit_power <= cfg.total_power * (1.0 + 1e-12)
+    assert np.max(np.abs(np.abs(sol.passive.phi) - 1.0)) <= 1e-12
+    assert np.all(np.isfinite(report.rate))
+    assert math.isfinite(report.sum_rate)
 
 
 # --- reflection-phase quadratic -----------------------------------------
