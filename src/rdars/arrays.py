@@ -52,18 +52,6 @@ class ModeSelection:
         v.flags.writeable = False
         return v
 
-    @property
-    def selection_matrix(self) -> np.ndarray:
-        """The N x N diagonal binary mode matrix."""
-        return np.diag(self.a_vec)
-
-    @property
-    def column_selector(self) -> np.ndarray:
-        """N x a matrix whose m-th column has a single 1 at index_set[m]."""
-        mat = np.zeros((self.n_elems, self.n_connected))
-        mat[self.index0, np.arange(self.n_connected)] = 1.0
-        return mat
-
 
 def make_mode(n: int, a: int, eta: int, m0: int = 1) -> ModeSelection:
     """Build the connected-element index set {m0 + m*eta : m = 0..a-1}."""
@@ -91,16 +79,6 @@ def feasible_sparsities(n: int, a: int) -> list[int]:
     if a == 1:
         return [1]
     return list(range(1, (n - 1) // (a - 1) + 1))
-
-
-def sparse_steering(n: int, u: float, d: float, lam: float,
-                    mode: ModeSelection) -> np.ndarray:
-    """Steering vector masked to the connected elements (zeros elsewhere)."""
-    if mode.n_elems != n:
-        raise ValueError(f"mode built for N={mode.n_elems}, not {n}")
-    out = np.zeros(n, dtype=complex)
-    out[mode.index0] = steering(n, u, d, lam)[mode.index0]
-    return out
 
 
 @dataclass(frozen=True)
@@ -160,16 +138,6 @@ class PassiveBeam:
     @classmethod
     def from_phases(cls, angles) -> "PassiveBeam":
         return cls(np.exp(1j * np.asarray(angles, dtype=float)))
-
-
-def effective_channel(channels: ChannelSet, passive: PassiveBeam,
-                      mode: ModeSelection, k: int) -> np.ndarray:
-    """Effective downlink row for UE k: the reflected path through G on the
-    left (N_t entries) and the direct connected-element part on the right
-    (a entries)."""
-    if not 0 <= k < channels.n_ues:
-        raise IndexError(f"UE index {k} out of range for K={channels.n_ues}")
-    return effective_matrix(channels, passive, mode)[k]
 
 
 def effective_matrix(channels: ChannelSet, passive: PassiveBeam,

@@ -13,8 +13,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .harness import (ALGORITHMS, Campaign, analyze_two_ue, emit_csv,
-                      run_campaign, watt_to_dbm)
+from .closed_form import analyze_two_ue
+from .harness import ALGORITHMS, Campaign, emit_csv, run_campaign, watt_to_dbm
 from .scenario import ScenarioError, default_scenario, load_scenario, \
     scenario_geometry
 from .validation import run_checks
@@ -54,7 +54,7 @@ def _cmd_run(args) -> int:
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             emit_csv(rows, fh)
-    failed = sum(1 for r in rows if r.status != "ok")
+    failed = sum(1 for r in rows if r.status.startswith("failed:"))
     if failed:
         print(f"{failed} of {len(rows)} rows failed", file=sys.stderr)
     return 0

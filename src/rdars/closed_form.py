@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arrays import (ChannelSet, ModeSelection, PassiveBeam, feasible_sparsities,
-                     make_mode, steering)
+from .arrays import (ModeSelection, PassiveBeam, feasible_sparsities, make_mode,
+                     steering)
 from .scenario import Geometry, SystemConfig
 
 CASE2 = "CASE2"
@@ -131,18 +131,6 @@ def single_ue_solution(geometry: Geometry, config: SystemConfig,
                             p_connected=p_conn, snr_max=snr)
 
 
-def power_split_amplitudes(geometry: Geometry, config: SystemConfig,
-                           mode: ModeSelection) -> tuple[float, float]:
-    """Amplitude-form power split (square roots of the true powers),
-    provided for comparison with texts that print the split this way."""
-    n, nt, a = config.n_elems, config.n_tx, mode.n_connected
-    k_br = geometry.kappa_br
-    denom = math.sqrt(k_br ** 2 * (n - a) ** 2 * nt + a)
-    amp_bs = k_br * (n - a) * math.sqrt(nt * config.total_power) / denom
-    amp_conn = math.sqrt(a * config.total_power) / denom
-    return amp_bs, amp_conn
-
-
 _SCHEMES = ("MRT", "ZF", "MMSE")
 
 
@@ -176,32 +164,15 @@ def two_ue_sinr(scheme: str, p, beta, eps: float, noise: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class TwoUeAnalysis:
-    """Everything the two-UE closed forms compute, kept for inspection.
+    """Two-UE closed-form channel quantities: ``beta`` the effective
+    channel norms, ``eps`` the squared correlation."""
 
-    ``xi`` are the complex reflected-path gains, ``beta`` the effective
-    channel norms, ``eps`` the squared correlation. ``cross_term_ratio``
-    compares the reflected cross term against the connected-element term
-    (small values mean the direct-path analysis dominates). ``case_label``
-    and ``r_set`` echo the regime selector's routing for this geometry.
-    """
-
-    delta_u: float
-    delta_u_k: np.ndarray
-    u_ref: float
-    xi: np.ndarray
     beta: np.ndarray
     eps: float
-    d_full: np.ndarray
-    s_sparse: np.ndarray
-    s_cross: complex
-    cross_term_ratio: float
-    case_label: str
-    r_set: tuple[int, ...]
 
 
 def two_ue_analysis(geometry: Geometry, config: SystemConfig,
-                    mode: ModeSelection, passive: PassiveBeam,
-                    regime_factor: float = 100.0) -> TwoUeAnalysis:
+                    mode: ModeSelection, passive: PassiveBeam) -> TwoUeAnalysis:
     """Exact two-UE correlation analysis under an arbitrary reflection
     profile, via the phased-sum decomposition of each effective row."""
     if geometry.n_ues != 2:
@@ -227,30 +198,7 @@ def two_ue_analysis(geometry: Geometry, config: SystemConfig,
            * (abs(d_k[1]) ** 2 + k_ru[1] ** 2 * a))
     eps = min(max(float(num / den), 0.0), 1.0)
     beta = np.sqrt(np.abs(xi) ** 2 * nt + k_ru ** 2 * a)
-
-    cross = abs(d_k[0] * np.conj(d_k[1]))
-    ratio = cross / abs(s_cross) if abs(s_cross) > 0.0 else math.inf
-
-    selection = proposition1_select(geometry, config, regime_factor)
-    if du != 0.0:
-        rset = tuple(r_set(a, d, lam, du,
-                           feasible_sparsities(config.n_elems, a)))
-    else:
-        rset = ()
-    return TwoUeAnalysis(
-        delta_u=du,
-        delta_u_k=np.asarray(du_k, dtype=float),
-        u_ref=0.5 * (u1 + u2),
-        xi=xi,
-        beta=beta,
-        eps=eps,
-        d_full=d_full,
-        s_sparse=s_sparse,
-        s_cross=complex(s_cross),
-        cross_term_ratio=float(ratio),
-        case_label=selection.case_label,
-        r_set=rset,
-    )
+    return TwoUeAnalysis(beta=beta, eps=eps)
 
 
 def cscc_closed(geometry: Geometry, config: SystemConfig, mode: ModeSelection,
@@ -347,19 +295,46 @@ def proposition1_select(geometry: Geometry, config: SystemConfig,
     return SparsitySelection((best,), CASE2, ratio)
 
 
-def two_ue_rate(geometry: Geometry, config: SystemConfig, eta: int,
-                scheme: str = "MMSE") -> float:
-    """Closed-form two-UE sum rate (bits) at a given sparsity level, with
-    the surface steered at the UE midpoint and equal per-UE power."""
-    mode = make_mode(config.n_elems, config.n_connected, eta)
+def _midpoint_rates(geometry: Geometry, config: SystemConfig,
+                    etas) -> list[tuple[float, np.ndarray]]:
+    """Squared correlation and per-UE rates (bits) at each given sparsity
+    level, with the surface steered once at the UE midpoint and MMSE
+    precoding at equal per-UE power."""
     u_ref = 0.5 * float(geometry.u_ru_aod.sum())
     passive = reference_passive(config.n_elems, config.spacing,
                                 config.wavelength, u_ref, geometry.u_br_aoa)
-    analysis = two_ue_analysis(geometry, config, mode, passive)
     p = np.full(2, config.total_power / 2.0)
-    gammas = two_ue_sinr(scheme, p, analysis.beta, analysis.eps,
-                         config.noise_power)
-    return float(np.sum(np.log2(1.0 + gammas)))
+    out = []
+    for eta in etas:
+        mode = make_mode(config.n_elems, config.n_connected, eta)
+        analysis = two_ue_analysis(geometry, config, mode, passive)
+        gammas = two_ue_sinr("MMSE", p, analysis.beta, analysis.eps,
+                             config.noise_power)
+        out.append((analysis.eps, np.log2(1.0 + gammas)))
+    return out
+
+
+def two_ue_rate(geometry: Geometry, config: SystemConfig, eta: int) -> float:
+    """Closed-form two-UE sum rate (bits) at a given sparsity level, with
+    the surface steered at the UE midpoint and equal per-UE power."""
+    (_, rates), = _midpoint_rates(geometry, config, (eta,))
+    return float(rates.sum())
+
+
+def analyze_two_ue(geometry: Geometry, config: SystemConfig) -> list[dict]:
+    """Per-sparsity-level two-UE table: exact and midpoint-form squared
+    correlations (equal by construction when the surface is steered at
+    the UE midpoint) and the resulting closed-form sum rate."""
+    fset = feasible_sparsities(config.n_elems, config.n_connected)
+    out = []
+    for eta, (eps, rates) in zip(fset, _midpoint_rates(geometry, config, fset)):
+        out.append({
+            "eta": eta,
+            "eps": eps,
+            "eps_bar": case2_cscc(geometry, config, eta),
+            "sum_rate_bits": float(rates.sum()),
+        })
+    return out
 
 
 def select_two_ue_eta(geometry: Geometry, config: SystemConfig,
@@ -370,13 +345,9 @@ def select_two_ue_eta(geometry: Geometry, config: SystemConfig,
     selection = proposition1_select(geometry, config, regime_factor)
     if len(selection.eta_set) == 1:
         return selection.eta_set[0], selection
-    u_ref = 0.5 * float(geometry.u_ru_aod.sum())
-    passive = reference_passive(config.n_elems, config.spacing,
-                                config.wavelength, u_ref, geometry.u_br_aoa)
     best_eta, best_eps = None, None
-    for eta in selection.eta_set:
-        mode = make_mode(config.n_elems, config.n_connected, eta)
-        eps = cscc_closed(geometry, config, mode, passive)
+    for eta, (eps, _) in zip(selection.eta_set,
+                             _midpoint_rates(geometry, config, selection.eta_set)):
         if best_eps is None or eps < best_eps - 1e-15:
             best_eta, best_eps = eta, eps
     return int(best_eta), selection

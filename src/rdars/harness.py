@@ -10,11 +10,15 @@ values and reruns are byte-identical apart from wall times.
 A campaign's unit of work is the drop, one (sweep value, trial) pair: its
 geometry, channels and random sparsity pick are made once, and the
 alternating optimization runs at most once per sparsity level, shared by
-every algorithm that needs that level (the scan of ``WA_OPT_ETA`` and
-``EXHAUSTIVE_ETA``, level 1 of ``COMPACT_ETA1``, the pick of
-``RANDOM_ETA``). Rows are the same as when each trial runs alone; only
-``wall_ms`` differs, because a shared piece of work is charged to the
-first row that needs it and later rows reuse it.
+every algorithm that needs that level (the scan of ``WA_OPT_ETA``, level
+1 of ``COMPACT_ETA1``, the pick of ``RANDOM_ETA``). Rows are the same as
+when each trial runs alone; only ``wall_ms`` differs, because a shared
+piece of work is charged to the first row that needs it and later rows
+reuse it.
+
+Row status is ``ok``; ``unconverged`` for a solver row whose alternating
+optimization stopped at its iteration cap (the row keeps that solve's best
+iterate); or ``failed:<ExceptionName>`` with NaN rates.
 """
 
 from __future__ import annotations
@@ -27,15 +31,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ChannelSet, ModeSelection, feasible_sparsities, los_channels
-from .closed_form import (case2_cscc, make_mode, reference_passive,
-                          select_two_ue_eta, single_ue_solution, two_ue_analysis,
-                          two_ue_sinr)
+from .arrays import (ChannelSet, ModeSelection, feasible_sparsities,
+                     los_channels, make_mode)
+from .closed_form import _midpoint_rates, select_two_ue_eta, single_ue_solution
 from .scenario import Geometry, Scenario, SystemConfig, scenario_geometry
 from .wmmse import AoResult, ao_solve, sparsity_search
-
-ALGORITHMS = ("WA_OPT_ETA", "EXHAUSTIVE_ETA", "COMPACT_ETA1", "RANDOM_ETA",
-              "SINGLE_UE_CLOSED", "TWO_UE_PROP1")
 
 CSV_FIELDS = ("trial", "sweep_value", "algorithm", "eta", "sum_rate_bits",
               "min_ue_rate", "iters", "wall_ms", "status")
@@ -49,26 +49,6 @@ def watt_to_dbm(watt: float) -> float:
     if watt <= 0.0:
         raise ValueError(f"power must be positive, got {watt}")
     return 10.0 * math.log10(watt * 1000.0)
-
-
-def drop_ues(center, radius: float, n_ues: int,
-             rng: np.random.Generator) -> np.ndarray:
-    """Drop UEs uniformly over a horizontal disk around ``center``.
-
-    Radii come out of the generator first, then angles, so downstream
-    draws stay aligned no matter how the positions are consumed.
-    """
-    if radius < 0.0:
-        raise ValueError(f"drop radius must be nonnegative, got {radius}")
-    if n_ues < 1:
-        raise ValueError(f"need at least one UE, got {n_ues}")
-    center = np.asarray(center, dtype=float)
-    radii = radius * np.sqrt(rng.random(n_ues))
-    angles = 2.0 * math.pi * rng.random(n_ues)
-    pos = np.tile(center, (n_ues, 1))
-    pos[:, 0] += radii * np.cos(angles)
-    pos[:, 1] += radii * np.sin(angles)
-    return pos
 
 
 @dataclass(frozen=True)
@@ -161,6 +141,41 @@ class _Drop:
         return self.solve(self.channels(), mode, self.config)
 
 
+def _solver_row(result: AoResult) -> tuple:
+    """Row fields (eta, sum rate, min UE rate, iterations, status) of a
+    solver result."""
+    report = result.report
+    status = "ok" if report.converged else "unconverged"
+    return (result.mode.eta, report.sum_rate, float(np.min(report.rate)),
+            report.iterations, status)
+
+
+def _single_ue_closed(drop: _Drop) -> tuple:
+    config = drop.config
+    mode = make_mode(config.n_elems, config.n_connected, 1)
+    sol = single_ue_solution(drop.geometry(), config, mode)
+    rate = math.log2(1.0 + sol.snr_max)
+    return mode.eta, rate, rate, 0, "ok"
+
+
+def _two_ue_prop1(drop: _Drop) -> tuple:
+    eta, _ = select_two_ue_eta(drop.geometry(), drop.config)
+    (_, rates), = _midpoint_rates(drop.geometry(), drop.config, (eta,))
+    return eta, float(rates.sum()), float(rates.min()), 0, "ok"
+
+
+# Algorithm name -> row fields of one drop.
+_ALGORITHMS = {
+    "WA_OPT_ETA": lambda drop: _solver_row(sparsity_search(
+        drop.channels(), drop.config, inner_solver=drop.solve)[0]),
+    "COMPACT_ETA1": lambda drop: _solver_row(drop.solve_at(1)),
+    "RANDOM_ETA": lambda drop: _solver_row(drop.solve_at(drop.random_eta)),
+    "SINGLE_UE_CLOSED": _single_ue_closed,
+    "TWO_UE_PROP1": _two_ue_prop1,
+}
+ALGORITHMS = tuple(_ALGORITHMS)
+
+
 def run_trial(campaign: Campaign, trial: int, algorithm: str,
               sweep_dbm: float, _drop: _Drop | None = None) -> TrialRow:
     """One seeded trial of one algorithm at one transmit power.
@@ -171,44 +186,13 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
     the row is the same without it, apart from ``wall_ms``.
     """
     drop = _drop if _drop is not None else _Drop(campaign, trial, sweep_dbm)
-    config = drop.config
     t0 = time.perf_counter()
     try:
-        geometry = drop.geometry()
-        result = None
-        if algorithm in ("WA_OPT_ETA", "EXHAUSTIVE_ETA"):
-            result, _ = sparsity_search(lambda mode: drop.channels(), config,
-                                        inner_solver=drop.solve)
-        elif algorithm == "COMPACT_ETA1":
-            result = drop.solve_at(1)
-        elif algorithm == "RANDOM_ETA":
-            result = drop.solve_at(drop.random_eta)
-        elif algorithm == "SINGLE_UE_CLOSED":
-            mode = make_mode(config.n_elems, config.n_connected, 1)
-            sol = single_ue_solution(geometry, config, mode)
-            eta, iters = mode.eta, 0
-            srate = math.log2(1.0 + sol.snr_max)
-            min_rate = srate
-        elif algorithm == "TWO_UE_PROP1":
-            eta, _ = select_two_ue_eta(geometry, config)
-            mode = make_mode(config.n_elems, config.n_connected, eta)
-            u_ref = 0.5 * float(geometry.u_ru_aod.sum())
-            passive = reference_passive(config.n_elems, config.spacing,
-                                        config.wavelength, u_ref,
-                                        geometry.u_br_aoa)
-            analysis = two_ue_analysis(geometry, config, mode, passive)
-            p = np.full(2, config.total_power / 2.0)
-            gammas = two_ue_sinr("MMSE", p, analysis.beta, analysis.eps,
-                                 config.noise_power)
-            rates = np.log2(1.0 + gammas)
-            srate, min_rate, iters = float(rates.sum()), float(rates.min()), 0
-        else:
+        drop.geometry()     # draws the random level too, before it is read
+        row_fields = _ALGORITHMS.get(algorithm)
+        if row_fields is None:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        if result is not None:
-            report = result.report
-            eta, srate = result.mode.eta, report.sum_rate
-            min_rate, iters = float(np.min(report.rate)), report.iterations
-        status = "ok"
+        eta, srate, min_rate, iters, status = row_fields(drop)
     except Exception as exc:
         eta, srate, min_rate, iters = 0, math.nan, math.nan, 0
         status = f"failed:{type(exc).__name__}"
@@ -258,28 +242,3 @@ def emit_csv(rows, stream) -> None:
             format(row.wall_ms, ".9g"),
             row.status,
         ])
-
-
-def analyze_two_ue(geometry, config) -> list[dict]:
-    """Per-sparsity-level two-UE table: exact and midpoint-form squared
-    correlations (equal by construction when the surface is steered at
-    the UE midpoint) and the resulting closed-form sum rate."""
-    if geometry.n_ues != 2:
-        raise ValueError(f"needs K=2, got K={geometry.n_ues}")
-    u_ref = 0.5 * float(geometry.u_ru_aod.sum())
-    passive = reference_passive(config.n_elems, config.spacing,
-                                config.wavelength, u_ref, geometry.u_br_aoa)
-    out = []
-    for eta in feasible_sparsities(config.n_elems, config.n_connected):
-        mode = make_mode(config.n_elems, config.n_connected, eta)
-        analysis = two_ue_analysis(geometry, config, mode, passive)
-        p = np.full(2, config.total_power / 2.0)
-        gammas = two_ue_sinr("MMSE", p, analysis.beta, analysis.eps,
-                             config.noise_power)
-        out.append({
-            "eta": eta,
-            "eps": analysis.eps,
-            "eps_bar": case2_cscc(geometry, config, eta),
-            "sum_rate_bits": float(np.sum(np.log2(1.0 + gammas))),
-        })
-    return out

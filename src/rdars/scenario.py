@@ -256,10 +256,7 @@ def parse_scenario_text(text: str) -> Scenario:
             raise
         except ValueError as exc:
             raise ScenarioError(f"line {lineno}: bad value for {key!r}: {exc}") from None
-    try:
-        config = SystemConfig(**cfg_kwargs)
-    except ScenarioError:
-        raise
+    config = SystemConfig(**cfg_kwargs)
     return Scenario(config=config, **placement)
 
 
@@ -280,6 +277,26 @@ def default_scenario() -> Scenario:
     return parse_scenario_text(text)
 
 
+def drop_ues(center, radius: float, n_ues: int,
+             rng: np.random.Generator) -> np.ndarray:
+    """Drop UEs uniformly over a horizontal disk around ``center``.
+
+    Radii come out of the generator first, then angles, so downstream
+    draws stay aligned no matter how the positions are consumed.
+    """
+    if radius < 0.0:
+        raise ValueError(f"drop radius must be nonnegative, got {radius}")
+    if n_ues < 1:
+        raise ValueError(f"need at least one UE, got {n_ues}")
+    center = np.asarray(center, dtype=float)
+    radii = radius * np.sqrt(rng.random(n_ues))
+    angles = 2.0 * math.pi * rng.random(n_ues)
+    pos = np.tile(center, (n_ues, 1))
+    pos[:, 0] += radii * np.cos(angles)
+    pos[:, 1] += radii * np.sin(angles)
+    return pos
+
+
 def scenario_geometry(scenario: Scenario, rng: np.random.Generator | None = None) -> Geometry:
     """Geometry for a scenario: explicit UE positions if given, else one
     random drop inside the scenario's circle (requires ``rng``)."""
@@ -288,8 +305,6 @@ def scenario_geometry(scenario: Scenario, rng: np.random.Generator | None = None
     else:
         if rng is None:
             raise ScenarioError("scenario has no ue_pos; an rng is required to drop UEs")
-        from .harness import drop_ues
-
         ue = drop_ues(scenario.ue_center, scenario.ue_radius,
                       scenario.config.n_ues, rng)
     return derive_geometry(scenario.bs_pos, scenario.rdars_pos, ue, scenario.config)

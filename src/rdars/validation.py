@@ -8,19 +8,17 @@ a fast field diagnostic, not a replacement for the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .arrays import (PassiveBeam, effective_matrix, feasible_sparsities,
                      los_channels, make_mode)
 from .closed_form import cscc_closed, single_ue_solution
-from .harness import drop_ues
 from .metrics import cscc, mse_all, sinr_all
-from .scenario import SystemConfig, derive_geometry
+from .scenario import SystemConfig, derive_geometry, drop_ues
 from .wmmse import (ao_solve, effective_noise, phase_objective,
-                    build_phase_quadratic, power_iteration, update_receivers,
-                    PhaseQuadratic)
+                    power_iteration, update_receivers, PhaseQuadratic)
 
 _BS = (0.0, 0.0, 15.0)
 _SURFACE = (50.0, 30.0, 15.0)

@@ -348,19 +348,18 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
                     sum_rate_trace=np.asarray(rate_trace))
 
 
-def sparsity_search(channels_factory, config: SystemConfig,
+def sparsity_search(channels: ChannelSet, config: SystemConfig,
                     inner_solver=ao_solve) -> tuple[AoResult, list[tuple[int, float]]]:
     """Exhaustive search over the feasible sparsity levels.
 
-    Each level gets the factory's channel set for its mode and a fresh
-    solver start. Ties are broken toward the smaller level by the strict
-    comparison.
+    Each level solves the same channels from a fresh solver start. Ties
+    are broken toward the smaller level by the strict comparison.
     """
     best = None
     scanned = []
     for eta in feasible_sparsities(config.n_elems, config.n_connected):
         mode = make_mode(config.n_elems, config.n_connected, eta)
-        result = inner_solver(channels_factory(mode), mode, config)
+        result = inner_solver(channels, mode, config)
         scanned.append((eta, result.report.sum_rate))
         if best is None or result.report.sum_rate > best.report.sum_rate:
             best = result
@@ -371,8 +370,7 @@ def wa_solve(geometry: Geometry, config: SystemConfig
              ) -> tuple[BeamformingSolution, ModeSelection, RateReport]:
     """Whole procedure for one geometry: scan sparsity levels, run the
     alternating optimization on each, keep the best."""
-    channels = los_channels(geometry, config)
-    best, _ = sparsity_search(lambda mode: channels, config)
+    best, _ = sparsity_search(los_channels(geometry, config), config)
     return best.solution, best.mode, best.report
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars import (PassiveBeam, SystemConfig, effective_channel,
-                   effective_matrix, feasible_sparsities, los_channels,
-                   make_mode, sparse_steering, steering)
+from rdars import (PassiveBeam, SystemConfig, effective_matrix,
+                   feasible_sparsities, los_channels, make_mode, steering)
 
 from helpers import brute_effective_rows, random_geometry, small_config
 
@@ -62,27 +61,6 @@ def test_mode_selection_masks_agree():
     mode = make_mode(12, 3, 4)
     assert mode.a_vec.sum() == 3
     assert np.all(mode.a_vec[mode.index0] == 1.0)
-    np.testing.assert_allclose(np.diag(mode.selection_matrix), mode.a_vec)
-    picker = mode.column_selector
-    assert picker.shape == (12, 3)
-    x = np.arange(12.0)
-    np.testing.assert_allclose(x @ picker, x[mode.index0])
-
-
-def test_sparse_steering_is_masked_steering():
-    mode = make_mode(16, 4, 2)
-    full = steering(16, 0.3, 0.005, 0.0107)
-    sparse = sparse_steering(16, 0.3, 0.005, 0.0107, mode)
-    np.testing.assert_allclose(sparse[mode.index0], full[mode.index0])
-    mask = np.ones(16, dtype=bool)
-    mask[mode.index0] = False
-    assert np.all(sparse[mask] == 0.0)
-
-
-def test_sparse_steering_checks_length():
-    mode = make_mode(16, 4, 2)
-    with pytest.raises(ValueError):
-        sparse_steering(8, 0.3, 0.005, 0.0107, mode)
 
 
 def test_los_channels_rank_and_norms():
@@ -134,19 +112,6 @@ def test_effective_matrix_matches_loops_property(seed, eta):
     got = effective_matrix(ch, beam, mode)
     want = brute_effective_rows(ch.G, ch.h_r, beam.phi, mode.index0)
     np.testing.assert_allclose(got, want, rtol=1e-11, atol=1e-20)
-
-
-def test_effective_channel_row_and_bounds():
-    cfg = small_config(n_ues=2)
-    geo = random_geometry(cfg, np.random.default_rng(5))
-    ch = los_channels(geo, cfg)
-    mode = make_mode(16, 4, 2)
-    beam = PassiveBeam.uniform(16)
-    full = effective_matrix(ch, beam, mode)
-    row = effective_channel(ch, beam, mode, 1)
-    np.testing.assert_allclose(row, full[1])
-    with pytest.raises(IndexError):
-        effective_channel(ch, beam, mode, 2)
 
 
 def test_effective_matrix_size_mismatch():

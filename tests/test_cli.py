@@ -62,6 +62,22 @@ def test_run_command_writes_csv(tiny_scenario, tmp_path):
     assert all(line.endswith(",ok") for line in lines[1:])
 
 
+def test_run_command_counts_only_failed_rows(tmp_path, capsys):
+    path = tmp_path / "capped.cfg"
+    path.write_text(TINY_SCENARIO.replace("conv_threshold = 1e-3",
+                                          "conv_threshold = 1e-12")
+                    .replace("max_outer_iters = 60", "max_outer_iters = 1"),
+                    encoding="utf-8")
+    code = main(["run", "--scenario", str(path), "--trials", "1",
+                 "--algorithms", "COMPACT_ETA1,SINGLE_UE_CLOSED"])
+    assert code == 0
+    captured = capsys.readouterr()
+    rows = captured.out.splitlines()[1:]
+    assert [row.split(",")[-1] for row in rows] == ["unconverged",
+                                                     "failed:ValueError"]
+    assert captured.err == "1 of 2 rows failed\n"
+
+
 def test_run_command_stdout_and_sweep(tiny_scenario, capsys):
     code = main(["run", "--scenario", tiny_scenario,
                  "--algorithms", "TWO_UE_PROP1", "--trials", "1",

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rdars import (CASE2, CASE3, SUBCASE1, SUBCASE2, PassiveBeam, SystemConfig,
-                   case2_cscc, center_phase, cscc, cscc_closed,
+                   analyze_two_ue, case2_cscc, closed_form, center_phase, cscc, cscc_closed,
                    derive_geometry, dirichlet_kernel, dirichlet_sparse,
                    effective_matrix, feasible_sparsities, los_channels,
-                   make_mode, power_split_amplitudes, proposition1_select,
+                   make_mode, proposition1_select,
                    r_set, reference_passive, select_two_ue_eta,
                    single_ue_solution, sinr_all, steered_sums, steering,
                    two_ue_analysis, two_ue_rate, two_ue_sinr)
@@ -140,9 +140,6 @@ def test_single_ue_power_split_amplitudes():
     cfg, geo = _single_ue_setup()
     mode = make_mode(32, 4, 2)
     sol = single_ue_solution(geo, cfg, mode)
-    amp_bs, amp_conn = power_split_amplitudes(geo, cfg, mode)
-    assert amp_bs ** 2 == pytest.approx(sol.p_bs, rel=1e-12)
-    assert amp_conn ** 2 == pytest.approx(sol.p_connected, rel=1e-12)
     assert sol.p_bs + sol.p_connected == pytest.approx(cfg.total_power,
                                                        rel=1e-12)
 
@@ -373,3 +370,25 @@ def test_two_ue_rate_consistent_with_analysis():
                          cfg.noise_power)
     want = float(np.sum(np.log2(1.0 + gammas)))
     assert two_ue_rate(geo, cfg, 4) == pytest.approx(want, rel=1e-12)
+
+
+def test_two_ue_rate_and_analysis_make_no_selector_call(monkeypatch):
+    def selector(*args, **kwargs):
+        raise AssertionError("regime selector called")
+
+    monkeypatch.setattr(closed_form, "proposition1_select", selector)
+    cfg = SystemConfig(n_ues=2)
+    geo = _two_ue_geometry(cfg, 0.05)
+    analysis = two_ue_analysis(geo, cfg, make_mode(128, 20, 4),
+                               PassiveBeam.uniform(128))
+    assert 0.0 <= analysis.eps <= 1.0
+    assert two_ue_rate(geo, cfg, 4) > 0.0
+    assert len(analyze_two_ue(geo, cfg)) == len(feasible_sparsities(128, 20))
+
+
+def test_analyze_two_ue_rates_are_two_ue_rate():
+    cfg = SystemConfig(n_ues=2)
+    for du in (0.01, 0.05, 0.3):
+        geo = _two_ue_geometry(cfg, du)
+        for row in analyze_two_ue(geo, cfg):
+            assert row["sum_rate_bits"] == two_ue_rate(geo, cfg, row["eta"])

@@ -8,7 +8,9 @@ from hypothesis import given, strategies as st
 
 from rdars import (ALGORITHMS, CSV_FIELDS, Campaign, Scenario, TrialRow,
                    analyze_two_ue, dbm_to_watt, derive_geometry, drop_ues,
-                   emit_csv, harness, run_campaign, run_trial, watt_to_dbm)
+                   emit_csv, harness, run_campaign, run_trial,
+                   scenario_geometry, solve_fixed_eta, two_ue_rate,
+                   watt_to_dbm)
 
 from helpers import BS, CENTER, SURFACE, small_config
 
@@ -135,6 +137,37 @@ def test_run_trial_two_ue_selection():
     assert row.sum_rate_bits > 0.0
 
 
+def _drop_geometry(camp, trial, sweep_dbm):
+    """The geometry and config a campaign drop uses."""
+    config = replace(camp.scenario.config, total_power=dbm_to_watt(sweep_dbm))
+    rng = np.random.default_rng(camp.seed ^ trial)
+    return scenario_geometry(replace(camp.scenario, config=config), rng), config
+
+
+def test_run_trial_two_ue_row_is_the_closed_form_rate():
+    camp = Campaign(_scenario(), ("TWO_UE_PROP1",), n_trials=2, seed=5,
+                    sweep_dbm=(10.0, 30.0))
+    for row in run_campaign(camp):
+        geo, config = _drop_geometry(camp, row.trial, row.sweep_value)
+        assert row.status == "ok"
+        assert row.sum_rate_bits == two_ue_rate(geo, config, row.eta)
+
+
+def test_unconverged_solver_rows_are_marked():
+    camp = Campaign(_scenario(conv_threshold=1e-12, max_outer_iters=1),
+                    ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
+                    n_trials=1, seed=3)
+    rows = run_campaign(camp)
+    assert [row.status for row in rows] == ["unconverged"] * 3
+    for row in rows:
+        # the row still carries that solve's eta and rates
+        geo, config = _drop_geometry(camp, row.trial, row.sweep_value)
+        _, mode, report = solve_fixed_eta(geo, config, row.eta)
+        assert (row.eta, row.iters) == (mode.eta, 1)
+        assert row.sum_rate_bits == report.sum_rate
+        assert row.min_ue_rate == float(np.min(report.rate))
+
+
 def test_run_trial_captures_failures_as_rows():
     # closed form needs exactly one UE; a two-UE drop must fail gracefully
     camp = Campaign(_scenario(), ("SINGLE_UE_CLOSED",), n_trials=1, seed=5)
@@ -194,9 +227,8 @@ def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
 
 
 def test_run_campaign_rows_match_standalone_trials():
-    algorithms = ("RANDOM_ETA", "WA_OPT_ETA", "EXHAUSTIVE_ETA",
-                  "COMPACT_ETA1", "RANDOM_ETA", "SINGLE_UE_CLOSED",
-                  "TWO_UE_PROP1")
+    algorithms = ("RANDOM_ETA", "WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA",
+                  "SINGLE_UE_CLOSED", "TWO_UE_PROP1")
     camp = Campaign(_scenario(), algorithms, n_trials=2, seed=17,
                     sweep_dbm=(10.0, 30.0))
     key = lambda r: (r.sweep_value, r.algorithm, r.trial)
@@ -235,9 +267,10 @@ def test_emit_csv_formats_and_sorts():
 
 
 def test_algorithm_registry_is_closed():
-    assert set(ALGORITHMS) == {"WA_OPT_ETA", "EXHAUSTIVE_ETA",
-                               "COMPACT_ETA1", "RANDOM_ETA",
+    assert set(ALGORITHMS) == {"WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA",
                                "SINGLE_UE_CLOSED", "TWO_UE_PROP1"}
+    with pytest.raises(ValueError, match="unknown algorithms"):
+        Campaign(_scenario(), ("EXHAUSTIVE_ETA",), n_trials=1, seed=0)
 
 
 def test_analyze_two_ue_scans_every_sparsity():

@@ -369,11 +369,7 @@ def test_ao_solve_flags_nonconvergence():
 
 def test_sparsity_search_breaks_ties_toward_compact():
     cfg = small_config(n_ues=2)
-    calls = []
-
-    def factory(mode):
-        calls.append(mode.eta)
-        return los_channels(random_geometry(cfg, np.random.default_rng(0)),
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(0)),
                             cfg)
 
     def stub_solver(channels, mode, config):
@@ -385,9 +381,8 @@ def test_sparsity_search_breaks_ties_toward_compact():
                         surrogate_trace=np.zeros((0, 4)),
                         sum_rate_trace=np.zeros(0))
 
-    best, scanned = sparsity_search(factory, cfg, inner_solver=stub_solver)
+    best, scanned = sparsity_search(channels, cfg, inner_solver=stub_solver)
     assert best.mode.eta == 1              # all rates equal: keep smallest
-    assert calls == [1, 2, 3, 4, 5]        # fresh channels per level
     assert [eta for eta, _ in scanned] == [1, 2, 3, 4, 5]
 
 
