@@ -32,6 +32,10 @@ SUBCASE2 = "SUBCASE2"
 # singularity and the ratio is evaluated by its limit.
 _SING_TOL = 1e-12
 
+# Regime ratio at or above which the reflected path dominates (SUBCASE2),
+# and whose reciprocal bounds the negligible-reflection regime (SUBCASE1).
+_REGIME_FACTOR = 100.0
+
 
 def dirichlet_kernel(a: int, eta: int, d: float, lam: float, du: float) -> float:
     """Ratio-of-sines magnitude pattern of the sparse connected array:
@@ -256,8 +260,8 @@ class SparsitySelection:
     used_fallback: bool = False
 
 
-def proposition1_select(geometry: Geometry, config: SystemConfig,
-                        regime_factor: float = 100.0) -> SparsitySelection:
+def proposition1_select(geometry: Geometry,
+                        config: SystemConfig) -> SparsitySelection:
     """Pick candidate sparsity levels for two UEs without iterating.
 
     Routing: fully aligned UEs make every level equivalent (CASE3); a
@@ -269,8 +273,6 @@ def proposition1_select(geometry: Geometry, config: SystemConfig,
     """
     if geometry.n_ues != 2:
         raise ValueError(f"needs K=2, got K={geometry.n_ues}")
-    if regime_factor <= 1.0:
-        raise ValueError("regime_factor must exceed 1")
     n, nt, a = config.n_elems, config.n_tx, config.n_connected
     d, lam = config.spacing, config.wavelength
     fset = feasible_sparsities(n, a)
@@ -280,9 +282,9 @@ def proposition1_select(geometry: Geometry, config: SystemConfig,
 
     if du == 0.0:
         return SparsitySelection(tuple(fset), CASE3, ratio)
-    if ratio >= regime_factor:
+    if ratio >= _REGIME_FACTOR:
         return SparsitySelection(tuple(fset), SUBCASE2, ratio)
-    if ratio <= 1.0 / regime_factor:
+    if ratio <= 1.0 / _REGIME_FACTOR:
         rset = r_set(a, d, lam, du, fset)
         if rset:
             return SparsitySelection(tuple(rset), SUBCASE1, ratio)
@@ -337,12 +339,12 @@ def analyze_two_ue(geometry: Geometry, config: SystemConfig) -> list[dict]:
     return out
 
 
-def select_two_ue_eta(geometry: Geometry, config: SystemConfig,
-                      regime_factor: float = 100.0) -> tuple[int, SparsitySelection]:
+def select_two_ue_eta(geometry: Geometry, config: SystemConfig
+                      ) -> tuple[int, SparsitySelection]:
     """Resolve the selector's candidate set to a single level: the one
     with the smallest midpoint-steered correlation, ties to the smallest
     level."""
-    selection = proposition1_select(geometry, config, regime_factor)
+    selection = proposition1_select(geometry, config)
     if len(selection.eta_set) == 1:
         return selection.eta_set[0], selection
     best_eta, best_eps = None, None

@@ -10,11 +10,11 @@ values and reruns are byte-identical apart from wall times.
 A campaign's unit of work is the drop, one (sweep value, trial) pair: its
 geometry, channels and random sparsity pick are made once, and the
 alternating optimization runs at most once per sparsity level, shared by
-every algorithm that needs that level (the scan of ``WA_OPT_ETA``, level
-1 of ``COMPACT_ETA1``, the pick of ``RANDOM_ETA``). Rows are the same as
-when each trial runs alone; only ``wall_ms`` differs, because a shared
-piece of work is charged to the first row that needs it and later rows
-reuse it.
+every algorithm that needs that level (``WA_OPT_ETA`` hands the drop's
+memoized per-level solve to ``sparsity_search``, ``COMPACT_ETA1`` takes
+level 1, ``RANDOM_ETA`` the pick). Rows are the same as when each trial
+runs alone; only ``wall_ms`` differs, because a shared piece of work is
+charged to the first row that needs it and later rows reuse it.
 
 Row status is ``ok``; ``unconverged`` for a solver row whose alternating
 optimization stopped at its iteration cap (the row keeps that solve's best
@@ -31,10 +31,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import (ChannelSet, ModeSelection, feasible_sparsities,
-                     los_channels, make_mode)
+from .arrays import ChannelSet, feasible_sparsities, los_channels, make_mode
 from .closed_form import _midpoint_rates, select_two_ue_eta, single_ue_solution
-from .scenario import Geometry, Scenario, SystemConfig, scenario_geometry
+from .scenario import Geometry, Scenario, scenario_geometry
 from .wmmse import AoResult, ao_solve, sparsity_search
 
 CSV_FIELDS = ("trial", "sweep_value", "algorithm", "eta", "sum_rate_bits",
@@ -127,18 +126,15 @@ class _Drop:
             self._channels = los_channels(self.geometry(), self.config)
         return self._channels
 
-    def solve(self, channels: ChannelSet, mode: ModeSelection,
-              config: SystemConfig) -> AoResult:
-        """``ao_solve`` memoized per sparsity level; the arguments must be
-        this drop's channels and config."""
-        result = self._solved.get(mode.eta)
-        if result is None:
-            result = self._solved[mode.eta] = ao_solve(channels, mode, config)
-        return result
-
     def solve_at(self, eta: int) -> AoResult:
-        mode = make_mode(self.config.n_elems, self.config.n_connected, eta)
-        return self.solve(self.channels(), mode, self.config)
+        """``ao_solve`` on this drop's channels at one sparsity level,
+        memoized per level."""
+        result = self._solved.get(eta)
+        if result is None:
+            mode = make_mode(self.config.n_elems, self.config.n_connected, eta)
+            result = self._solved[eta] = ao_solve(self.channels(), mode,
+                                                  self.config)
+        return result
 
 
 def _solver_row(result: AoResult) -> tuple:
@@ -166,8 +162,8 @@ def _two_ue_prop1(drop: _Drop) -> tuple:
 
 # Algorithm name -> row fields of one drop.
 _ALGORITHMS = {
-    "WA_OPT_ETA": lambda drop: _solver_row(sparsity_search(
-        drop.channels(), drop.config, inner_solver=drop.solve)[0]),
+    "WA_OPT_ETA": lambda drop: _solver_row(
+        sparsity_search(drop.solve_at, drop.config)[0]),
     "COMPACT_ETA1": lambda drop: _solver_row(drop.solve_at(1)),
     "RANDOM_ETA": lambda drop: _solver_row(drop.solve_at(drop.random_eta)),
     "SINGLE_UE_CLOSED": _single_ue_closed,

@@ -46,8 +46,9 @@ class SystemConfig:
     """Scalar system parameters shared by every solver.
 
     ``total_power`` and ``noise_power`` are in watts; any dBm handling
-    belongs to the CLI layer. ``shift_nu = 0`` lets the passive-phase
-    solver pick its own diagonal shift per call.
+    belongs to the CLI layer. The wavelength follows from
+    ``carrier_freq``; ``spacing`` defaults to half of it at construction
+    and stays a fixed length after that.
     """
 
     n_tx: int = 32
@@ -55,7 +56,6 @@ class SystemConfig:
     n_connected: int = 20
     n_ues: int = 20
     carrier_freq: float = 28e9
-    wavelength: float | None = None
     spacing: float | None = None
     total_power: float = 1.0
     noise_power: float = 7.244359600749892e-13
@@ -65,21 +65,12 @@ class SystemConfig:
     conv_threshold: float = 1e-4
     max_outer_iters: int = 200
     max_inner_iters: int = 500
-    shift_nu: float = 0.0
     bs_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
     rdars_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.carrier_freq <= 0.0:
             raise ScenarioError("carrier_freq must be positive")
-        lam = SPEED_OF_LIGHT / self.carrier_freq
-        if self.wavelength is None:
-            object.__setattr__(self, "wavelength", lam)
-        elif abs(self.wavelength - lam) > 1e-9 * lam:
-            raise ScenarioError(
-                f"wavelength {self.wavelength} inconsistent with "
-                f"carrier_freq {self.carrier_freq} (expected {lam})"
-            )
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
         if self.n_tx < 1 or self.n_elems < 1 or self.n_ues < 1:
@@ -88,8 +79,8 @@ class SystemConfig:
             raise ScenarioError(
                 f"n_connected must lie in [1, {self.n_elems}], got {self.n_connected}"
             )
-        if self.spacing <= 0.0 or self.wavelength <= 0.0:
-            raise ScenarioError("spacing and wavelength must be positive")
+        if self.spacing <= 0.0:
+            raise ScenarioError("spacing must be positive")
         if self.total_power <= 0.0 or self.noise_power <= 0.0:
             raise ScenarioError("total_power and noise_power must be positive")
         if self.pathloss_exp_bs_rdars <= 0.0 or self.pathloss_exp_rdars_ue <= 0.0:
@@ -98,8 +89,10 @@ class SystemConfig:
             raise ScenarioError("conv_threshold must be positive")
         if self.max_outer_iters < 1 or self.max_inner_iters < 1:
             raise ScenarioError("iteration limits must be at least 1")
-        if self.shift_nu < 0.0:
-            raise ScenarioError("shift_nu must be nonnegative")
+
+    @property
+    def wavelength(self) -> float:
+        return SPEED_OF_LIGHT / self.carrier_freq
 
 
 @dataclass(frozen=True)
@@ -194,9 +187,9 @@ class Scenario:
 
 _INT_KEYS = {"n_tx", "n_elems", "n_connected", "n_ues",
              "max_outer_iters", "max_inner_iters"}
-_FLOAT_KEYS = {"carrier_freq", "wavelength", "spacing", "total_power",
-               "noise_power", "ref_pathloss_db", "pathloss_exp_bs_rdars",
-               "pathloss_exp_rdars_ue", "conv_threshold", "shift_nu"}
+_FLOAT_KEYS = {"carrier_freq", "spacing", "total_power", "noise_power",
+               "ref_pathloss_db", "pathloss_exp_bs_rdars",
+               "pathloss_exp_rdars_ue", "conv_threshold"}
 _VEC_KEYS = {"bs_axis", "rdars_axis", "bs_pos", "rdars_pos", "ue_center"}
 _ALLOWED_KEYS = _INT_KEYS | _FLOAT_KEYS | _VEC_KEYS | {"ue_pos", "ue_radius"}
 

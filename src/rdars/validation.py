@@ -16,13 +16,9 @@ from .arrays import (PassiveBeam, effective_matrix, feasible_sparsities,
                      los_channels, make_mode)
 from .closed_form import cscc_closed, single_ue_solution
 from .metrics import cscc, mse_all, sinr_all
-from .scenario import SystemConfig, derive_geometry, drop_ues
+from .scenario import Scenario, SystemConfig, scenario_geometry
 from .wmmse import (ao_solve, effective_noise, phase_objective,
                     power_iteration, update_receivers, PhaseQuadratic)
-
-_BS = (0.0, 0.0, 15.0)
-_SURFACE = (50.0, 30.0, 15.0)
-_CENTER = (100.0, 0.0, 1.5)
 
 
 @dataclass(frozen=True)
@@ -39,24 +35,20 @@ def _small_config(**overrides) -> SystemConfig:
     return SystemConfig(**base)
 
 
-def _geometry(config: SystemConfig, rng: np.random.Generator):
-    ue = drop_ues(_CENTER, 20.0, config.n_ues, rng)
-    return derive_geometry(_BS, _SURFACE, ue, config)
-
-
 def check_single_ue(seed: int) -> CheckResult:
     """Closed-form single-UE SNR must match a direct evaluation of the
     effective channel and be identical across sparsity levels."""
     rng = np.random.default_rng(seed)
+    config = _small_config(n_ues=1)
+    scenario = Scenario(config=config)
     worst = 0.0
     for _ in range(5):
-        config = _small_config(n_ues=1)
-        geometry = _geometry(config, rng)
+        geometry = scenario_geometry(scenario, rng)
+        channels = los_channels(geometry, config)
         snrs = []
         for eta in feasible_sparsities(config.n_elems, config.n_connected):
             mode = make_mode(config.n_elems, config.n_connected, eta)
             sol = single_ue_solution(geometry, config, mode)
-            channels = los_channels(geometry, config)
             h = effective_matrix(channels, sol.passive, mode)
             v = np.concatenate([sol.w, sol.f])[:, None]
             gamma = float(sinr_all(h, v, config.noise_power)[0])
@@ -73,9 +65,10 @@ def check_correlation(seed: int) -> CheckResult:
     under random reflection profiles."""
     rng = np.random.default_rng(seed)
     config = _small_config(n_ues=2)
+    scenario = Scenario(config=config)
     worst = 0.0
     for _ in range(20):
-        geometry = _geometry(config, rng)
+        geometry = scenario_geometry(scenario, rng)
         mode = make_mode(config.n_elems, config.n_connected,
                          int(rng.integers(1, 6)))
         passive = PassiveBeam.from_phases(
@@ -94,7 +87,7 @@ def check_alternating_solver(seed: int) -> CheckResult:
     budget met, unit-modulus phases, MSE identity at the final point."""
     rng = np.random.default_rng(seed)
     config = _small_config(conv_threshold=1e-5)
-    geometry = _geometry(config, rng)
+    geometry = scenario_geometry(Scenario(config=config), rng)
     mode = make_mode(config.n_elems, config.n_connected, 2)
     channels = los_channels(geometry, config)
     result = ao_solve(channels, mode, config)

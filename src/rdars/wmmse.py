@@ -186,20 +186,18 @@ def phase_objective(quad: PhaseQuadratic, passive: PassiveBeam) -> float:
     return float(np.real(val))
 
 
-def power_iteration(C: np.ndarray, beta_vec: np.ndarray,
-                    nu: float | None = None, tol: float = 1e-10,
+def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
                     max_iters: int = 1000,
                     p0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Element-wise power iteration on the lifted phase problem.
 
     Minimizes x^H C x + 2 Re(beta^H x) over unit-modulus x via the
     homogenized matrix D = [[-C, -beta], [-beta^H, 0]] shifted by nu I to
-    make it positive semidefinite. With no shift given, the smallest such
-    shift, max(0, -lambda_min(D)), is used with a 1e-9 ||D||_F margin: the
-    lambda_max majorizer of the MM literature, the tightest shift that
-    keeps the ascent guarantee, so each step goes as far as it allows.
-    Entries whose matrix-vector product vanishes keep their previous
-    phase.
+    make it positive semidefinite. The shift is the smallest such one,
+    max(0, -lambda_min(D)), plus a 1e-9 ||D||_F margin: the lambda_max
+    majorizer of the MM literature, the tightest shift that keeps the
+    ascent guarantee, so each step goes as far as it allows. Entries whose
+    matrix-vector product vanishes keep their previous phase.
 
     With no start point given, both the all-ones vector and the phases of
     the leading eigenvector of D (the same eigendecomposition that gives
@@ -218,19 +216,13 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray,
     D[n, :n] = -beta_vec.conj()
     if p0 is None:
         evals, evecs = np.linalg.eigh(D)
-    elif nu is None:
-        evals = np.linalg.eigvalsh(D)
-    if nu is None:
-        nu = max(0.0, -float(evals[0])) + 1e-9 * float(np.linalg.norm(D))
-    shifted = D + nu * np.eye(n + 1)
-
-    if p0 is None:
         lead = evecs[:, -1]
         mags = np.abs(lead)
         lead = np.where(mags > 0.0,
                         lead / np.where(mags > 0.0, mags, 1.0), 1.0)
         starts = [np.ones(n + 1, dtype=complex), lead]
     else:
+        evals = np.linalg.eigvalsh(D)
         p = np.asarray(p0, dtype=complex)
         if p.shape != (n + 1,):
             raise ValueError(f"p0 must have length {n + 1}, got {p.shape}")
@@ -238,6 +230,8 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray,
         if np.any(mags == 0.0):
             raise ValueError("p0 entries must be nonzero")
         starts = [p / mags]
+    nu = max(0.0, -float(evals[0])) + 1e-9 * float(np.linalg.norm(D))
+    shifted = D + nu * np.eye(n + 1)
 
     def iterate(p):
         obj = float(np.real(p.conj() @ D @ p))
@@ -299,7 +293,6 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     rate_prev = sum_rate(h, V, noise).sum_rate
     best = (rate_prev, V, passive)
 
-    nu = config.shift_nu if config.shift_nu > 0.0 else None
     surrogate_rows = []
     rate_trace = []
     converged = False
@@ -315,7 +308,7 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
         quad = build_phase_quadratic(channels, mode, V[:n_tx], V[n_tx:],
                                      mu, zeta)
         p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
-        x, _ = power_iteration(quad.matrix, quad.linear, nu=nu,
+        x, _ = power_iteration(quad.matrix, quad.linear,
                                max_iters=config.max_inner_iters, p0=p0)
         passive = PassiveBeam(x.conj())
         h = effective_matrix(channels, passive, mode)
@@ -348,18 +341,19 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
                     sum_rate_trace=np.asarray(rate_trace))
 
 
-def sparsity_search(channels: ChannelSet, config: SystemConfig,
-                    inner_solver=ao_solve) -> tuple[AoResult, list[tuple[int, float]]]:
+def sparsity_search(solve, config: SystemConfig
+                    ) -> tuple[AoResult, list[tuple[int, float]]]:
     """Exhaustive search over the feasible sparsity levels.
 
-    Each level solves the same channels from a fresh solver start. Ties
-    are broken toward the smaller level by the strict comparison.
+    ``solve`` maps a sparsity level to the alternating-optimization result
+    at that level; the levels are scanned in increasing order and ties are
+    broken toward the smaller level by the strict comparison. Returns the
+    best result and the scanned (level, sum rate) pairs.
     """
     best = None
     scanned = []
     for eta in feasible_sparsities(config.n_elems, config.n_connected):
-        mode = make_mode(config.n_elems, config.n_connected, eta)
-        result = inner_solver(channels, mode, config)
+        result = solve(eta)
         scanned.append((eta, result.report.sum_rate))
         if best is None or result.report.sum_rate > best.report.sum_rate:
             best = result
@@ -369,8 +363,15 @@ def sparsity_search(channels: ChannelSet, config: SystemConfig,
 def wa_solve(geometry: Geometry, config: SystemConfig
              ) -> tuple[BeamformingSolution, ModeSelection, RateReport]:
     """Whole procedure for one geometry: scan sparsity levels, run the
-    alternating optimization on each, keep the best."""
-    best, _ = sparsity_search(los_channels(geometry, config), config)
+    alternating optimization on each from a fresh start on the same
+    channels, keep the best."""
+    channels = los_channels(geometry, config)
+
+    def solve(eta: int) -> AoResult:
+        mode = make_mode(config.n_elems, config.n_connected, eta)
+        return ao_solve(channels, mode, config)
+
+    best, _ = sparsity_search(solve, config)
     return best.solution, best.mode, best.report
 
 

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from rdars import Geometry, SystemConfig, derive_geometry, drop_ues
+from rdars.scenario import Geometry, SystemConfig, derive_geometry, drop_ues
 
 BS = (0.0, 0.0, 15.0)
 SURFACE = (50.0, 30.0, 15.0)

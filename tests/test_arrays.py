@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars import (PassiveBeam, SystemConfig, effective_matrix,
-                   feasible_sparsities, los_channels, make_mode, steering)
+from rdars.arrays import (PassiveBeam, effective_matrix, feasible_sparsities,
+                          los_channels, make_mode, steering)
 
 from helpers import brute_effective_rows, random_geometry, small_config
 

@@ -5,14 +5,18 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars import (CASE2, CASE3, SUBCASE1, SUBCASE2, PassiveBeam, SystemConfig,
-                   analyze_two_ue, case2_cscc, closed_form, center_phase, cscc, cscc_closed,
-                   derive_geometry, dirichlet_kernel, dirichlet_sparse,
-                   effective_matrix, feasible_sparsities, los_channels,
-                   make_mode, proposition1_select,
-                   r_set, reference_passive, select_two_ue_eta,
-                   single_ue_solution, sinr_all, steered_sums, steering,
-                   two_ue_analysis, two_ue_rate, two_ue_sinr)
+from rdars import closed_form
+from rdars.arrays import (PassiveBeam, effective_matrix, feasible_sparsities,
+                          los_channels, make_mode, steering)
+from rdars.closed_form import (CASE2, CASE3, SUBCASE1, SUBCASE2,
+                               analyze_two_ue, case2_cscc, center_phase,
+                               cscc_closed, dirichlet_kernel,
+                               dirichlet_sparse, proposition1_select, r_set,
+                               reference_passive, select_two_ue_eta,
+                               single_ue_solution, steered_sums,
+                               two_ue_analysis, two_ue_rate, two_ue_sinr)
+from rdars.metrics import cscc, sinr_all
+from rdars.scenario import SystemConfig, derive_geometry
 
 from helpers import (aligned_pair_geometry, brute_sparse_sum, exact_u_geometry,
                      random_geometry, small_config, synthetic_geometry)
@@ -318,13 +322,6 @@ def test_selector_case2_equals_exhaustive_scan():
     vals = [case2_cscc(geo, cfg, eta)
             for eta in feasible_sparsities(128, 20)]
     assert sel.eta_set == (1 + int(np.argmin(vals)),)
-
-
-def test_selector_rejects_bad_factor():
-    cfg = SystemConfig(n_ues=2)
-    geo = _two_ue_geometry(cfg, 0.05)
-    with pytest.raises(ValueError):
-        proposition1_select(geo, cfg, regime_factor=1.0)
 
 
 @pytest.mark.parametrize("eta_star", [2, 3, 4, 5, 6])

@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars import (ALGORITHMS, CSV_FIELDS, Campaign, Scenario, TrialRow,
-                   analyze_two_ue, dbm_to_watt, derive_geometry, drop_ues,
-                   emit_csv, harness, run_campaign, run_trial,
-                   scenario_geometry, solve_fixed_eta, two_ue_rate,
-                   watt_to_dbm)
+from rdars import harness
+from rdars.closed_form import analyze_two_ue, two_ue_rate
+from rdars.harness import (ALGORITHMS, CSV_FIELDS, Campaign, TrialRow,
+                           dbm_to_watt, emit_csv, run_campaign, run_trial,
+                           watt_to_dbm)
+from rdars.scenario import (Scenario, derive_geometry, drop_ues,
+                            scenario_geometry)
+from rdars.wmmse import solve_fixed_eta
 
 from helpers import BS, CENTER, SURFACE, small_config
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars import (BeamformingSolution, PassiveBeam, cscc, mse_all, mse_k,
-                   sinr_all, sum_rate)
+from rdars.arrays import PassiveBeam
+from rdars.metrics import (BeamformingSolution, cscc, mse_all, mse_k,
+                           sinr_all, sum_rate)
 
 
 def test_sinr_hand_case():

@@ -1,13 +1,14 @@
 import math
 import textwrap
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars import (Scenario, ScenarioError, SystemConfig, default_scenario,
-                   derive_geometry, load_scenario, parse_scenario_text,
-                   path_gain, scenario_geometry)
+from rdars.scenario import (Scenario, ScenarioError, SystemConfig,
+                            default_scenario, derive_geometry, load_scenario,
+                            parse_scenario_text, path_gain, scenario_geometry)
 
 from helpers import BS, CENTER, SURFACE
 
@@ -51,8 +52,17 @@ def test_config_derives_wavelength_and_spacing():
 
 
 def test_config_rejects_inconsistent_wavelength():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         SystemConfig(carrier_freq=28e9, wavelength=0.02)
+    with pytest.raises(ScenarioError):
+        parse_scenario_text("carrier_freq = 28e9\nwavelength = 0.02\n")
+
+
+def test_config_replace_carrier_rederives_wavelength():
+    base = SystemConfig()
+    cfg = replace(base, carrier_freq=3.5e9)
+    assert cfg.wavelength == 299792458.0 / 3.5e9
+    assert cfg.spacing == base.spacing
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -67,7 +77,7 @@ def test_config_rejects_inconsistent_wavelength():
     dict(conv_threshold=0.0),
     dict(max_outer_iters=0),
     dict(max_inner_iters=0),
-    dict(shift_nu=-1.0),
+    dict(spacing=-1.0),
 ])
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
@@ -125,6 +135,8 @@ def test_parse_scenario_roundtrip():
     "n_tx = x",
     "bs_pos = 1 2",
     "bisection_tol = 1e-9",     # a retired SystemConfig field
+    "shift_nu = 0.0",           # a retired SystemConfig field
+    "wavelength = 0.0107",      # derived from carrier_freq, not settable
 ])
 def test_parse_scenario_rejects_bad_lines(line):
     with pytest.raises(ScenarioError):

@@ -1,5 +1,6 @@
 import pytest
 
+from rdars import validation
 from rdars.validation import (CheckResult, check_alternating_solver,
                               check_correlation, check_phase_search,
                               check_single_ue, run_checks)
@@ -25,3 +26,16 @@ def test_run_checks_reports_all_four():
 @pytest.mark.parametrize("seed", [5, 17])
 def test_checks_hold_at_other_seeds(seed):
     assert all(r.passed for r in run_checks(seed=seed))
+
+
+def test_single_ue_check_builds_channels_once_per_drop(monkeypatch):
+    builds = []
+    build = validation.los_channels
+
+    def counting(*args):
+        builds.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(validation, "los_channels", counting)
+    assert check_single_ue(0).passed
+    assert len(builds) == 5
