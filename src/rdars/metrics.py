@@ -81,7 +81,7 @@ def mse_all(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
     """Vector of every UE's MSE for the given scalar receivers."""
     S = h @ V
     own = np.diag(S)
-    total = np.sum(np.abs(S) ** 2, axis=1) + noise
+    total = (np.abs(S) ** 2).sum(axis=1) + noise
     return 1.0 - 2.0 * np.real(np.conj(mu) * own) + np.abs(mu) ** 2 * total
 
 

@@ -7,7 +7,7 @@ amplitudes, so kappa**2 is the power attenuation of a link.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +73,14 @@ class SystemConfig:
             raise ScenarioError("carrier_freq must be positive")
         if self.spacing is None:
             object.__setattr__(self, "spacing", self.wavelength / 2.0)
+        # NaN passes every <= check below, so real values must be finite
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, int):
+                continue
+            values = value if f.name.endswith("_axis") else (value,)
+            if not all(math.isfinite(v) for v in values):
+                raise ScenarioError(f"{f.name} must be finite, got {value}")
         if self.n_tx < 1 or self.n_elems < 1 or self.n_ues < 1:
             raise ScenarioError("antenna and UE counts must be positive")
         if not 1 <= self.n_connected <= self.n_elems:

@@ -29,7 +29,7 @@ from .scenario import Geometry, SystemConfig
 def effective_noise(V: np.ndarray, noise_power: float,
                     total_power: float) -> float:
     """Noise power scaled by the fraction of the budget actually spent."""
-    return noise_power * float(np.sum(np.abs(V) ** 2)) / total_power
+    return noise_power * float((np.abs(V) ** 2).sum()) / total_power
 
 
 def zf_init(h: np.ndarray, total_power: float) -> np.ndarray:
@@ -52,7 +52,7 @@ def update_receivers(h: np.ndarray, V: np.ndarray, noise_power: float,
     sig = effective_noise(V, noise_power, total_power)
     if sig <= 0.0:
         raise ValueError("precoder carries no power; receivers undefined")
-    denom = np.sum(np.abs(s) ** 2, axis=1) + sig
+    denom = (np.abs(s) ** 2).sum(axis=1) + sig
     return np.diag(s) / denom
 
 
@@ -68,7 +68,12 @@ def surrogate_value(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
                     total_power: float) -> float:
     """Lifted objective sum_k (zeta_k e_k - ln zeta_k)."""
     e = mse_all(h, V, mu, effective_noise(V, noise_power, total_power))
-    return float(np.sum(zeta * e - np.log(zeta)))
+    return _lifted_objective(zeta, e)
+
+
+def _lifted_objective(zeta: np.ndarray, e: np.ndarray) -> float:
+    """sum_k (zeta_k e_k - ln zeta_k) at given weights and MSEs."""
+    return float((zeta * e - np.log(zeta)).sum())
 
 
 def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
@@ -107,7 +112,7 @@ def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     keep = lam > dim * np.finfo(float).eps * lam[-1]
     lam, U = lam[keep], U[:, keep]
     b = U.conj().T @ (h.conj().T * (zeta * mu))
-    c = np.sum(np.abs(b) ** 2, axis=1)
+    c = (np.abs(b) ** 2).sum(axis=1)
     t = _budget_shift(lam, c, total_power)
     return U @ (b / (lam + t)[:, None])
 
@@ -126,18 +131,18 @@ def _budget_shift(lam: np.ndarray, c: np.ndarray, total_power: float) -> float:
     the returned end is within budget either way.
     """
     rtol = 1e-13
-    if float(np.sum(c / lam ** 2)) <= total_power:
+    if float((c / lam ** 2).sum()) <= total_power:
         return 0.0
-    lo, hi = 0.0, math.sqrt(float(np.sum(c)) / total_power)
+    lo, hi = 0.0, math.sqrt(float(c.sum()) / total_power)
     t = 0.0
     for _ in range(200):
         q = c / (lam + t) ** 2
-        p = float(np.sum(q))
+        p = float(q.sum())
         if p > total_power:
             lo = t
         else:
             hi = t
-        dp = -2.0 * float(np.sum(q / (lam + t)))
+        dp = -2.0 * float((q / (lam + t)).sum())
         t_newton = t + 2.0 * p * (1.0 - math.sqrt(p / total_power)) / dp
         moved = t_newton > lo
         if moved:
@@ -196,8 +201,14 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
     make it positive semidefinite. The shift is the smallest such one,
     max(0, -lambda_min(D)), plus a 1e-9 ||D||_F margin: the lambda_max
     majorizer of the MM literature, the tightest shift that keeps the
-    ascent guarantee, so each step goes as far as it allows. Entries whose
-    matrix-vector product vanishes keep their previous phase.
+    ascent guarantee, so each step goes as far as it allows.
+
+    Each step costs one matrix-vector product z = (D + nu I) p. It gives
+    the next phases z / |z| and, since |p_i| = 1, the objective of the
+    current point, p^H D p = Re(p^H z) - nu (n + 1). Entries whose product
+    vanishes keep their previous phase: such a step first yields NaN
+    phases, which show up as a NaN objective, and is then redone with
+    that guard.
 
     With no start point given, both the all-ones vector and the phases of
     the leading eigenvector of D (the same eigendecomposition that gives
@@ -232,31 +243,36 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
         starts = [p / mags]
     nu = max(0.0, -float(evals[0])) + 1e-9 * float(np.linalg.norm(D))
     shifted = D + nu * np.eye(n + 1)
+    offset = nu * (n + 1)
 
     def iterate(p):
-        obj = float(np.real(p.conj() @ D @ p))
+        z = shifted @ p
+        obj = float(np.vdot(p, z).real) - offset
         history = [obj]
         for _ in range(max_iters):
-            z = shifted @ p
-            mags = np.abs(z)
-            p_new = np.where(mags > 0.0,
-                             z / np.where(mags > 0.0, mags, 1.0), p)
-            obj_new = float(np.real(p_new.conj() @ D @ p_new))
+            p_new = z / np.abs(z)
+            z_new = shifted @ p_new
+            obj_new = float(np.vdot(p_new, z_new).real) - offset
+            if math.isnan(obj_new):
+                p_new = np.where(np.abs(z) > 0.0, p_new, p)
+                z_new = shifted @ p_new
+                obj_new = float(np.vdot(p_new, z_new).real) - offset
             if obj_new < obj - 1e-8 * (1.0 + abs(obj)):
                 raise ArithmeticError("homogenized objective decreased "
                                       "during the phase power iteration")
             history.append(obj_new)
             done = abs(obj_new - obj) <= tol * (1.0 + abs(obj))
-            p, obj = p_new, obj_new
+            p, z, obj = p_new, z_new, obj_new
             if done:
                 break
         return p, np.asarray(history)
 
-    p_best, hist_best = iterate(starts[0])
-    for p_start in starts[1:]:
-        p_alt, hist_alt = iterate(p_start)
-        if hist_alt[-1] > hist_best[-1]:
-            p_best, hist_best = p_alt, hist_alt
+    with np.errstate(divide="ignore", invalid="ignore"):
+        p_best, hist_best = iterate(starts[0])
+        for p_start in starts[1:]:
+            p_alt, hist_alt = iterate(p_start)
+            if hist_alt[-1] > hist_best[-1]:
+                p_best, hist_best = p_alt, hist_alt
     x = np.exp(1j * np.angle(p_best[:n] * np.conj(p_best[n])))
     return x, hist_best
 
@@ -264,13 +280,15 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
 @dataclass(frozen=True)
 class AoResult:
     """A full alternating-optimization run: the beamformers, the mode they
-    were optimized for, the rate report, and the per-update traces."""
+    were optimized for, the rate report, the per-update traces, and how
+    many phase updates stopped at the ``max_inner_iters`` step cap."""
 
     solution: BeamformingSolution
     mode: ModeSelection
     report: RateReport
     surrogate_trace: np.ndarray    # (iters, 4): post receiver/weight/precoder/phase
     sum_rate_trace: np.ndarray     # (iters,)
+    phase_cap_hits: int = 0
 
 
 def ao_solve(channels: ChannelSet, mode: ModeSelection,
@@ -296,20 +314,22 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     surrogate_rows = []
     rate_trace = []
     converged = False
-    iterations = 0
+    iterations = cap_hits = 0
     for iterations in range(1, config.max_outer_iters + 1):
         mu = update_receivers(h, V, noise, power)
-        s1 = surrogate_value(h, V, mu, zeta, noise, power)
-        zeta = update_weights(h, V, mu, noise, power)
-        s2 = surrogate_value(h, V, mu, zeta, noise, power)
+        e = mse_all(h, V, mu, effective_noise(V, noise, power))
+        s1 = _lifted_objective(zeta, e)
+        zeta = 1.0 / e                     # update_weights at this state
+        s2 = _lifted_objective(zeta, e)
         V = update_precoders(h, mu, zeta, power)
         s3 = surrogate_value(h, V, mu, zeta, noise, power)
 
         quad = build_phase_quadratic(channels, mode, V[:n_tx], V[n_tx:],
                                      mu, zeta)
         p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
-        x, _ = power_iteration(quad.matrix, quad.linear,
-                               max_iters=config.max_inner_iters, p0=p0)
+        x, history = power_iteration(quad.matrix, quad.linear,
+                                     max_iters=config.max_inner_iters, p0=p0)
+        cap_hits += len(history) - 1 >= config.max_inner_iters
         passive = PassiveBeam(x.conj())
         h = effective_matrix(channels, passive, mode)
         s4 = surrogate_value(h, V, mu, zeta, noise, power)
@@ -338,7 +358,8 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
                                    passive=passive_out)
     return AoResult(solution=solution, mode=mode, report=report,
                     surrogate_trace=np.asarray(surrogate_rows),
-                    sum_rate_trace=np.asarray(rate_trace))
+                    sum_rate_trace=np.asarray(rate_trace),
+                    phase_cap_hits=cap_hits)
 
 
 def sparsity_search(solve, config: SystemConfig

@@ -84,6 +84,23 @@ def test_config_validation(kwargs):
         SystemConfig(**kwargs)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("carrier_freq", math.inf),
+    ("spacing", math.nan),
+    ("total_power", math.inf),
+    ("noise_power", math.nan),
+    ("ref_pathloss_db", -math.inf),
+    ("pathloss_exp_bs_rdars", math.nan),
+    ("pathloss_exp_rdars_ue", math.inf),
+    ("conv_threshold", math.inf),
+    ("bs_axis", (1.0, math.nan, 0.0)),
+    ("rdars_axis", (math.inf, 0.0, 0.0)),
+])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ScenarioError, match=f"^{name} must be finite"):
+        SystemConfig(**{name: value})
+
+
 def test_derive_geometry_default_layout():
     cfg = SystemConfig(n_ues=1)
     geo = derive_geometry(BS, SURFACE, np.array([[95.0, 8.0, 1.5]]), cfg)
@@ -137,6 +154,12 @@ def test_parse_scenario_roundtrip():
     "bisection_tol = 1e-9",     # a retired SystemConfig field
     "shift_nu = 0.0",           # a retired SystemConfig field
     "wavelength = 0.0107",      # derived from carrier_freq, not settable
+    "carrier_freq = nan",
+    "total_power = nan",
+    "noise_power = inf",
+    "conv_threshold = nan",
+    "spacing = inf",
+    "ref_pathloss_db = nan",
 ])
 def test_parse_scenario_rejects_bad_lines(line):
     with pytest.raises(ScenarioError):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -305,6 +306,130 @@ def test_power_iteration_keeps_phase_on_zero_column():
     assert np.all(trace == 0.0)
 
 
+def _two_product_power_iteration(C, beta_vec, tol=1e-10, max_iters=1000,
+                                 p0=None):
+    """Reference copy of the step loop that recomputes p^H D p from scratch
+    and guards zero entries on every step (two products per step). Returns
+    x, the objective trace, and the steps whose product had a zero entry."""
+    n = beta_vec.shape[0]
+    D = np.zeros((n + 1, n + 1), dtype=complex)
+    D[:n, :n] = -C
+    D[:n, n] = -beta_vec
+    D[n, :n] = -beta_vec.conj()
+    if p0 is None:
+        evals, evecs = np.linalg.eigh(D)
+        lead = evecs[:, -1]
+        mags = np.abs(lead)
+        lead = np.where(mags > 0.0,
+                        lead / np.where(mags > 0.0, mags, 1.0), 1.0)
+        starts = [np.ones(n + 1, dtype=complex), lead]
+    else:
+        evals = np.linalg.eigvalsh(D)
+        p = np.asarray(p0, dtype=complex)
+        starts = [p / np.abs(p)]
+    nu = max(0.0, -float(evals[0])) + 1e-9 * float(np.linalg.norm(D))
+    shifted = D + nu * np.eye(n + 1)
+    zero_steps = []
+
+    def iterate(p):
+        obj = float(np.real(p.conj() @ D @ p))
+        history = [obj]
+        for step in range(max_iters):
+            z = shifted @ p
+            mags = np.abs(z)
+            if np.any(mags == 0.0):
+                zero_steps.append(step)
+            p_new = np.where(mags > 0.0,
+                             z / np.where(mags > 0.0, mags, 1.0), p)
+            obj_new = float(np.real(p_new.conj() @ D @ p_new))
+            history.append(obj_new)
+            done = abs(obj_new - obj) <= tol * (1.0 + abs(obj))
+            p, obj = p_new, obj_new
+            if done:
+                break
+        return p, np.asarray(history)
+
+    p_best, hist_best = iterate(starts[0])
+    for p_start in starts[1:]:
+        p_alt, hist_alt = iterate(p_start)
+        if hist_alt[-1] > hist_best[-1]:
+            p_best, hist_best = p_alt, hist_alt
+    x = np.exp(1j * np.angle(p_best[:n] * np.conj(p_best[n])))
+    return x, hist_best, zero_steps
+
+
+def _random_phase_problem(rng, n):
+    root = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    p0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n + 1))
+    return root @ root.conj().T, beta, p0
+
+
+@pytest.mark.parametrize("start, max_iters", [
+    ("warm", 1000),
+    ("none", 1000),
+    ("warm", 3),             # stops at the step cap
+])
+def test_power_iteration_matches_two_product_reference(start, max_iters):
+    rng = np.random.default_rng(41)
+    for n in (1, 4, 12, 32):
+        C, beta, p0 = _random_phase_problem(rng, n)
+        kwargs = dict(max_iters=max_iters, p0=p0 if start == "warm" else None)
+        x, hist = power_iteration(C, beta, **kwargs)
+        x_ref, hist_ref, _ = _two_product_power_iteration(C, beta, **kwargs)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
+        assert len(hist) == len(hist_ref)
+        np.testing.assert_allclose(hist, hist_ref, rtol=1e-9,
+                                   atol=1e-12 * np.abs(hist_ref).max())
+        if max_iters == 3 and n > 1:      # n = 1 is exact after one step
+            assert len(hist) == max_iters + 1
+
+
+def _shifted_corner(C, beta):
+    """Entry [0, 0] of the shifted homogenized matrix power_iteration uses."""
+    n = beta.shape[0]
+    D = np.zeros((n + 1, n + 1), dtype=complex)
+    D[:n, :n] = -C
+    D[:n, n] = -beta
+    D[n, :n] = -beta.conj()
+    nu = max(0.0, -float(np.linalg.eigvalsh(D)[0])) \
+        + 1e-9 * float(np.linalg.norm(D))
+    return (D[0, 0] + nu).real
+
+
+def test_power_iteration_keeps_phase_when_product_vanishes_partway():
+    # C = [[c1, 2], [2, 20]], beta = (0, 8), start (1, -1, -1). With c1
+    # tuned so the shifted corner is exactly 2, row 0 of the shifted matrix
+    # is (2, -2, 0): the first product's entry 0 is 4, and the second
+    # product's entry 0 is exactly 2 - 2 = 0 once both phases are 1.
+    def problem(c1):
+        return np.array([[c1, 2.0], [2.0, 20.0]]), np.array([0.0, 8.0 + 0.0j])
+
+    lo, hi = 0.0, 50.0                 # the corner decreases in c1
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if _shifted_corner(*problem(mid)) > 2.0:
+            lo = mid
+        else:
+            hi = mid
+    c1 = lo
+    for _ in range(64):
+        if _shifted_corner(*problem(c1)) == 2.0:
+            break
+        c1 = np.nextafter(c1, np.inf)
+    C, beta = problem(c1)
+    assert _shifted_corner(C, beta) == 2.0
+
+    p0 = np.array([1.0, -1.0, -1.0], dtype=complex)
+    x_ref, hist_ref, zero_steps = _two_product_power_iteration(C, beta, p0=p0)
+    assert zero_steps and zero_steps[0] >= 1       # not at the start
+    x, hist = power_iteration(C, beta, p0=p0)
+    assert np.all(np.isfinite(x)) and np.all(np.isfinite(hist))
+    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
+    assert len(hist) == len(hist_ref)
+    assert np.all(np.diff(hist) >= -1e-8 * (1.0 + np.abs(hist[:-1])))
+
+
 def test_power_iteration_validates_start_point():
     C = np.eye(2)
     beta = np.ones(2, dtype=complex)
@@ -355,6 +480,65 @@ def test_ao_solve_flags_nonconvergence():
     assert not res.report.converged
     assert res.report.iterations == 1
     assert res.report.sum_rate > 0.0
+
+
+def test_ao_solve_surrogate_trace_is_surrogate_value():
+    """Replaying the loop through the public block updates gives the same
+    states, so every trace entry equals surrogate_value there exactly."""
+    cfg = small_config(n_ues=3, max_outer_iters=6, conv_threshold=1e-12)
+    geo = random_geometry(cfg, np.random.default_rng(19))
+    ch = los_channels(geo, cfg)
+    mode = make_mode(16, 4, 2)
+    res = ao_solve(ch, mode, cfg)
+    power, noise = cfg.total_power, cfg.noise_power
+
+    passive = PassiveBeam.uniform(16)
+    h = effective_matrix(ch, passive, mode)
+    V = zf_init(h, power)
+    zeta = np.ones(3)
+    rows = []
+    for _ in range(res.report.iterations):
+        mu = update_receivers(h, V, noise, power)
+        s1 = surrogate_value(h, V, mu, zeta, noise, power)
+        zeta = update_weights(h, V, mu, noise, power)
+        s2 = surrogate_value(h, V, mu, zeta, noise, power)
+        V = update_precoders(h, mu, zeta, power)
+        s3 = surrogate_value(h, V, mu, zeta, noise, power)
+        quad = build_phase_quadratic(ch, mode, V[:4], V[4:], mu, zeta)
+        p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
+        x, _ = power_iteration(quad.matrix, quad.linear,
+                               max_iters=cfg.max_inner_iters, p0=p0)
+        passive = PassiveBeam(x.conj())
+        h = effective_matrix(ch, passive, mode)
+        rows.append((s1, s2, s3,
+                     surrogate_value(h, V, mu, zeta, noise, power)))
+    assert res.report.iterations == 6
+    assert np.array_equal(res.surrogate_trace[:, :2], np.asarray(rows)[:, :2])
+    assert np.array_equal(res.surrogate_trace, np.asarray(rows))
+
+
+def test_ao_solve_counts_phase_step_cap_hits(monkeypatch):
+    cfg = small_config(n_ues=3, max_inner_iters=1)
+    geo = random_geometry(cfg, np.random.default_rng(20))
+    ch = los_channels(geo, cfg)
+    res = ao_solve(ch, make_mode(16, 4, 2), cfg)
+    assert res.phase_cap_hits == res.report.iterations
+
+    # a cap some calls reach and some do not: the count follows the rule
+    # len(history) - 1 >= max_iters, call by call
+    hits = []
+
+    def counting(*args, **kwargs):
+        x, history = power_iteration(*args, **kwargs)
+        hits.append(len(history) - 1 >= kwargs["max_iters"])
+        return x, history
+
+    monkeypatch.setattr("rdars.wmmse.power_iteration", counting)
+    cfg = replace(cfg, max_inner_iters=4)
+    res = ao_solve(ch, make_mode(16, 4, 2), cfg)
+    assert len(hits) == res.report.iterations
+    assert 0 < sum(hits) < len(hits)
+    assert res.phase_cap_hits == sum(hits)
 
 
 def test_sparsity_search_breaks_ties_toward_compact():
