@@ -8,6 +8,7 @@ Subcommands: ``run`` executes a Monte-Carlo campaign and writes CSV,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -30,6 +31,9 @@ def parse_sweep(text: str) -> tuple[float, ...]:
     if len(parts) != 3:
         raise ValueError(f"sweep range must be a:b:step, got {rng!r}")
     start, stop, step = (float(p) for p in parts)
+    for label, value in (("start", start), ("stop", stop), ("step", step)):
+        if not math.isfinite(value):
+            raise ValueError(f"sweep {label} must be finite, got {value}")
     if step <= 0.0:
         raise ValueError(f"sweep step must be positive, got {step}")
     if stop < start:

@@ -17,7 +17,7 @@ runs alone; only ``wall_ms`` differs, because a shared piece of work is
 charged to the first row that needs it and later rows reuse it.
 
 Row status is ``ok``; ``unconverged`` for a solver row whose alternating
-optimization stopped at its iteration cap (the row keeps that solve's best
+optimization stopped at its iteration cap (the row keeps that solve's last
 iterate); or ``failed:<ExceptionName>`` with NaN rates.
 """
 

@@ -4,12 +4,14 @@ The sum-rate problem is lifted to a weighted MSE minimization over
 per-UE receive scalars, positive weights, the stacked BS plus
 connected-element precoder, and the reflection phases. Each block update
 below minimizes the lifted objective with the others held fixed, so the
-objective is nonincreasing across sub-updates and the recorded sum rate
-is nondecreasing across outer iterations.
+objective is nonincreasing across sub-updates.
 
 The noise term inside every MSE is scaled by the transmit-power ratio
 ||V||_F^2 / P. On the full-power sphere this reduces to the plain noise
-power and makes the MSE of the exact receiver equal 1/(1 + SINR).
+power and makes the MSE of the exact receiver equal 1/(1 + SINR). The
+precoder step ends on that sphere, so every iterate spends the whole
+budget, the objective after the weight update is K - ln(2) times the
+sum rate, and the recorded sum rate is nondecreasing by construction.
 """
 
 from __future__ import annotations
@@ -80,7 +82,9 @@ def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
                  rho: float) -> np.ndarray:
     """Stacked precoder at a given normalized multiplier: columns
     zeta_k mu_k (A0 + rho s0 I)^{-1} h_k^H with A0 the weighted channel
-    Gram matrix and s0 the weight sum."""
+    Gram matrix and s0 the weight sum. At rho = sigma^2 / P this is the
+    minimizer of the lifted objective over V, the solve that
+    ``update_precoders`` makes."""
     w = zeta * np.abs(mu) ** 2
     dim = h.shape[1]
     a0 = (h.conj().T * w) @ h
@@ -90,67 +94,23 @@ def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
 
 
 def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
-                     total_power: float) -> np.ndarray:
-    """Constrained precoder update, the WMMSE multiplier step.
+                     noise_power: float, total_power: float
+                     ) -> tuple[np.ndarray, np.ndarray]:
+    """Precoder block update, returned as a precoder and receiver pair.
 
-    One eigendecomposition A0 = U diag(lam) U^H of the weighted channel
-    Gram matrix turns the power of ``precoders_at`` into the scalar
-    function sum_i c_i / (lam_i + t)^2 of the shift t = rho s0, with c_i
-    the squared row norms of U^H times the right-hand side. Eigenvalues
-    at or below dim * eps * lam_max are dropped: the right-hand side lies
-    in the range of A0, so the t = 0 solution is the minimum-norm one. If
-    that solution is over budget, the shift that meets it is found by
-    safeguarded Newton and taken from the feasible side, so the returned
-    power is at most the budget and within about 1e-13 relative of it.
-    A zero Gram matrix (no weight anywhere) returns zeros.
+    With the noise scaled by ||V||_F^2 / P, the lifted objective is an
+    unconstrained quadratic in V whose minimizer is ``precoders_at`` at
+    rho = noise_power / total_power (Christensen et al., IEEE TWC 2008).
+    The objective does not change under (V, mu) -> (c V, mu / c), so
+    c = sqrt(P / ||V||_F^2) puts the minimizer on the full-power sphere
+    and the receivers are divided by c to match. With no weight anywhere
+    (zeta |mu|^2 sums to 0) the step returns zeros and ``mu`` unchanged.
     """
-    w = zeta * np.abs(mu) ** 2
-    n_ues, dim = h.shape
-    lam, U = np.linalg.eigh((h.conj().T * w) @ h)
-    if not lam[-1] > 0.0:
-        return np.zeros((dim, n_ues), dtype=complex)
-    keep = lam > dim * np.finfo(float).eps * lam[-1]
-    lam, U = lam[keep], U[:, keep]
-    b = U.conj().T @ (h.conj().T * (zeta * mu))
-    c = (np.abs(b) ** 2).sum(axis=1)
-    t = _budget_shift(lam, c, total_power)
-    return U @ (b / (lam + t)[:, None])
-
-
-def _budget_shift(lam: np.ndarray, c: np.ndarray, total_power: float) -> float:
-    """Smallest t >= 0 with p(t) = sum c / (lam + t)^2 <= total_power, to
-    1e-13 relative.
-
-    Keeps a bracket [lo, hi] whose upper end is an evaluated point within
-    budget, and returns that end. Newton runs on p(t)^(-1/2), which is
-    concave and nearly linear, so every Newton point is a lower bound on
-    the root and raises lo; the next evaluation sits just above it, where
-    it lands within budget once lo is within rtol/2 of the root. When
-    Newton does not move lo, the bracket is bisected. Newton needs a
-    handful of steps; the step cap only bounds a pathological case, and
-    the returned end is within budget either way.
-    """
-    rtol = 1e-13
-    if float((c / lam ** 2).sum()) <= total_power:
-        return 0.0
-    lo, hi = 0.0, math.sqrt(float(c.sum()) / total_power)
-    t = 0.0
-    for _ in range(200):
-        q = c / (lam + t) ** 2
-        p = float(q.sum())
-        if p > total_power:
-            lo = t
-        else:
-            hi = t
-        dp = -2.0 * float((q / (lam + t)).sum())
-        t_newton = t + 2.0 * p * (1.0 - math.sqrt(p / total_power)) / dp
-        moved = t_newton > lo
-        if moved:
-            lo = min(t_newton, hi)
-        if hi - lo <= rtol * hi:
-            break
-        t = lo + 0.5 * rtol * hi if moved else 0.5 * (lo + hi)
-    return hi
+    if not float((zeta * np.abs(mu) ** 2).sum()) > 0.0:
+        return np.zeros((h.shape[1], h.shape[0]), dtype=complex), mu
+    V = precoders_at(h, mu, zeta, noise_power / total_power)
+    c = math.sqrt(total_power / float((np.abs(V) ** 2).sum()))
+    return c * V, mu / c
 
 
 @dataclass(frozen=True)
@@ -297,8 +257,8 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     (uniform reflection, zero-forcing precoder, unit weights).
 
     Stops when the relative sum-rate gain of an outer iteration drops
-    below the configured threshold; if the iteration budget runs out
-    first, the best recorded iterate is returned flagged unconverged.
+    below the configured threshold and returns the last iterate; if the
+    iteration budget runs out first, that iterate is flagged unconverged.
     """
     t0 = time.perf_counter()
     power, noise = config.total_power, config.noise_power
@@ -308,8 +268,7 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     h = effective_matrix(channels, passive, mode)
     V = zf_init(h, power)
     zeta = np.ones(channels.n_ues)
-    rate_prev = sum_rate(h, V, noise).sum_rate
-    best = (rate_prev, V, passive)
+    report = sum_rate(h, V, noise)
 
     surrogate_rows = []
     rate_trace = []
@@ -321,7 +280,7 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
         s1 = _lifted_objective(zeta, e)
         zeta = 1.0 / e                     # update_weights at this state
         s2 = _lifted_objective(zeta, e)
-        V = update_precoders(h, mu, zeta, power)
+        V, mu = update_precoders(h, mu, zeta, noise, power)
         s3 = surrogate_value(h, V, mu, zeta, noise, power)
 
         quad = build_phase_quadratic(channels, mode, V[:n_tx], V[n_tx:],
@@ -335,27 +294,19 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
         s4 = surrogate_value(h, V, mu, zeta, noise, power)
         surrogate_rows.append((s1, s2, s3, s4))
 
-        rate = sum_rate(h, V, noise).sum_rate
-        rate_trace.append(rate)
-        if rate > best[0]:
-            best = (rate, V, passive)
+        rate_prev = report.sum_rate
+        report = sum_rate(h, V, noise)
+        rate_trace.append(report.sum_rate)
         # multiplied-out fractional-gain test; the quotient would overflow
         # on the first pass where the reference rate is still zero
-        if rate - rate_prev < config.conv_threshold \
+        if report.sum_rate - rate_prev < config.conv_threshold \
                 * max(rate_prev, np.finfo(float).tiny):
             converged = True
             break
-        rate_prev = rate
 
-    if converged:
-        V_out, passive_out = V, passive
-    else:
-        _, V_out, passive_out = best
-        h = effective_matrix(channels, passive_out, mode)
-    report = replace(sum_rate(h, V_out, noise), iterations=iterations,
+    report = replace(report, iterations=iterations,
                      wall_time=time.perf_counter() - t0, converged=converged)
-    solution = BeamformingSolution(W=V_out[:n_tx], F=V_out[n_tx:],
-                                   passive=passive_out)
+    solution = BeamformingSolution(W=V[:n_tx], F=V[n_tx:], passive=passive)
     return AoResult(solution=solution, mode=mode, report=report,
                     surrogate_trace=np.asarray(surrogate_rows),
                     sum_rate_trace=np.asarray(rate_trace),

@@ -37,9 +37,24 @@ def test_parse_sweep_inclusive_grid():
     "ptot_dbm=1:2:0",
     "ptot_dbm=5:1:1",
     "ptot_dbm=a:b:c",
+    "ptot_dbm=0:inf:10",
+    "ptot_dbm=-inf:10:5",
+    "ptot_dbm=nan:10:5",
+    "ptot_dbm=0:10:nan",
 ])
 def test_parse_sweep_rejects_malformed(text):
     with pytest.raises(ValueError):
+        parse_sweep(text)
+
+
+@pytest.mark.parametrize("text, slot", [
+    ("ptot_dbm=-inf:10:5", "start"),
+    ("ptot_dbm=0:inf:10", "stop"),
+    ("ptot_dbm=0:10:inf", "step"),
+    ("ptot_dbm=0:nan:5", "stop"),
+])
+def test_parse_sweep_names_non_finite_slot(text, slot):
+    with pytest.raises(ValueError, match=f"sweep {slot} must be finite"):
         parse_sweep(text)
 
 

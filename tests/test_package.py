@@ -1,3 +1,7 @@
+import ast
+import sys
+from pathlib import Path
+
 import rdars
 
 
@@ -5,3 +9,21 @@ def test_public_names_resolve_once():
     assert len(rdars.__all__) == len(set(rdars.__all__))
     missing = [name for name in rdars.__all__ if not hasattr(rdars, name)]
     assert missing == []
+
+
+def test_runtime_imports_only_stdlib_and_numpy():
+    src = Path(rdars.__file__).parent
+    outside = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.partition(".")[0]
+                if top != "numpy" and top not in sys.stdlib_module_names:
+                    outside.append(f"{path.name}: {name}")
+    assert outside == []

@@ -132,65 +132,54 @@ def test_precoder_power_decreases_with_multiplier():
     assert all(a > b for a, b in zip(powers, powers[1:]))
 
 
+def _precoder_inputs(seed):
+    rng = np.random.default_rng(seed)
+    h = _random_h(rng, 3, 6)
+    mu = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    zeta = rng.uniform(0.5, 3.0, 3)
+    return h, mu, zeta
+
+
 def test_update_precoders_meets_power_budget_tightly():
-    rng = np.random.default_rng(8)
-    h = _random_h(rng, 3, 6)
-    mu = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    zeta = rng.uniform(0.5, 3.0, 3)
-    power = 0.05  # below the unconstrained optimum, so the budget binds
-    V = update_precoders(h, mu, zeta, power)
-    tr = float(np.sum(np.abs(V) ** 2))
-    assert tr <= power
-    assert power - tr <= 1e-9
-
-
-def test_update_precoders_keeps_slack_when_budget_is_loose():
-    rng = np.random.default_rng(8)
-    h = _random_h(rng, 3, 6)
-    mu = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    zeta = rng.uniform(0.5, 3.0, 3)
-    V = update_precoders(h, mu, zeta, 1.3)
-    tr = float(np.sum(np.abs(V) ** 2))
-    assert tr < 1.3
-    w = zeta * np.abs(mu) ** 2
-    a0 = (h.conj().T * w) @ h
-    want = np.linalg.lstsq(a0, h.conj().T * (zeta * mu), rcond=None)[0]
-    np.testing.assert_allclose(V, want, rtol=1e-12)
+    # budgets below (0.05) and above (1.3, 1e6) the 0.085 W power of the
+    # minimum-norm precoder all end on the budget
+    h, mu, zeta = _precoder_inputs(8)
+    for power in (0.05, 1.3, 1e6):
+        V, _ = update_precoders(h, mu, zeta, 0.05, power)
+        tr = float(np.sum(np.abs(V) ** 2))
+        assert tr == pytest.approx(power, rel=1e-12)
 
 
 def test_update_precoders_binding_budget_matches_reference():
-    """The spectral step lands on precoders_at at the multiplier that
-    meets the budget; the multiplier is read back from stationarity."""
-    rng = np.random.default_rng(8)
-    h = _random_h(rng, 3, 6)
-    mu = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    zeta = rng.uniform(0.5, 3.0, 3)
-    power = 0.05
-    V = update_precoders(h, mu, zeta, power)
-    tr = float(np.sum(np.abs(V) ** 2))
-    assert tr == pytest.approx(power, rel=1e-12)
-    w = zeta * np.abs(mu) ** 2
-    a0 = (h.conj().T * w) @ h
-    rhs = h.conj().T * (zeta * mu)
-    rho = float(np.real(np.vdot(V, rhs - a0 @ V))) / (tr * w.sum())
-    assert rho > 0.0
-    np.testing.assert_allclose(V, precoders_at(h, mu, zeta, rho),
-                               rtol=1e-10, atol=1e-12 * np.max(np.abs(V)))
+    """The step is precoders_at at rho = noise / power, scaled onto the
+    budget, with the receivers divided by the same factor."""
+    h, mu, zeta = _precoder_inputs(8)
+    for noise, power in ((0.05, 0.05), (0.05, 1.3), (7e-13, 1e6)):
+        V, mu_out = update_precoders(h, mu, zeta, noise, power)
+        ref = precoders_at(h, mu, zeta, noise / power)
+        c = math.sqrt(power / float((np.abs(ref) ** 2).sum()))
+        assert np.array_equal(V, c * ref)
+        assert np.array_equal(mu_out, mu / c)
 
 
 def test_update_precoders_tiny_receiver_lands_on_budget():
-    # a 1e-12 receiver puts the minimum-norm precoder 1e23 over budget
-    V = update_precoders(np.ones((1, 3), dtype=complex),
-                         np.array([1e-12 + 0j]), np.array([1.0]), 1.0)
-    assert float(np.sum(np.abs(V) ** 2)) == pytest.approx(1.0, rel=1e-12)
-    np.testing.assert_allclose(V[:, 0], V[0, 0], rtol=1e-12)
+    # a 1e-12 receiver puts the unscaled minimizer 1e23 over a 1 W budget
+    for power in (1e-6, 1.0, 1e3):
+        V, mu = update_precoders(np.ones((1, 3), dtype=complex),
+                                 np.array([1e-12 + 0j]), np.array([1.0]),
+                                 0.1, power)
+        assert float(np.sum(np.abs(V) ** 2)) == pytest.approx(power, rel=1e-12)
+        np.testing.assert_allclose(V[:, 0], V[0, 0], rtol=1e-12)
+        assert np.all(np.isfinite(mu))
 
 
 def test_update_precoders_zero_gram_returns_zeros():
-    V = update_precoders(np.ones((2, 3), dtype=complex), np.zeros(2),
-                         np.ones(2), 1.0)
+    mu = np.zeros(2, dtype=complex)
+    V, mu_out = update_precoders(np.ones((2, 3), dtype=complex), mu,
+                                 np.ones(2), 0.1, 1.0)
     assert V.shape == (3, 2)
     assert np.all(V == 0.0)
+    assert mu_out is mu
 
 
 def test_update_precoders_never_increases_surrogate():
@@ -202,24 +191,59 @@ def test_update_precoders_never_increases_surrogate():
         V_old *= math.sqrt(power) / np.linalg.norm(V_old)
         mu = update_receivers(h, V_old, noise, power)
         zeta = update_weights(h, V_old, mu, noise, power)
-        V_new = update_precoders(h, mu, zeta, power)
+        V_new, mu_new = update_precoders(h, mu, zeta, noise, power)
         before = surrogate_value(h, V_old, mu, zeta, noise, power)
-        after = surrogate_value(h, V_new, mu, zeta, noise, power)
+        after = surrogate_value(h, V_new, mu_new, zeta, noise, power)
         assert after <= before + 1e-10 * (1.0 + abs(before))
+
+
+def test_surrogate_value_is_invariant_under_pair_scaling():
+    """(V, mu) -> (c V, mu / c) leaves every scaled-noise MSE unchanged."""
+    rng = np.random.default_rng(21)
+    h = _random_h(rng, 3, 6)
+    V = _random_h(rng, 6, 3)
+    mu = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    zeta = rng.uniform(0.5, 3.0, 3)
+    noise, power = 0.05, 1.3
+    base = surrogate_value(h, V, mu, zeta, noise, power)
+    for c in (1e-6, 0.3, 2.0, 1e5):
+        scaled = surrogate_value(h, c * V, mu / c, zeta, noise, power)
+        assert scaled == pytest.approx(base, rel=1e-12)
 
 
 @settings(max_examples=40)
 @given(st.floats(min_value=-40.0, max_value=90.0),
        st.integers(min_value=1, max_value=5),
+       st.integers(min_value=1, max_value=10),
        st.integers(min_value=0, max_value=2 ** 16))
-def test_solve_fixed_eta_holds_constraints_at_any_power(dbm, eta, seed):
-    cfg = small_config(total_power=dbm_to_watt(dbm))
+def test_solve_fixed_eta_holds_constraints_at_any_power(dbm, eta, n_ues, seed):
+    # n_ues > n_tx + a = 8 starts from the matched filter
+    cfg = small_config(n_ues=n_ues, total_power=dbm_to_watt(dbm))
     geo = random_geometry(cfg, np.random.default_rng(seed))
     sol, _, report = solve_fixed_eta(geo, cfg, eta)
-    assert sol.transmit_power <= cfg.total_power * (1.0 + 1e-12)
+    assert sol.transmit_power == pytest.approx(cfg.total_power, rel=1e-12)
     assert np.max(np.abs(np.abs(sol.passive.phi) - 1.0)) <= 1e-12
     assert np.all(np.isfinite(report.rate))
     assert math.isfinite(report.sum_rate)
+
+
+def _high_power_solve(eta):
+    cfg = small_config(n_ues=6, total_power=dbm_to_watt(90))
+    geo = random_geometry(cfg, np.random.default_rng(0))
+    return cfg, ao_solve(los_channels(geo, cfg), make_mode(16, 4, eta), cfg)
+
+
+def test_ao_solve_surrogate_nonincreasing_at_high_power():
+    _, res = _high_power_solve(1)
+    flat = res.surrogate_trace.ravel()
+    assert np.all(np.diff(flat) <= 1e-9 * (1.0 + np.abs(flat[:-1])))
+    assert np.all(np.diff(res.sum_rate_trace) >= -1e-8)
+
+
+def test_ao_solve_spends_full_budget_at_high_power():
+    cfg, res = _high_power_solve(3)
+    assert res.solution.transmit_power == pytest.approx(cfg.total_power,
+                                                        rel=1e-12)
 
 
 # --- reflection-phase quadratic -----------------------------------------
@@ -502,7 +526,7 @@ def test_ao_solve_surrogate_trace_is_surrogate_value():
         s1 = surrogate_value(h, V, mu, zeta, noise, power)
         zeta = update_weights(h, V, mu, noise, power)
         s2 = surrogate_value(h, V, mu, zeta, noise, power)
-        V = update_precoders(h, mu, zeta, power)
+        V, mu = update_precoders(h, mu, zeta, noise, power)
         s3 = surrogate_value(h, V, mu, zeta, noise, power)
         quad = build_phase_quadratic(ch, mode, V[:4], V[4:], mu, zeta)
         p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
@@ -534,7 +558,7 @@ def test_ao_solve_counts_phase_step_cap_hits(monkeypatch):
         return x, history
 
     monkeypatch.setattr("rdars.wmmse.power_iteration", counting)
-    cfg = replace(cfg, max_inner_iters=4)
+    cfg = replace(cfg, max_inner_iters=8)
     res = ao_solve(ch, make_mode(16, 4, 2), cfg)
     assert len(hits) == res.report.iterations
     assert 0 < sum(hits) < len(hits)
