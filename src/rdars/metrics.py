@@ -78,11 +78,16 @@ def mse_k(h_k: np.ndarray, V: np.ndarray, k: int, mu_k: complex,
 
 def mse_all(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
             noise: float) -> np.ndarray:
-    """Vector of every UE's MSE for the given scalar receivers."""
+    """Vector of every UE's MSE for the given scalar receivers, as
+    |1 - conj(mu_k) h_k v_k|^2 + |mu_k|^2 (sum_{m != k} |h_k v_m|^2 + noise).
+    At high SINR the MSE is far below 1, and the expanded form of
+    ``mse_k`` would lose most of its digits to cancellation."""
     S = h @ V
     own = np.diag(S)
-    total = (np.abs(S) ** 2).sum(axis=1) + noise
-    return 1.0 - 2.0 * np.real(np.conj(mu) * own) + np.abs(mu) ** 2 * total
+    leak = np.abs(S) ** 2
+    np.fill_diagonal(leak, 0.0)
+    return (np.abs(1.0 - np.conj(mu) * own) ** 2
+            + np.abs(mu) ** 2 * (leak.sum(axis=1) + noise))
 
 
 def cscc(h_a: np.ndarray, h_b: np.ndarray) -> float:

@@ -64,7 +64,6 @@ class SystemConfig:
     pathloss_exp_rdars_ue: float = 2.8
     conv_threshold: float = 1e-4
     max_outer_iters: int = 200
-    max_inner_iters: int = 500
     bs_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
     rdars_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
@@ -95,8 +94,8 @@ class SystemConfig:
             raise ScenarioError("path-loss exponents must be positive")
         if self.conv_threshold <= 0.0:
             raise ScenarioError("conv_threshold must be positive")
-        if self.max_outer_iters < 1 or self.max_inner_iters < 1:
-            raise ScenarioError("iteration limits must be at least 1")
+        if self.max_outer_iters < 1:
+            raise ScenarioError("max_outer_iters must be at least 1")
 
     @property
     def wavelength(self) -> float:
@@ -192,9 +191,18 @@ class Scenario:
     ue_center: tuple[float, float, float] = (100.0, 0.0, 1.5)
     ue_radius: float = 20.0
 
+    def __post_init__(self):
+        for name in ("bs_pos", "rdars_pos", "ue_center", "ue_pos"):
+            value = getattr(self, name)
+            if value is not None and not np.all(np.isfinite(
+                    np.asarray(value, dtype=float))):
+                raise ScenarioError(f"{name} must be finite, got {value}")
+        if not (math.isfinite(self.ue_radius) and self.ue_radius >= 0.0):
+            raise ScenarioError(
+                f"ue_radius must be finite and nonnegative, got {self.ue_radius}")
 
-_INT_KEYS = {"n_tx", "n_elems", "n_connected", "n_ues",
-             "max_outer_iters", "max_inner_iters"}
+
+_INT_KEYS = {"n_tx", "n_elems", "n_connected", "n_ues", "max_outer_iters"}
 _FLOAT_KEYS = {"carrier_freq", "spacing", "total_power", "noise_power",
                "ref_pathloss_db", "pathloss_exp_bs_rdars",
                "pathloss_exp_rdars_ue", "conv_threshold"}

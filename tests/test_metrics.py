@@ -66,6 +66,19 @@ def test_mse_identity_at_exact_receiver():
                                rtol=1e-12)
 
 
+@pytest.mark.parametrize("noise", [1e-6, 1e-12])
+def test_mse_all_keeps_its_digits_at_high_sinr(noise):
+    """A lone UE at its exact receiver has e = noise / (|s|^2 + noise);
+    the expanded 1 - 2 Re(...) + ... form returns rounding noise there."""
+    rng = np.random.default_rng(2)
+    h = rng.standard_normal((1, 5)) + 1j * rng.standard_normal((1, 5))
+    V = rng.standard_normal((5, 1)) + 1j * rng.standard_normal((5, 1))
+    gain = float(np.abs(h @ V)[0, 0] ** 2)
+    mu = np.diag(h @ V) / (gain + noise)
+    e = mse_all(h, V, mu, noise)
+    assert e[0] == pytest.approx(noise / (gain + noise), rel=1e-12, abs=0.0)
+
+
 def test_mse_receiver_is_optimal():
     rng = np.random.default_rng(33)
     h = rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))

@@ -1,8 +1,10 @@
 import ast
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import rdars
+from rdars import scenario
 
 
 def test_public_names_resolve_once():
@@ -27,3 +29,9 @@ def test_runtime_imports_only_stdlib_and_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_scenario_keys_match_config_fields():
+    keys = scenario._INT_KEYS | scenario._FLOAT_KEYS | {"bs_axis",
+                                                        "rdars_axis"}
+    assert keys == {f.name for f in fields(scenario.SystemConfig)}

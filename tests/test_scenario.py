@@ -76,7 +76,7 @@ def test_config_replace_carrier_rederives_wavelength():
     dict(carrier_freq=-1.0),
     dict(conv_threshold=0.0),
     dict(max_outer_iters=0),
-    dict(max_inner_iters=0),
+    dict(pathloss_exp_bs_rdars=0.0),
     dict(spacing=-1.0),
 ])
 def test_config_validation(kwargs):
@@ -153,6 +153,7 @@ def test_parse_scenario_roundtrip():
     "bs_pos = 1 2",
     "bisection_tol = 1e-9",     # a retired SystemConfig field
     "shift_nu = 0.0",           # a retired SystemConfig field
+    "max_inner_iters = 500",    # a retired SystemConfig field
     "wavelength = 0.0107",      # derived from carrier_freq, not settable
     "carrier_freq = nan",
     "total_power = nan",
@@ -160,10 +161,30 @@ def test_parse_scenario_roundtrip():
     "conv_threshold = nan",
     "spacing = inf",
     "ref_pathloss_db = nan",
+    "bs_pos = nan,0,15",
+    "ue_center = inf,0,1.5",
+    "ue_pos = nan,0,1.5",
+    "ue_radius = nan",
+    "ue_radius = inf",
+    "ue_radius = -5",
 ])
 def test_parse_scenario_rejects_bad_lines(line):
     with pytest.raises(ScenarioError):
         parse_scenario_text(line + "\n")
+
+
+@pytest.mark.parametrize("name, value", [
+    ("bs_pos", (math.nan, 0.0, 15.0)),
+    ("rdars_pos", (50.0, math.inf, 15.0)),
+    ("ue_center", (100.0, 0.0, -math.inf)),
+    ("ue_pos", ((95.0, 8.0, 1.5), (math.nan, 0.0, 1.5))),
+    ("ue_radius", math.nan),
+    ("ue_radius", math.inf),
+    ("ue_radius", -5.0),
+])
+def test_scenario_rejects_bad_placement(name, value):
+    with pytest.raises(ScenarioError, match=f"^{name} must be"):
+        Scenario(config=SystemConfig(n_ues=2), **{name: value})
 
 
 def test_parse_scenario_rejects_duplicates():

@@ -1,10 +1,10 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rdars import wmmse
 from rdars.arrays import PassiveBeam, effective_matrix, los_channels, make_mode
 from rdars.harness import dbm_to_watt
 from rdars.metrics import (BeamformingSolution, RateReport, mse_all, sinr_all,
@@ -330,29 +330,42 @@ def test_power_iteration_keeps_phase_on_zero_column():
     assert np.all(trace == 0.0)
 
 
+def _homogenized(C, beta_vec):
+    n = beta_vec.shape[0]
+    D = np.zeros((n + 1, n + 1), dtype=complex)
+    D[:n, :n] = -C
+    D[:n, n] = -beta_vec
+    D[n, :n] = -beta_vec.conj()
+    return D
+
+
+def _diagonal_shift(D):
+    """Lambda_ii = sum_{j != i} |D_ij| - D_ii + 1e-9 max_i sum_j |D_ij|,
+    written out entry by entry."""
+    size = D.shape[0]
+    rows = [sum(abs(D[i, j]) for j in range(size)) for i in range(size)]
+    margin = 1e-9 * max(rows)
+    return np.array([sum(abs(D[i, j]) for j in range(size) if j != i)
+                     - D[i, i].real + margin for i in range(size)])
+
+
 def _two_product_power_iteration(C, beta_vec, tol=1e-10, max_iters=1000,
                                  p0=None):
     """Reference copy of the step loop that recomputes p^H D p from scratch
     and guards zero entries on every step (two products per step). Returns
     x, the objective trace, and the steps whose product had a zero entry."""
     n = beta_vec.shape[0]
-    D = np.zeros((n + 1, n + 1), dtype=complex)
-    D[:n, :n] = -C
-    D[:n, n] = -beta_vec
-    D[n, :n] = -beta_vec.conj()
+    D = _homogenized(C, beta_vec)
     if p0 is None:
-        evals, evecs = np.linalg.eigh(D)
-        lead = evecs[:, -1]
+        lead = np.linalg.eigh(D)[1][:, -1]
         mags = np.abs(lead)
         lead = np.where(mags > 0.0,
                         lead / np.where(mags > 0.0, mags, 1.0), 1.0)
         starts = [np.ones(n + 1, dtype=complex), lead]
     else:
-        evals = np.linalg.eigvalsh(D)
         p = np.asarray(p0, dtype=complex)
         starts = [p / np.abs(p)]
-    nu = max(0.0, -float(evals[0])) + 1e-9 * float(np.linalg.norm(D))
-    shifted = D + nu * np.eye(n + 1)
+    shifted = D + np.diag(_diagonal_shift(D))
     zero_steps = []
 
     def iterate(p):
@@ -409,49 +422,62 @@ def test_power_iteration_matches_two_product_reference(start, max_iters):
             assert len(hist) == max_iters + 1
 
 
-def _shifted_corner(C, beta):
-    """Entry [0, 0] of the shifted homogenized matrix power_iteration uses."""
-    n = beta.shape[0]
-    D = np.zeros((n + 1, n + 1), dtype=complex)
-    D[:n, :n] = -C
-    D[:n, n] = -beta
-    D[n, :n] = -beta.conj()
-    nu = max(0.0, -float(np.linalg.eigvalsh(D)[0])) \
-        + 1e-9 * float(np.linalg.norm(D))
-    return (D[0, 0] + nu).real
-
-
-def test_power_iteration_keeps_phase_when_product_vanishes_partway():
-    # C = [[c1, 2], [2, 20]], beta = (0, 8), start (1, -1, -1). With c1
-    # tuned so the shifted corner is exactly 2, row 0 of the shifted matrix
-    # is (2, -2, 0): the first product's entry 0 is 4, and the second
-    # product's entry 0 is exactly 2 - 2 = 0 once both phases are 1.
-    def problem(c1):
-        return np.array([[c1, 2.0], [2.0, 20.0]]), np.array([0.0, 8.0 + 0.0j])
-
-    lo, hi = 0.0, 50.0                 # the corner decreases in c1
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _shifted_corner(*problem(mid)) > 2.0:
-            lo = mid
-        else:
-            hi = mid
-    c1 = lo
-    for _ in range(64):
-        if _shifted_corner(*problem(c1)) == 2.0:
-            break
-        c1 = np.nextafter(c1, np.inf)
-    C, beta = problem(c1)
-    assert _shifted_corner(C, beta) == 2.0
-
+def test_power_iteration_products_vanish_only_when_matrix_is_zero():
+    """Every row of D + Lambda has a diagonal entry larger than the moduli
+    of its other entries by the margin, so a product entry has modulus at
+    least the margin and can vanish only when D is zero, and then at the
+    first product. C = [[c1, 2], [2, 20]], beta = (0, 8) from the start
+    (1, -1, -1) gave an exact zero in the second product under the
+    smallest scalar shift (at c1 near 22.6); under the diagonal shift no
+    product has a zero entry for any c1."""
     p0 = np.array([1.0, -1.0, -1.0], dtype=complex)
-    x_ref, hist_ref, zero_steps = _two_product_power_iteration(C, beta, p0=p0)
-    assert zero_steps and zero_steps[0] >= 1       # not at the start
+    beta = np.array([0.0, 8.0 + 0.0j])
+    for c1 in (0.0, 2.0, 20.0, 22.60147057035069, 1e3):
+        C = np.array([[c1, 2.0], [2.0, 20.0]])
+        x_ref, hist_ref, zero_steps = _two_product_power_iteration(C, beta,
+                                                                   p0=p0)
+        assert zero_steps == []
+        x, hist = power_iteration(C, beta, p0=p0)
+        np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
+        assert len(hist) == len(hist_ref)
+        assert np.all(np.diff(hist) >= -1e-8 * (1.0 + np.abs(hist[:-1])))
+    _, _, zero_steps = _two_product_power_iteration(
+        np.zeros((2, 2)), np.zeros(2, dtype=complex), p0=p0, max_iters=3)
+    assert zero_steps == [0]           # the stop test ends a flat trace
+
+
+@settings(max_examples=60)
+@given(st.integers(min_value=1, max_value=40), st.booleans(), st.booleans(),
+       st.floats(min_value=0.0, max_value=0.6),
+       st.integers(min_value=0, max_value=2 ** 32 - 1))
+def test_power_iteration_diagonal_shift_majorizes(n, psd, warm, zero_frac,
+                                                  seed):
+    """D + Lambda is positive semidefinite for PSD and indefinite C with
+    zeroed rows and columns, so the trace never decreases. Zeroed
+    (connected) elements keep their start phase, so relative to the start
+    they all turn with the homogenizing entry alone."""
+    rng = np.random.default_rng(seed)
+    root = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    C = root @ root.conj().T if psd else 0.5 * (root + root.conj().T)
+    beta = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    zeroed = rng.random(n) < zero_frac
+    C[zeroed, :] = 0.0
+    C[:, zeroed] = 0.0
+    beta[zeroed] = 0.0
+    D = _homogenized(C, beta)
+    lam = _diagonal_shift(D)
+    norm = float(np.linalg.norm(D))
+    assert np.linalg.eigvalsh(D + np.diag(lam)).min() >= -1e-12 * norm
+
+    p0 = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, n + 1)) if warm else None
     x, hist = power_iteration(C, beta, p0=p0)
-    assert np.all(np.isfinite(x)) and np.all(np.isfinite(hist))
-    np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=1e-12)
-    assert len(hist) == len(hist_ref)
-    assert np.all(np.diff(hist) >= -1e-8 * (1.0 + np.abs(hist[:-1])))
+    assert np.all(np.diff(hist) >= -1e-12 * (1.0 + norm) * (n + 1))
+    assert np.max(np.abs(np.abs(x) - 1.0)) <= 1e-12
+    if warm:
+        assert hist[0] == pytest.approx(float(np.real(p0.conj() @ D @ p0)),
+                                        rel=1e-9, abs=1e-9 * norm)
+        turn = x[zeroed] / (p0[:n] * np.conj(p0[n]))[zeroed]
+        assert np.max(np.abs(turn - turn[:1]), initial=0.0) <= 1e-12
 
 
 def test_power_iteration_validates_start_point():
@@ -531,7 +557,7 @@ def test_ao_solve_surrogate_trace_is_surrogate_value():
         quad = build_phase_quadratic(ch, mode, V[:4], V[4:], mu, zeta)
         p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
         x, _ = power_iteration(quad.matrix, quad.linear,
-                               max_iters=cfg.max_inner_iters, p0=p0)
+                               max_iters=wmmse._PHASE_STEPS, p0=p0)
         passive = PassiveBeam(x.conj())
         h = effective_matrix(ch, passive, mode)
         rows.append((s1, s2, s3,
@@ -541,28 +567,47 @@ def test_ao_solve_surrogate_trace_is_surrogate_value():
     assert np.array_equal(res.surrogate_trace, np.asarray(rows))
 
 
-def test_ao_solve_counts_phase_step_cap_hits(monkeypatch):
-    cfg = small_config(n_ues=3, max_inner_iters=1)
-    geo = random_geometry(cfg, np.random.default_rng(20))
-    ch = los_channels(geo, cfg)
-    res = ao_solve(ch, make_mode(16, 4, 2), cfg)
-    assert res.phase_cap_hits == res.report.iterations
+def test_ao_solve_phase_block_runs_no_eigendecomposition(monkeypatch):
+    """The loop takes one fixed-length, warm-started power iteration per
+    outer iteration, and nothing in it calls eigvalsh or eigh."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("eigendecomposition inside ao_solve")
 
-    # a cap some calls reach and some do not: the count follows the rule
-    # len(history) - 1 >= max_iters, call by call
-    hits = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", forbidden)
+    calls = []
 
     def counting(*args, **kwargs):
-        x, history = power_iteration(*args, **kwargs)
-        hits.append(len(history) - 1 >= kwargs["max_iters"])
-        return x, history
+        calls.append(kwargs.get("max_iters"))
+        return power_iteration(*args, **kwargs)
 
     monkeypatch.setattr("rdars.wmmse.power_iteration", counting)
-    cfg = replace(cfg, max_inner_iters=8)
-    res = ao_solve(ch, make_mode(16, 4, 2), cfg)
-    assert len(hits) == res.report.iterations
-    assert 0 < sum(hits) < len(hits)
-    assert res.phase_cap_hits == sum(hits)
+    cfg = small_config(n_ues=3)
+    geo = random_geometry(cfg, np.random.default_rng(20))
+    res = ao_solve(los_channels(geo, cfg), make_mode(16, 4, 2), cfg)
+    assert res.report.iterations > 1
+    assert calls == [wmmse._PHASE_STEPS] * res.report.iterations
+
+
+@pytest.mark.parametrize("n_connected", [1, 16])
+@settings(max_examples=25)
+@given(st.floats(min_value=-40.0, max_value=90.0),
+       st.integers(min_value=1, max_value=10),
+       st.integers(min_value=0, max_value=2 ** 16))
+def test_ao_solve_holds_constraints_at_extreme_connection_counts(
+        n_connected, dbm, n_ues, seed):
+    # a = N wires every element: the phase quadratic is zero and every
+    # phase step keeps the phases; a = 1 leaves 5 transmit dimensions, so
+    # n_ues > 5 starts from the matched filter
+    cfg = small_config(n_connected=n_connected, n_ues=n_ues,
+                       total_power=dbm_to_watt(dbm))
+    geo = random_geometry(cfg, np.random.default_rng(seed))
+    res = ao_solve(los_channels(geo, cfg), make_mode(16, n_connected, 1), cfg)
+    assert res.solution.transmit_power == pytest.approx(cfg.total_power,
+                                                        rel=1e-12)
+    assert np.max(np.abs(np.abs(res.solution.passive.phi) - 1.0)) <= 1e-12
+    flat = res.surrogate_trace.ravel()
+    assert np.all(np.diff(flat) <= 1e-9 * (1.0 + np.abs(flat[:-1])))
 
 
 def test_sparsity_search_breaks_ties_toward_compact():
