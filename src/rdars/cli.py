@@ -58,9 +58,12 @@ def _cmd_run(args) -> int:
     else:
         with open(args.output, "w", encoding="utf-8", newline="") as fh:
             emit_csv(rows, fh)
-    failed = sum(1 for r in rows if r.status.startswith("failed:"))
+    failed = [r for r in rows if r.status.startswith("failed:")]
     if failed:
-        print(f"{failed} of {len(rows)} rows failed", file=sys.stderr)
+        print(f"{len(failed)} of {len(rows)} rows failed", file=sys.stderr)
+        for algorithm, message in dict.fromkeys((r.algorithm, r.message)
+                                                for r in failed):
+            print(f"  {algorithm}: {message}", file=sys.stderr)
     return 0
 
 

@@ -18,7 +18,8 @@ charged to the first row that needs it and later rows reuse it.
 
 Row status is ``ok``; ``unconverged`` for a solver row whose alternating
 optimization stopped at its iteration cap (the row keeps that solve's last
-iterate); or ``failed:<ExceptionName>`` with NaN rates.
+iterate); or ``failed:<ExceptionName>`` with NaN rates, in which case the
+row's ``message`` (not a CSV column) keeps the exception text.
 """
 
 from __future__ import annotations
@@ -84,6 +85,9 @@ class Campaign:
 
 @dataclass(frozen=True)
 class TrialRow:
+    """One CSV row, plus ``message``: the exception text of a failed row
+    (empty otherwise), which the CSV leaves out."""
+
     trial: int
     sweep_value: float
     algorithm: str
@@ -93,6 +97,7 @@ class TrialRow:
     iters: int
     wall_ms: float
     status: str
+    message: str = ""
 
 
 class _Drop:
@@ -176,13 +181,15 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
               sweep_dbm: float, _drop: _Drop | None = None) -> TrialRow:
     """One seeded trial of one algorithm at one transmit power.
 
-    Failures are captured as a row with status ``failed:<ExceptionName>``
-    and NaN rates rather than aborting the campaign. ``run_campaign``
-    passes the drop it shares across the trial's algorithms as ``_drop``;
-    the row is the same without it, apart from ``wall_ms``.
+    Failures are captured as a row with status ``failed:<ExceptionName>``,
+    NaN rates and the exception text as ``message`` rather than aborting
+    the campaign. ``run_campaign`` passes the drop it shares across the
+    trial's algorithms as ``_drop``; the row is the same without it, apart
+    from ``wall_ms``.
     """
     drop = _drop if _drop is not None else _Drop(campaign, trial, sweep_dbm)
     t0 = time.perf_counter()
+    message = ""
     try:
         drop.geometry()     # draws the random level too, before it is read
         row_fields = _ALGORITHMS.get(algorithm)
@@ -192,10 +199,12 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
     except Exception as exc:
         eta, srate, min_rate, iters = 0, math.nan, math.nan, 0
         status = f"failed:{type(exc).__name__}"
+        message = f"{type(exc).__name__}: {exc}"
     wall_ms = (time.perf_counter() - t0) * 1e3
     return TrialRow(trial=trial, sweep_value=sweep_dbm, algorithm=algorithm,
                     eta=eta, sum_rate_bits=srate, min_ue_rate=min_rate,
-                    iters=iters, wall_ms=wall_ms, status=status)
+                    iters=iters, wall_ms=wall_ms, status=status,
+                    message=message)
 
 
 def _run_drop(args) -> list[TrialRow]:

@@ -15,6 +15,14 @@ power and makes the MSE of the exact receiver equal 1/(1 + SINR). The
 precoder step ends on that sphere, so every iterate spends the whole
 budget, the objective after the weight update is K - ln(2) times the
 sum rate, and the recorded sum rate is nondecreasing by construction.
+
+``ao_solve`` accelerates this map with SQUAREM extrapolation. An
+extrapolated point is projected back onto the full-power sphere and unit
+modulus and accepted only if, at fresh receivers and the current weights,
+its lifted objective is no larger than the last recorded value and its
+sum rate no lower than that of the plain double step it replaces. The
+plain map from an accepted point then continues the same chain of
+inequalities, so monotonicity covers accepted extrapolations too.
 """
 
 from __future__ import annotations
@@ -257,34 +265,113 @@ _PHASE_STEPS = 3
 @dataclass(frozen=True)
 class AoResult:
     """A full alternating-optimization run: the beamformers, the mode they
-    were optimized for, the rate report, and the per-update traces. The
-    phase update of every outer iteration is ``_PHASE_STEPS`` MM steps of
-    ``power_iteration``."""
+    were optimized for, the rate report, the per-map traces, and the
+    accelerator's counts. The phase update of every plain map is
+    ``_PHASE_STEPS`` MM steps of ``power_iteration``.
+
+    ``accepted`` and ``rejected`` count the SQUAREM extrapolations that
+    passed and failed the monotonicity guard; a cycle whose step length
+    gives no extrapolation (alpha >= -1) counts in neither."""
 
     solution: BeamformingSolution
     mode: ModeSelection
     report: RateReport
     surrogate_trace: np.ndarray    # (iters, 4): post receiver/weight/precoder/phase
     sum_rate_trace: np.ndarray     # (iters,)
+    accepted: int
+    rejected: int
+
+
+def _ao_map(channels: ChannelSet, mode: ModeSelection, config: SystemConfig,
+            h: np.ndarray, V: np.ndarray, passive: PassiveBeam,
+            zeta: np.ndarray) -> tuple:
+    """One plain alternating-optimization map from the state (V, phases),
+    with ``h`` the effective channels at those phases and ``zeta`` the
+    weights of the previous map.
+
+    Updates the receivers, the weights and the precoder exactly, then
+    takes ``_PHASE_STEPS`` MM steps of ``power_iteration`` on the phase
+    quadratic, warm-started at the current phases. Returns the new
+    (h, V, mu, passive, zeta) and the lifted objective after each of the
+    four block updates.
+    """
+    power, noise = config.total_power, config.noise_power
+    n_tx = channels.G.shape[1]
+    mu = update_receivers(h, V, noise, power)
+    e = mse_all(h, V, mu, effective_noise(V, noise, power))
+    s1 = _lifted_objective(zeta, e)
+    zeta = 1.0 / e                         # update_weights at this state
+    s2 = _lifted_objective(zeta, e)
+    V, mu = update_precoders(h, mu, zeta, noise, power)
+    s3 = surrogate_value(h, V, mu, zeta, noise, power)
+
+    quad = build_phase_quadratic(channels, mode, V[:n_tx], V[n_tx:], mu, zeta)
+    p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
+    x, _ = power_iteration(quad.matrix, quad.linear, max_iters=_PHASE_STEPS,
+                           p0=p0)
+    passive = PassiveBeam(x.conj())
+    h = effective_matrix(channels, passive, mode)
+    s4 = surrogate_value(h, V, mu, zeta, noise, power)
+    return h, V, mu, passive, zeta, (s1, s2, s3, s4)
+
+
+def _squarem_point(states, power: float):
+    """SqS3 extrapolation (Varadhan and Roland, Scand. J. Statist. 2008)
+    from three successive states (V, phi) of the plain map.
+
+    On the stacked vector (V / sqrt(P), phi), with r = x1 - x0,
+    v = x2 - 2 x1 + x0 and alpha = -||r|| / ||v||, the point
+    x0 - 2 alpha r + alpha^2 v is projected back onto the feasible set:
+    V onto the full-power sphere, phi onto unit modulus. Returns the
+    projected (V, phi), or None when alpha >= -1, where the extrapolation
+    would be no longer than the plain double step. An overflowing step or
+    a vanishing entry gives a non-finite pair, which the guard in
+    ``ao_solve`` rejects.
+    """
+    scale = 1.0 / math.sqrt(power)
+    x0, x1, x2 = (np.concatenate([V.ravel() * scale, phi])
+                  for V, phi in states)
+    r = x1 - x0
+    v = x2 - 2.0 * x1 + x0
+    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
+    if not norm_r > norm_v:
+        return None
+    alpha = -norm_r / norm_v
+    shape, size = states[0][0].shape, states[0][0].size
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y = x0 - 2.0 * alpha * r + alpha * alpha * v
+        V = y[:size].reshape(shape)
+        V = V * (math.sqrt(power) / np.linalg.norm(V))
+        phi = y[size:] / np.abs(y[size:])
+    return V, phi
 
 
 def ao_solve(channels: ChannelSet, mode: ModeSelection,
              config: SystemConfig) -> AoResult:
     """Run the alternating optimization from the standard start point
-    (uniform reflection, zero-forcing precoder, unit weights).
+    (uniform reflection, zero-forcing precoder, unit weights), accelerated
+    by SQUAREM on the plain map ``_ao_map``.
 
-    Each outer iteration updates the receivers, the weights and the
-    precoder exactly, then takes ``_PHASE_STEPS`` MM steps of
-    ``power_iteration`` on the phase quadratic, warm-started at the
-    current phases; no eigendecomposition runs in the loop.
+    Each cycle takes two plain maps from its start x0, to x1 and x2, and
+    extrapolates from the three (``_squarem_point``). The extrapolated
+    point is accepted only if its lifted objective at fresh receivers and
+    the current weights is no larger than the last recorded one, and its
+    sum rate no lower than at x2; one plain map from it then ends the
+    cycle. Otherwise the next cycle starts at x2. Only plain-map outputs
+    are recorded and returned, so both traces stay monotone and the
+    returned precoder is an ``update_precoders`` output; a run in which
+    every extrapolation is rejected is the plain loop.
 
-    Stops when the relative sum-rate gain of an outer iteration drops
-    below the configured threshold and returns the last iterate; if the
-    iteration budget runs out first, that iterate is flagged unconverged.
+    Every plain map counts against ``max_outer_iters``, and an
+    extrapolation is tried only when the stabilizing map still fits.
+    The run stops when the relative sum-rate gain of a cycle's first map,
+    or of the whole cycle, drops below the configured threshold, and
+    returns the last iterate; if the map budget runs out first, that
+    iterate is flagged unconverged.
     """
     t0 = time.perf_counter()
     power, noise = config.total_power, config.noise_power
-    n_tx = channels.G.shape[1]
+    cap = config.max_outer_iters
 
     passive = PassiveBeam.uniform(mode.n_elems)
     h = effective_matrix(channels, passive, mode)
@@ -294,43 +381,69 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
 
     surrogate_rows = []
     rate_trace = []
-    converged = False
-    iterations = 0
-    for iterations in range(1, config.max_outer_iters + 1):
-        mu = update_receivers(h, V, noise, power)
-        e = mse_all(h, V, mu, effective_noise(V, noise, power))
-        s1 = _lifted_objective(zeta, e)
-        zeta = 1.0 / e                     # update_weights at this state
-        s2 = _lifted_objective(zeta, e)
-        V, mu = update_precoders(h, mu, zeta, noise, power)
-        s3 = surrogate_value(h, V, mu, zeta, noise, power)
+    accepted = rejected = 0
 
-        quad = build_phase_quadratic(channels, mode, V[:n_tx], V[n_tx:],
-                                     mu, zeta)
-        p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
-        x, _ = power_iteration(quad.matrix, quad.linear,
-                               max_iters=_PHASE_STEPS, p0=p0)
-        passive = PassiveBeam(x.conj())
-        h = effective_matrix(channels, passive, mode)
-        s4 = surrogate_value(h, V, mu, zeta, noise, power)
-        surrogate_rows.append((s1, s2, s3, s4))
-
-        rate_prev = report.sum_rate
+    def plain_map():
+        nonlocal h, V, passive, zeta, report
+        h, V, _, passive, zeta, row = _ao_map(channels, mode, config, h, V,
+                                              passive, zeta)
+        surrogate_rows.append(row)
         report = sum_rate(h, V, noise)
         rate_trace.append(report.sum_rate)
+
+    def stalled(rate_start):
         # multiplied-out fractional-gain test; the quotient would overflow
         # on the first pass where the reference rate is still zero
-        if report.sum_rate - rate_prev < config.conv_threshold \
-                * max(rate_prev, np.finfo(float).tiny):
+        return report.sum_rate - rate_start < config.conv_threshold \
+            * max(rate_start, np.finfo(float).tiny)
+
+    def guarded(V_x, phi_x):
+        """The extrapolated state (h, V, passive) if it passes the guard,
+        else None."""
+        if not (np.all(np.isfinite(V_x)) and np.all(np.isfinite(phi_x))):
+            return None
+        passive_x = PassiveBeam(phi_x)
+        h_x = effective_matrix(channels, passive_x, mode)
+        mu_x = update_receivers(h_x, V_x, noise, power)
+        e_x = mse_all(h_x, V_x, mu_x, effective_noise(V_x, noise, power))
+        if (_lifted_objective(zeta, e_x) <= surrogate_rows[-1][3]
+                and sum_rate(h_x, V_x, noise).sum_rate >= report.sum_rate):
+            return h_x, V_x, passive_x
+        return None
+
+    converged = False
+    while len(rate_trace) < cap and not converged:
+        rate_start = report.sum_rate
+        states = [(V, passive.phi)]
+        plain_map()
+        if stalled(rate_start):
             converged = True
             break
+        if len(rate_trace) == cap:
+            break
+        states.append((V, passive.phi))
+        plain_map()
+        states.append((V, passive.phi))
+        point = (_squarem_point(states, power)
+                 if len(rate_trace) < cap else None)
+        if point is not None:
+            state = guarded(*point)
+            if state is None:
+                rejected += 1
+            else:
+                accepted += 1
+                h, V, passive = state
+                plain_map()
+        converged = stalled(rate_start)
 
-    report = replace(report, iterations=iterations,
+    report = replace(report, iterations=len(rate_trace),
                      wall_time=time.perf_counter() - t0, converged=converged)
+    n_tx = channels.G.shape[1]
     solution = BeamformingSolution(W=V[:n_tx], F=V[n_tx:], passive=passive)
     return AoResult(solution=solution, mode=mode, report=report,
                     surrogate_trace=np.asarray(surrogate_rows),
-                    sum_rate_trace=np.asarray(rate_trace))
+                    sum_rate_trace=np.asarray(rate_trace),
+                    accepted=accepted, rejected=rejected)
 
 
 def sparsity_search(solve, config: SystemConfig

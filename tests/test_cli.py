@@ -83,14 +83,17 @@ def test_run_command_counts_only_failed_rows(tmp_path, capsys):
                                           "conv_threshold = 1e-12")
                     .replace("max_outer_iters = 60", "max_outer_iters = 1"),
                     encoding="utf-8")
-    code = main(["run", "--scenario", str(path), "--trials", "1",
+    code = main(["run", "--scenario", str(path), "--trials", "2",
                  "--algorithms", "COMPACT_ETA1,SINGLE_UE_CLOSED"])
     assert code == 0
     captured = capsys.readouterr()
     rows = captured.out.splitlines()[1:]
-    assert [row.split(",")[-1] for row in rows] == ["unconverged",
-                                                     "failed:ValueError"]
-    assert captured.err == "1 of 2 rows failed\n"
+    assert [row.split(",")[-1] for row in rows] == \
+        ["unconverged"] * 2 + ["failed:ValueError"] * 2
+    # the count, then each distinct (algorithm, exception text) once
+    assert captured.err == ("2 of 4 rows failed\n"
+                            "  SINGLE_UE_CLOSED: ValueError: single-UE "
+                            "solution needs K=1, got K=2\n")
 
 
 def test_run_command_stdout_and_sweep(tiny_scenario, capsys):

@@ -176,6 +176,7 @@ def test_run_trial_captures_failures_as_rows():
     camp = Campaign(_scenario(), ("SINGLE_UE_CLOSED",), n_trials=1, seed=5)
     row = run_trial(camp, 0, "SINGLE_UE_CLOSED", 30.0)
     assert row.status == "failed:ValueError"
+    assert row.message == "ValueError: single-UE solution needs K=1, got K=2"
     assert math.isnan(row.sum_rate_bits)
     assert math.isnan(row.min_ue_rate)
     assert row.eta == 0
@@ -206,6 +207,25 @@ def test_run_campaign_parallel_matches_serial():
     stripped = lambda rows: [replace(r, wall_ms=0.0)
                              for r in sorted(rows, key=key)]
     assert stripped(serial) == stripped(parallel)
+
+
+def test_high_power_campaign_is_deterministic_across_jobs():
+    """At 50 and 70 dBm the solver accepts and rejects extrapolations;
+    those decisions, and so the rows, repeat exactly across runs and
+    worker counts."""
+    camp = Campaign(_scenario(n_ues=3),
+                    ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
+                    n_trials=2, seed=23, sweep_dbm=(50.0, 70.0))
+    stripped = lambda rows: [replace(r, wall_ms=0.0) for r in rows]
+    first = stripped(run_campaign(camp, jobs=1))
+    assert len(first) == 2 * 3 * 2
+    assert stripped(run_campaign(camp, jobs=1)) == first
+    assert stripped(run_campaign(camp, jobs=2)) == first
+    solves = [harness._Drop(camp, trial, sweep).solve_at(eta)
+              for trial in range(2) for sweep in (50.0, 70.0)
+              for eta in range(1, 6)]
+    assert sum(res.accepted for res in solves) > 0
+    assert sum(res.rejected for res in solves) > 0
 
 
 def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
