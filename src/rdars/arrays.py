@@ -53,6 +53,28 @@ class ModeSelection:
         return v
 
 
+@dataclass(frozen=True)
+class ModeStack:
+    """Several sparsity levels of one aperture and connection count, one
+    lane each: the lane-stacked stand-in for a ``ModeSelection`` that
+    ``effective_matrix`` and the phase quadratic accept. ``index0`` and
+    ``a_vec`` gain a leading lane axis and are built once."""
+
+    modes: tuple[ModeSelection, ...]
+
+    @property
+    def n_elems(self) -> int:
+        return self.modes[0].n_elems
+
+    @cached_property
+    def index0(self) -> np.ndarray:
+        return np.stack([mode.index0 for mode in self.modes])
+
+    @cached_property
+    def a_vec(self) -> np.ndarray:
+        return np.stack([mode.a_vec for mode in self.modes])
+
+
 def make_mode(n: int, a: int, eta: int, m0: int = 1) -> ModeSelection:
     """Build the connected-element index set {m0 + m*eta : m = 0..a-1}."""
     if n < 1 or not 1 <= a <= n:
@@ -113,6 +135,14 @@ def los_channels(geometry: Geometry, config: SystemConfig) -> ChannelSet:
     return ChannelSet(G=G, h_r=h_r)
 
 
+def _check_unit_modulus(phi: np.ndarray) -> None:
+    off = np.abs(np.abs(phi) - 1.0)
+    if (off > 1e-12).any():
+        worst = float(np.max(off))
+        raise ValueError(
+            f"phi entries must be unit modulus (worst |.|-1 = {worst:g})")
+
+
 @dataclass(frozen=True)
 class PassiveBeam:
     """Unit-modulus reflection coefficients, one per surface element.
@@ -124,12 +154,9 @@ class PassiveBeam:
     phi: np.ndarray
 
     def __post_init__(self):
-        mags = np.abs(self.phi)
         if self.phi.ndim != 1:
             raise ValueError("phi must be a vector")
-        if np.any(np.abs(mags - 1.0) > 1e-12):
-            worst = float(np.max(np.abs(mags - 1.0)))
-            raise ValueError(f"phi entries must be unit modulus (worst |.|-1 = {worst:g})")
+        _check_unit_modulus(self.phi)
 
     @classmethod
     def uniform(cls, n: int) -> "PassiveBeam":
@@ -140,13 +167,29 @@ class PassiveBeam:
         return cls(np.exp(1j * np.asarray(angles, dtype=float)))
 
 
-def effective_matrix(channels: ChannelSet, passive: PassiveBeam,
-                     mode: ModeSelection) -> np.ndarray:
+@dataclass(frozen=True)
+class BeamStack:
+    """Reflection beams of several lanes, one row of ``phi`` per lane: the
+    lane-stacked stand-in for a ``PassiveBeam``."""
+
+    phi: np.ndarray
+
+    def __post_init__(self):
+        if self.phi.ndim != 2:
+            raise ValueError("phi must be a stack of vectors")
+        _check_unit_modulus(self.phi)
+
+
+def effective_matrix(channels: ChannelSet, passive: PassiveBeam | BeamStack,
+                     mode: ModeSelection | ModeStack) -> np.ndarray:
     """All K effective rows stacked: [conj(h_r) * phi * (1-a_vec)] @ G on
-    the left, conj(h_r) at the connected indices on the right."""
-    if channels.n_elems != mode.n_elems or passive.phi.size != mode.n_elems:
+    the left, conj(h_r) at the connected indices on the right. With a
+    ``ModeStack`` and a ``BeamStack`` the rows gain a leading lane axis."""
+    if (channels.n_elems != mode.n_elems
+            or passive.phi.shape[-1] != mode.n_elems):
         raise ValueError("channel, passive-beam and mode sizes disagree")
     hc = channels.h_r.conj()
-    reflect = (hc * passive.phi * (1.0 - mode.a_vec)) @ channels.G
-    direct = hc[:, mode.index0]
-    return np.hstack([reflect, direct])
+    reflecting = (1.0 - mode.a_vec)[..., None, :]
+    reflect = (hc * passive.phi[..., None, :] * reflecting) @ channels.G
+    direct = hc.T[mode.index0].swapaxes(-2, -1)
+    return np.concatenate([reflect, direct], axis=-1)

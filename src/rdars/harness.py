@@ -10,11 +10,13 @@ values and reruns are byte-identical apart from wall times.
 A campaign's unit of work is the drop, one (sweep value, trial) pair: its
 geometry, channels and random sparsity pick are made once, and the
 alternating optimization runs at most once per sparsity level, shared by
-every algorithm that needs that level (``WA_OPT_ETA`` hands the drop's
-memoized per-level solve to ``sparsity_search``, ``COMPACT_ETA1`` takes
-level 1, ``RANDOM_ETA`` the pick). Rows are the same as when each trial
-runs alone; only ``wall_ms`` differs, because a shared piece of work is
-charged to the first row that needs it and later rows reuse it.
+every algorithm that needs that level (``WA_OPT_ETA`` solves every level
+not solved yet in one lockstep ``ao_solve_levels`` call and hands the
+memo to ``sparsity_search``, ``COMPACT_ETA1`` takes level 1,
+``RANDOM_ETA`` the pick). A level whose solve raised keeps its exception,
+which every row needing that level reports. Rows are the same as when
+each trial runs alone; only ``wall_ms`` differs, because a shared piece
+of work is charged to the first row that needs it and later rows reuse it.
 
 Row status is ``ok``; ``unconverged`` for a solver row whose alternating
 optimization stopped at its iteration cap (the row keeps that solve's last
@@ -35,7 +37,7 @@ import numpy as np
 from .arrays import ChannelSet, feasible_sparsities, los_channels, make_mode
 from .closed_form import _midpoint_rates, select_two_ue_eta, single_ue_solution
 from .scenario import Geometry, Scenario, scenario_geometry
-from .wmmse import AoResult, ao_solve, sparsity_search
+from .wmmse import AoResult, ao_solve_levels, sparsity_search
 
 CSV_FIELDS = ("trial", "sweep_value", "algorithm", "eta", "sum_rate_bits",
               "min_ue_rate", "iters", "wall_ms", "status")
@@ -113,7 +115,7 @@ class _Drop:
         self._seed = campaign.seed ^ trial
         self._geometry: Geometry | None = None
         self._channels: ChannelSet | None = None
-        self._solved: dict[int, AoResult] = {}
+        self._solved: dict[int, AoResult | Exception] = {}
         self.random_eta = 0
 
     def geometry(self) -> Geometry:
@@ -131,14 +133,28 @@ class _Drop:
             self._channels = los_channels(self.geometry(), self.config)
         return self._channels
 
+    def solve_levels(self, levels) -> None:
+        """Solve the given sparsity levels not solved yet, all in one
+        lockstep ``ao_solve_levels`` call, and memoize each outcome: the
+        result, or the exception that ended that level."""
+        missing = [eta for eta in levels if eta not in self._solved]
+        if missing:
+            config = self.config
+            modes = [make_mode(config.n_elems, config.n_connected, eta)
+                     for eta in missing]
+            self._solved.update(zip(missing, ao_solve_levels(
+                self.channels(), modes, config)))
+
     def solve_at(self, eta: int) -> AoResult:
         """``ao_solve`` on this drop's channels at one sparsity level,
-        memoized per level."""
+        memoized per level; a level that failed raises its exception
+        again, without another solve."""
         result = self._solved.get(eta)
         if result is None:
-            mode = make_mode(self.config.n_elems, self.config.n_connected, eta)
-            result = self._solved[eta] = ao_solve(self.channels(), mode,
-                                                  self.config)
+            self.solve_levels((eta,))
+            result = self._solved[eta]
+        if isinstance(result, Exception):
+            raise result
         return result
 
 
@@ -149,6 +165,14 @@ def _solver_row(result: AoResult) -> tuple:
     status = "ok" if report.converged else "unconverged"
     return (result.mode.eta, report.sum_rate, float(np.min(report.rate)),
             report.iterations, status)
+
+
+def _wa_opt_eta(drop: _Drop) -> tuple:
+    """Row fields of the scan: every level of the drop is solved in one
+    lockstep call, then ``sparsity_search`` reads the memo."""
+    drop.solve_levels(feasible_sparsities(drop.config.n_elems,
+                                          drop.config.n_connected))
+    return _solver_row(sparsity_search(drop.solve_at, drop.config)[0])
 
 
 def _single_ue_closed(drop: _Drop) -> tuple:
@@ -167,8 +191,7 @@ def _two_ue_prop1(drop: _Drop) -> tuple:
 
 # Algorithm name -> row fields of one drop.
 _ALGORITHMS = {
-    "WA_OPT_ETA": lambda drop: _solver_row(
-        sparsity_search(drop.solve_at, drop.config)[0]),
+    "WA_OPT_ETA": _wa_opt_eta,
     "COMPACT_ETA1": lambda drop: _solver_row(drop.solve_at(1)),
     "RANDOM_ETA": lambda drop: _solver_row(drop.solve_at(drop.random_eta)),
     "SINGLE_UE_CLOSED": _single_ue_closed,

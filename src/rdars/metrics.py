@@ -32,7 +32,10 @@ class BeamformingSolution:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-UE SINRs and rates plus solver metadata."""
+    """Per-UE SINRs and rates plus solver metadata. ``wall_time`` of a
+    solve covers the whole call that made it: with several sparsity
+    levels solved in lockstep, the time of all of them. ``sum_rate``
+    evaluated on a stack of lanes holds one sum per lane."""
 
     sinr: np.ndarray
     rate: np.ndarray
@@ -45,23 +48,26 @@ class RateReport:
 def sinr_all(h: np.ndarray, V: np.ndarray, noise: float) -> np.ndarray:
     """SINR of every UE: own-column power over other-column powers plus
     noise, computed from the effective rows h (K x dim) and precoder
-    columns V (dim x K)."""
+    columns V (dim x K). A leading lane axis on h and V gives one row of
+    SINRs per lane."""
     h = np.atleast_2d(h)
     if noise <= 0.0:
         raise ValueError("noise power must be positive")
-    if h.shape[1] != V.shape[0] or h.shape[0] != V.shape[1]:
+    if h.shape[-1] != V.shape[-2] or h.shape[-2] != V.shape[-1]:
         raise ValueError(f"shape mismatch: h {h.shape} vs V {V.shape}")
     powers = np.abs(h @ V) ** 2          # [k, i] = |h_k v_i|^2
-    signal = np.diag(powers)
-    interference = powers.sum(axis=1) - signal
+    signal = np.diagonal(powers, axis1=-2, axis2=-1)
+    interference = powers.sum(axis=-1) - signal
     return signal / (interference + noise)
 
 
 def sum_rate(h: np.ndarray, V: np.ndarray, noise: float) -> RateReport:
-    """Rates log2(1 + sinr) per UE and their sum."""
+    """Rates log2(1 + sinr) per UE and their sum (per lane for a stack)."""
     g = sinr_all(h, V, noise)
     rate = np.log2(1.0 + g)
-    return RateReport(sinr=g, rate=rate, sum_rate=float(rate.sum()))
+    total = rate.sum(axis=-1)
+    return RateReport(sinr=g, rate=rate,
+                      sum_rate=float(total) if total.ndim == 0 else total)
 
 
 def mse_k(h_k: np.ndarray, V: np.ndarray, k: int, mu_k: complex,
@@ -77,17 +83,21 @@ def mse_k(h_k: np.ndarray, V: np.ndarray, k: int, mu_k: complex,
 
 
 def mse_all(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
-            noise: float) -> np.ndarray:
+            noise: float | np.ndarray) -> np.ndarray:
     """Vector of every UE's MSE for the given scalar receivers, as
     |1 - conj(mu_k) h_k v_k|^2 + |mu_k|^2 (sum_{m != k} |h_k v_m|^2 + noise).
     At high SINR the MSE is far below 1, and the expanded form of
-    ``mse_k`` would lose most of its digits to cancellation."""
+    ``mse_k`` would lose most of its digits to cancellation. A leading
+    lane axis on h, V and mu, with one noise value per lane, gives one
+    row of MSEs per lane."""
     S = h @ V
-    own = np.diag(S)
+    own = np.diagonal(S, axis1=-2, axis2=-1)
     leak = np.abs(S) ** 2
-    np.fill_diagonal(leak, 0.0)
+    diag = np.arange(leak.shape[-1])
+    leak[..., diag, diag] = 0.0
     return (np.abs(1.0 - np.conj(mu) * own) ** 2
-            + np.abs(mu) ** 2 * (leak.sum(axis=1) + noise))
+            + np.abs(mu) ** 2 * (leak.sum(axis=-1)
+                                 + np.asarray(noise)[..., None]))
 
 
 def cscc(h_a: np.ndarray, h_b: np.ndarray) -> float:

@@ -23,6 +23,12 @@ its lifted objective is no larger than the last recorded value and its
 sum rate no lower than that of the plain double step it replaces. The
 plain map from an accepted point then continues the same chain of
 inequalities, so monotonicity covers accepted extrapolations too.
+
+``ao_solve_levels`` solves several sparsity levels of one drop in
+lockstep. The kernels of the map take an optional leading lane axis, one
+lane per level, and each round runs one map for every level still going.
+Each lane performs the arithmetic of its own solve, so a lockstep result
+equals the one-level ``ao_solve`` result bit for bit.
 """
 
 from __future__ import annotations
@@ -33,16 +39,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import (ChannelSet, ModeSelection, PassiveBeam, effective_matrix,
-                     feasible_sparsities, los_channels, make_mode)
+from .arrays import (BeamStack, ChannelSet, ModeSelection, ModeStack,
+                     PassiveBeam, effective_matrix, feasible_sparsities,
+                     los_channels, make_mode)
 from .metrics import BeamformingSolution, RateReport, mse_all, sum_rate
 from .scenario import Geometry, SystemConfig
 
 
 def effective_noise(V: np.ndarray, noise_power: float,
-                    total_power: float) -> float:
-    """Noise power scaled by the fraction of the budget actually spent."""
-    return noise_power * float((np.abs(V) ** 2).sum()) / total_power
+                    total_power: float) -> float | np.ndarray:
+    """Noise power scaled by the fraction of the budget actually spent
+    (one value per lane for a stack of precoders)."""
+    return noise_power * _power(V) / total_power
+
+
+def _power(V: np.ndarray) -> float | np.ndarray:
+    """||V||_F^2, per lane for a stack."""
+    return (np.abs(V) ** 2).sum(axis=(-2, -1))
 
 
 def zf_init(h: np.ndarray, total_power: float) -> np.ndarray:
@@ -60,13 +73,14 @@ def zf_init(h: np.ndarray, total_power: float) -> np.ndarray:
 
 def update_receivers(h: np.ndarray, V: np.ndarray, noise_power: float,
                      total_power: float) -> np.ndarray:
-    """Per-UE MMSE receive scalars under the scaled noise convention."""
+    """Per-UE MMSE receive scalars under the scaled noise convention.
+    Like every kernel of the map, it also takes a leading lane axis."""
     s = h @ V
     sig = effective_noise(V, noise_power, total_power)
-    if sig <= 0.0:
+    if (sig <= 0.0).any():
         raise ValueError("precoder carries no power; receivers undefined")
-    denom = (np.abs(s) ** 2).sum(axis=1) + sig
-    return np.diag(s) / denom
+    denom = (np.abs(s) ** 2).sum(axis=-1) + np.asarray(sig)[..., None]
+    return np.diagonal(s, axis1=-2, axis2=-1) / denom
 
 
 def update_weights(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
@@ -84,9 +98,10 @@ def surrogate_value(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
     return _lifted_objective(zeta, e)
 
 
-def _lifted_objective(zeta: np.ndarray, e: np.ndarray) -> float:
+def _lifted_objective(zeta: np.ndarray, e: np.ndarray) -> float | np.ndarray:
     """sum_k (zeta_k e_k - ln zeta_k) at given weights and MSEs."""
-    return float((zeta * e - np.log(zeta)).sum())
+    value = (zeta * e - np.log(zeta)).sum(axis=-1)
+    return float(value) if value.ndim == 0 else value
 
 
 def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
@@ -97,10 +112,11 @@ def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     minimizer of the lifted objective over V, the solve that
     ``update_precoders`` makes."""
     w = zeta * np.abs(mu) ** 2
-    dim = h.shape[1]
-    a0 = (h.conj().T * w) @ h
-    s0 = float(np.sum(w))
-    rhs = h.conj().T * (zeta * mu)
+    dim = h.shape[-1]
+    hH = h.conj().swapaxes(-2, -1)
+    a0 = (hH * w[..., None, :]) @ h
+    s0 = np.sum(w, axis=-1)[..., None, None]
+    rhs = hH * (zeta * mu)[..., None, :]
     return np.linalg.solve(a0 + rho * s0 * np.eye(dim), rhs)
 
 
@@ -114,14 +130,22 @@ def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     rho = noise_power / total_power (Christensen et al., IEEE TWC 2008).
     The objective does not change under (V, mu) -> (c V, mu / c), so
     c = sqrt(P / ||V||_F^2) puts the minimizer on the full-power sphere
-    and the receivers are divided by c to match. With no weight anywhere
-    (zeta |mu|^2 sums to 0) the step returns zeros and ``mu`` unchanged.
+    and the receivers are divided by c to match. A lane with no weight
+    anywhere (zeta |mu|^2 sums to 0) gets zeros and keeps its ``mu``.
     """
-    if not float((zeta * np.abs(mu) ** 2).sum()) > 0.0:
-        return np.zeros((h.shape[1], h.shape[0]), dtype=complex), mu
-    V = precoders_at(h, mu, zeta, noise_power / total_power)
-    c = math.sqrt(total_power / float((np.abs(V) ** 2).sum()))
-    return c * V, mu / c
+    rho = noise_power / total_power
+    weighted = (zeta * np.abs(mu) ** 2).sum(axis=-1) > 0.0
+    shape = h.shape[:-2] + h.shape[:-3:-1]
+    if not weighted.any():
+        return np.zeros(shape, dtype=complex), mu
+    if weighted.all():
+        V = precoders_at(h, mu, zeta, rho)
+    else:
+        V = np.zeros(shape, dtype=complex)
+        V[weighted] = precoders_at(h[weighted], mu[weighted],
+                                   zeta[weighted], rho)
+    c = np.sqrt(total_power / np.where(weighted, _power(V), total_power))
+    return c[..., None, None] * V, mu / c[..., None]
 
 
 @dataclass(frozen=True)
@@ -133,26 +157,38 @@ class PhaseQuadratic:
     linear: np.ndarray
 
 
-def build_phase_quadratic(channels: ChannelSet, mode: ModeSelection,
-                          W: np.ndarray, F: np.ndarray, mu: np.ndarray,
+def build_phase_quadratic(channels: ChannelSet,
+                          mode: ModeSelection | ModeStack, W: np.ndarray,
+                          F: np.ndarray, mu: np.ndarray,
                           zeta: np.ndarray) -> PhaseQuadratic:
-    """Assemble the phase quadratic for the current precoders and weights.
+    """Assemble the phase quadratic for the current precoders and weights
+    (one per lane for a ``ModeStack`` and lane-stacked W, F, mu, zeta).
 
     Rows and columns at connected elements vanish (those elements do not
     reflect), so their phases are free and left untouched downstream.
     """
     abar = 1.0 - mode.a_vec
-    cmat = abar[None, :] * channels.h_r.conj()        # rows c_k
+    cmat = abar[..., None, :] * channels.h_r.conj()   # rows c_k
+    cmat_t = cmat.swapaxes(-2, -1)
     w = zeta * np.abs(mu) ** 2
-    B = (cmat.T * w) @ cmat.conj()
+    B = (cmat_t * w[..., None, :]) @ cmat.conj()
     GW = channels.G @ W
-    C = B * (GW @ GW.conj().T)
+    # np.multiply, not `*`: numpy may compute `x * temporary` in the
+    # temporary's buffer with the operands swapped, and a complex product
+    # rounds differently by operand order; a lane's bits would then depend
+    # on how many lanes share the call
+    C = np.multiply(B, GW @ GW.conj().swapaxes(-2, -1), out=B)
 
-    sel = channels.h_r[:, mode.index0]                # rows h_sel_k
+    sel = channels.h_r.T[mode.index0].swapaxes(-2, -1)   # rows h_sel_k
     cross = sel @ F.conj()                            # row k: F^H h_sel_k
-    beta1 = (cmat.T * (GW @ cross.T)) @ w
-    beta2 = (cmat.T * GW) @ (zeta * mu.conj())
+    beta1 = _matvec(np.multiply(cmat_t, GW @ cross.swapaxes(-2, -1)), w)
+    beta2 = _matvec(cmat_t * GW, zeta * mu.conj())
     return PhaseQuadratic(matrix=C, linear=beta1 - beta2)
+
+
+def _matvec(A: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """A @ x for a matrix and a vector, or a stack of each."""
+    return (A @ x[..., None])[..., 0]
 
 
 def phase_objective(quad: PhaseQuadratic, passive: PassiveBeam) -> float:
@@ -197,51 +233,78 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
     Returns the optimized x and the trace of the homogenized objective
     p^H D p, which is nondecreasing by construction; a decrease beyond
     rounding noise raises ArithmeticError.
+
+    A leading lane axis on C, beta_vec and p0 (which a stack needs) runs
+    independent problems in lockstep, one matrix-vector product per step
+    for all of them; each lane stops on its own test, exactly as it would
+    alone. The trace then has one column per lane, and a lane that stopped
+    early repeats its last value.
     """
-    n = beta_vec.shape[0]
-    D = np.zeros((n + 1, n + 1), dtype=complex)
-    D[:n, :n] = -C
-    D[:n, n] = -beta_vec
-    D[n, :n] = -beta_vec.conj()
+    lanes = C.ndim == 3
+    if lanes and p0 is None:
+        raise ValueError("a stack of phase problems needs start points p0")
+    C, beta_vec = (C, beta_vec) if lanes else (C[None], beta_vec[None])
+    n_lanes, n = beta_vec.shape
+    D = np.empty((n_lanes, n + 1, n + 1), dtype=complex)
+    np.negative(C, out=D[:, :n, :n])
+    np.negative(beta_vec, out=D[:, :n, n])
+    np.negative(beta_vec.conj(), out=D[:, n, :n])
+    D[:, n, n] = 0.0
     if p0 is None:
-        lead = np.linalg.eigh(D)[1][:, -1]
+        lead = np.linalg.eigh(D[0])[1][:, -1]
         mags = np.abs(lead)
         lead = np.where(mags > 0.0,
                         lead / np.where(mags > 0.0, mags, 1.0), 1.0)
-        starts = [np.ones(n + 1, dtype=complex), lead]
+        starts = [np.ones((1, n + 1), dtype=complex), lead[None]]
     else:
         p = np.asarray(p0, dtype=complex)
-        if p.shape != (n + 1,):
-            raise ValueError(f"p0 must have length {n + 1}, got {p.shape}")
+        expected = (n_lanes, n + 1) if lanes else (n + 1,)
+        if p.shape != expected:
+            raise ValueError(f"p0 must have shape {expected}, got {p.shape}")
+        p = p.reshape(n_lanes, n + 1)
         mags = np.abs(p)
-        if np.any(mags == 0.0):
+        if (mags == 0.0).any():
             raise ValueError("p0 entries must be nonzero")
         starts = [p / mags]
-    row_sums = np.abs(D).sum(axis=1)
-    shift = (row_sums - np.abs(D.diagonal()) - D.diagonal().real
-             + 1e-9 * float(row_sums.max()))
-    shifted = D + np.diag(shift)
-    offset = float(shift.sum())
+    row_sums = np.abs(D).sum(axis=-1)
+    diagonal = np.diagonal(D, axis1=-2, axis2=-1)
+    shift = (row_sums - np.abs(diagonal) - diagonal.real
+             + 1e-9 * row_sums.max(axis=-1, keepdims=True))
+    diag = np.arange(n + 1)
+    shifted = D                        # D + Lambda, formed in place
+    shifted[:, diag, diag] += shift
+    offset = shift.sum(axis=-1)
+
+    def objective(p, z):
+        return (p.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real - offset
 
     def iterate(p):
-        z = shifted @ p
-        obj = float(np.vdot(p, z).real) - offset
+        z = _matvec(shifted, p)
+        obj = objective(p, z)
         history = [obj]
+        active = np.ones(n_lanes, dtype=bool)
         for _ in range(max_iters):
             p_new = z / np.abs(z)
-            z_new = shifted @ p_new
-            obj_new = float(np.vdot(p_new, z_new).real) - offset
-            if math.isnan(obj_new):
+            z_new = _matvec(shifted, p_new)
+            obj_new = objective(p_new, z_new)
+            if np.isnan(obj_new).any():
+                # redoing a finite lane repeats its step exactly
                 p_new = np.where(np.abs(z) > 0.0, p_new, p)
-                z_new = shifted @ p_new
-                obj_new = float(np.vdot(p_new, z_new).real) - offset
-            if obj_new < obj - 1e-8 * (1.0 + abs(obj)):
+                z_new = _matvec(shifted, p_new)
+                obj_new = objective(p_new, z_new)
+            scale = 1.0 + np.abs(obj)
+            if (active & (obj_new < obj - 1e-8 * scale)).any():
                 raise ArithmeticError("homogenized objective decreased "
                                       "during the phase power iteration")
-            history.append(obj_new)
-            done = abs(obj_new - obj) <= tol * (1.0 + abs(obj))
+            if not active.all():        # stopped lanes keep their state
+                p_new = np.where(active[:, None], p_new, p)
+                z_new = np.where(active[:, None], z_new, z)
+                obj_new = np.where(active, obj_new, obj)
+            done = np.abs(obj_new - obj) <= tol * scale
             p, z, obj = p_new, z_new, obj_new
-            if done:
+            history.append(obj)
+            active &= ~done
+            if not active.any():
                 break
         return p, np.asarray(history)
 
@@ -249,10 +312,10 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
         p_best, hist_best = iterate(starts[0])
         for p_start in starts[1:]:
             p_alt, hist_alt = iterate(p_start)
-            if hist_alt[-1] > hist_best[-1]:
+            if hist_alt[-1, 0] > hist_best[-1, 0]:
                 p_best, hist_best = p_alt, hist_alt
-    x = np.exp(1j * np.angle(p_best[:n] * np.conj(p_best[n])))
-    return x, hist_best
+    x = np.exp(1j * np.angle(p_best[:, :n] * np.conj(p_best[:, n:])))
+    return (x, hist_best) if lanes else (x[0], hist_best[:, 0])
 
 
 # MM steps per phase block. Each step keeps the block monotone, which is
@@ -282,18 +345,20 @@ class AoResult:
     rejected: int
 
 
-def _ao_map(channels: ChannelSet, mode: ModeSelection, config: SystemConfig,
-            h: np.ndarray, V: np.ndarray, passive: PassiveBeam,
+def _ao_map(channels: ChannelSet, mode: ModeStack, config: SystemConfig,
+            h: np.ndarray, V: np.ndarray, passive: BeamStack,
             zeta: np.ndarray) -> tuple:
-    """One plain alternating-optimization map from the state (V, phases),
-    with ``h`` the effective channels at those phases and ``zeta`` the
-    weights of the previous map.
+    """One plain alternating-optimization map from the state (V, phases)
+    of every lane of a stack: ``mode`` holds one sparsity level per lane,
+    and ``h`` (the effective channels at the phases), ``V``, the phases
+    and ``zeta`` (the weights of the previous map) have a leading lane
+    axis.
 
     Updates the receivers, the weights and the precoder exactly, then
     takes ``_PHASE_STEPS`` MM steps of ``power_iteration`` on the phase
     quadratic, warm-started at the current phases. Returns the new
-    (h, V, mu, passive, zeta) and the lifted objective after each of the
-    four block updates.
+    (h, V, mu, passive, zeta) and, per lane, the lifted objective after
+    each of the four block updates.
     """
     power, noise = config.total_power, config.noise_power
     n_tx = channels.G.shape[1]
@@ -305,14 +370,15 @@ def _ao_map(channels: ChannelSet, mode: ModeSelection, config: SystemConfig,
     V, mu = update_precoders(h, mu, zeta, noise, power)
     s3 = surrogate_value(h, V, mu, zeta, noise, power)
 
-    quad = build_phase_quadratic(channels, mode, V[:n_tx], V[n_tx:], mu, zeta)
-    p0 = np.concatenate([passive.phi.conj(), [1.0 + 0.0j]])
+    quad = build_phase_quadratic(channels, mode, V[:, :n_tx], V[:, n_tx:],
+                                 mu, zeta)
+    p0 = np.concatenate([passive.phi.conj(), np.ones((len(V), 1))], axis=1)
     x, _ = power_iteration(quad.matrix, quad.linear, max_iters=_PHASE_STEPS,
                            p0=p0)
-    passive = PassiveBeam(x.conj())
+    passive = BeamStack(x.conj())
     h = effective_matrix(channels, passive, mode)
     s4 = surrogate_value(h, V, mu, zeta, noise, power)
-    return h, V, mu, passive, zeta, (s1, s2, s3, s4)
+    return h, V, mu, passive, zeta, np.stack([s1, s2, s3, s4], axis=1)
 
 
 def _squarem_point(states, power: float):
@@ -368,12 +434,27 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     or of the whole cycle, drops below the configured threshold, and
     returns the last iterate; if the map budget runs out first, that
     iterate is flagged unconverged.
+
+    This is the one-lane call of ``ao_solve_levels``.
     """
-    t0 = time.perf_counter()
+    (result,) = ao_solve_levels(channels, [mode], config)
+    if isinstance(result, Exception):
+        raise result
+    return result
+
+
+def _sqs3_lane(channels: ChannelSet, mode: ModeSelection,
+               config: SystemConfig):
+    """The SQUAREM driver of ``ao_solve`` for one sparsity level, as a
+    generator: it yields the state (h, V, phases, zeta) whenever it needs
+    one plain map, is sent that map's output (h, V, phases, zeta, surrogate
+    row, rate report) by ``ao_solve_levels``, and returns the level's
+    ``AoResult`` (its ``wall_time`` is left to the caller)."""
     power, noise = config.total_power, config.noise_power
     cap = config.max_outer_iters
 
     passive = PassiveBeam.uniform(mode.n_elems)
+    phi = passive.phi
     h = effective_matrix(channels, passive, mode)
     V = zf_init(h, power)
     zeta = np.ones(channels.n_ues)
@@ -383,12 +464,10 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     rate_trace = []
     accepted = rejected = 0
 
-    def plain_map():
-        nonlocal h, V, passive, zeta, report
-        h, V, _, passive, zeta, row = _ao_map(channels, mode, config, h, V,
-                                              passive, zeta)
+    def record(out):
+        nonlocal h, V, phi, zeta, report
+        h, V, phi, zeta, row, report = out
         surrogate_rows.append(row)
-        report = sum_rate(h, V, noise)
         rate_trace.append(report.sum_rate)
 
     def stalled(rate_start):
@@ -398,32 +477,31 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
             * max(rate_start, np.finfo(float).tiny)
 
     def guarded(V_x, phi_x):
-        """The extrapolated state (h, V, passive) if it passes the guard,
+        """The extrapolated state (h, V, phases) if it passes the guard,
         else None."""
-        if not (np.all(np.isfinite(V_x)) and np.all(np.isfinite(phi_x))):
+        if not (np.isfinite(V_x).all() and np.isfinite(phi_x).all()):
             return None
-        passive_x = PassiveBeam(phi_x)
-        h_x = effective_matrix(channels, passive_x, mode)
+        h_x = effective_matrix(channels, PassiveBeam(phi_x), mode)
         mu_x = update_receivers(h_x, V_x, noise, power)
         e_x = mse_all(h_x, V_x, mu_x, effective_noise(V_x, noise, power))
         if (_lifted_objective(zeta, e_x) <= surrogate_rows[-1][3]
                 and sum_rate(h_x, V_x, noise).sum_rate >= report.sum_rate):
-            return h_x, V_x, passive_x
+            return h_x, V_x, phi_x
         return None
 
     converged = False
     while len(rate_trace) < cap and not converged:
         rate_start = report.sum_rate
-        states = [(V, passive.phi)]
-        plain_map()
+        states = [(V, phi)]
+        record((yield h, V, phi, zeta))
         if stalled(rate_start):
             converged = True
             break
         if len(rate_trace) == cap:
             break
-        states.append((V, passive.phi))
-        plain_map()
-        states.append((V, passive.phi))
+        states.append((V, phi))
+        record((yield h, V, phi, zeta))
+        states.append((V, phi))
         point = (_squarem_point(states, power)
                  if len(rate_trace) < cap else None)
         if point is not None:
@@ -432,18 +510,91 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
                 rejected += 1
             else:
                 accepted += 1
-                h, V, passive = state
-                plain_map()
+                h, V, phi = state
+                record((yield h, V, phi, zeta))
         converged = stalled(rate_start)
 
-    report = replace(report, iterations=len(rate_trace),
-                     wall_time=time.perf_counter() - t0, converged=converged)
+    report = replace(report, iterations=len(rate_trace), converged=converged)
     n_tx = channels.G.shape[1]
-    solution = BeamformingSolution(W=V[:n_tx], F=V[n_tx:], passive=passive)
+    solution = BeamformingSolution(W=V[:n_tx], F=V[n_tx:],
+                                   passive=PassiveBeam(phi))
     return AoResult(solution=solution, mode=mode, report=report,
                     surrogate_trace=np.asarray(surrogate_rows),
                     sum_rate_trace=np.asarray(rate_trace),
                     accepted=accepted, rejected=rejected)
+
+
+def ao_solve_levels(channels: ChannelSet, modes, config: SystemConfig
+                    ) -> list[AoResult | Exception]:
+    """``ao_solve`` on one drop's channels at several sparsity levels (of
+    one connection count), solved in lockstep.
+
+    Every level runs its own SQUAREM driver (``_sqs3_lane``). Each round
+    stacks the states of all levels that wait for a plain map into one
+    lane-stacked ``_ao_map`` and ``sum_rate`` call; a level leaves the
+    stack when it stops. A lane runs exactly the operations of its solve
+    alone, so every result equals ``ao_solve`` at that level bit for bit;
+    only ``report.wall_time`` differs, as it covers the whole call.
+
+    A round that raises is redone one lane at a time. A level whose own
+    map, start point or guard raises ends there, and its entry in the
+    returned list, one per level in order, is that exception instead of
+    an ``AoResult``; the other levels go on.
+    """
+    t0 = time.perf_counter()
+    drivers = [_sqs3_lane(channels, mode, config) for mode in modes]
+    results: list = [None] * len(drivers)
+    waiting = {}
+    stacks = {}
+
+    def advance(i, out):
+        try:
+            waiting[i] = drivers[i].send(out)
+        except StopIteration as stop:
+            results[i] = stop.value
+        except Exception as exc:        # this level fails; the rest go on
+            results[i] = exc
+
+    def run(lanes, states):
+        """One plain map for each of these lanes' states, all through one
+        ``_ao_map`` and one ``sum_rate`` call; the per-lane outputs."""
+        stack = stacks.get(lanes)
+        if stack is None:
+            stack = stacks[lanes] = ModeStack(tuple(modes[i] for i in lanes))
+        h, V, phi, zeta = (np.stack(part) for part in zip(*states))
+        h, V, _, passive, zeta, rows = _ao_map(channels, stack, config, h, V,
+                                               BeamStack(phi), zeta)
+        report = sum_rate(h, V, config.noise_power)
+        return [(h[i], V[i], passive.phi[i], zeta[i], rows[i],
+                 RateReport(sinr=report.sinr[i], rate=report.rate[i],
+                            sum_rate=float(report.sum_rate[i])))
+                for i in range(len(lanes))]
+
+    for i in range(len(drivers)):
+        advance(i, None)
+    while waiting:
+        lanes = tuple(sorted(waiting))
+        states = [waiting.pop(i) for i in lanes]
+        try:
+            outs = run(lanes, states)
+        except Exception:               # find the lane(s) that raised
+            outs = []
+            for i, state in zip(lanes, states):
+                try:
+                    outs.extend(run((i,), [state]))
+                except Exception as exc:
+                    outs.append(exc)
+        for i, out in zip(lanes, outs):
+            if isinstance(out, Exception):
+                drivers[i].close()
+                results[i] = out
+            else:
+                advance(i, out)
+
+    wall = time.perf_counter() - t0
+    return [result if isinstance(result, Exception) else
+            replace(result, report=replace(result.report, wall_time=wall))
+            for result in results]
 
 
 def sparsity_search(solve, config: SystemConfig
@@ -467,14 +618,19 @@ def sparsity_search(solve, config: SystemConfig
 
 def wa_solve(geometry: Geometry, config: SystemConfig
              ) -> tuple[BeamformingSolution, ModeSelection, RateReport]:
-    """Whole procedure for one geometry: scan sparsity levels, run the
-    alternating optimization on each from a fresh start on the same
-    channels, keep the best."""
+    """Whole procedure for one geometry: run the alternating optimization
+    at every feasible sparsity level, in lockstep and each from a fresh
+    start on the same channels, and keep the best."""
     channels = los_channels(geometry, config)
+    levels = feasible_sparsities(config.n_elems, config.n_connected)
+    modes = [make_mode(config.n_elems, config.n_connected, eta)
+             for eta in levels]
+    solved = dict(zip(levels, ao_solve_levels(channels, modes, config)))
 
     def solve(eta: int) -> AoResult:
-        mode = make_mode(config.n_elems, config.n_connected, eta)
-        return ao_solve(channels, mode, config)
+        if isinstance(solved[eta], Exception):
+            raise solved[eta]
+        return solved[eta]
 
     best, _ = sparsity_search(solve, config)
     return best.solution, best.mode, best.report

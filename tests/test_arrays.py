@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars.arrays import (PassiveBeam, effective_matrix, feasible_sparsities,
-                          los_channels, make_mode, steering)
+from rdars.arrays import (BeamStack, ModeStack, PassiveBeam, effective_matrix,
+                          feasible_sparsities, los_channels, make_mode,
+                          steering)
 
 from helpers import brute_effective_rows, random_geometry, small_config
 
@@ -136,3 +137,29 @@ def test_connected_element_phases_do_not_matter():
     phases[mode.index0] += rng.uniform(0.1, 3.0, 4)
     h2 = effective_matrix(ch, PassiveBeam.from_phases(phases), mode)
     np.testing.assert_allclose(h1, h2, rtol=1e-12, atol=1e-20)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 4, 16]))
+def test_effective_matrix_lane_stack_equals_per_lane_calls(seed, a):
+    """A ModeStack with a BeamStack gives, lane by lane, exactly the rows
+    of the two-dimensional call."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(n_ues=3, n_connected=a)
+    ch = los_channels(random_geometry(cfg, rng), cfg)
+    modes = [make_mode(16, a, eta) for eta in feasible_sparsities(16, a)]
+    phi = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (len(modes), 16)))
+    got = effective_matrix(ch, BeamStack(phi), ModeStack(tuple(modes)))
+    want = [effective_matrix(ch, PassiveBeam(p), m)
+            for p, m in zip(phi, modes)]
+    assert np.array_equal(got, np.stack(want))
+
+
+def test_beam_stack_validation():
+    with pytest.raises(ValueError):
+        BeamStack(np.ones(3, dtype=complex))
+    with pytest.raises(ValueError):
+        BeamStack(np.array([[1.0, 1.0], [1.0, 0.5]], dtype=complex))
+    stack = ModeStack((make_mode(16, 4, 1), make_mode(16, 4, 5)))
+    assert stack.index0.tolist() == [[0, 1, 2, 3], [0, 5, 10, 15]]
+    assert stack.a_vec.shape == (2, 16)
+    assert np.array_equal(stack.a_vec[1], make_mode(16, 4, 5).a_vec)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars import harness
+from rdars import harness, wmmse
 from rdars.closed_form import analyze_two_ue, two_ue_rate
 from rdars.harness import (ALGORITHMS, CSV_FIELDS, Campaign, TrialRow,
                            dbm_to_watt, emit_csv, run_campaign, run_trial,
@@ -229,24 +229,68 @@ def test_high_power_campaign_is_deterministic_across_jobs():
 
 
 def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
-    counts = {"ao_solve": 0, "los_channels": 0}
+    counts = {"ao_solve_levels": 0, "levels": 0, "los_channels": 0}
 
     def counted(name):
         inner = getattr(harness, name)
 
         def wrapper(*args, **kwargs):
             counts[name] += 1
+            if name == "ao_solve_levels":
+                counts["levels"] += len(args[1])
             return inner(*args, **kwargs)
         return wrapper
 
-    for name in counts:
+    for name in ("ao_solve_levels", "los_channels"):
         monkeypatch.setattr(harness, name, counted(name))
     camp = Campaign(_scenario(), ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
                     n_trials=2, seed=21)
     rows = run_campaign(camp)
     assert all(row.status == "ok" for row in rows)
-    # N=16, a=4: five levels per drop; the scan covers the other two rows
-    assert counts == {"ao_solve": 2 * 5, "los_channels": 2}
+    # N=16, a=4: five levels per drop, solved in one lockstep call by the
+    # scan; the other two rows read them
+    assert counts == {"ao_solve_levels": 2, "levels": 2 * 5,
+                      "los_channels": 2}
+
+
+def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
+    """One sparsity level is forced to raise inside the lockstep rounds.
+    Rows that need only other levels equal the unforced rows; every row
+    that needs the failing level reports its exception; and each drop
+    solves that level once."""
+    camp = Campaign(_scenario(), ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
+                    n_trials=4, seed=31, sweep_dbm=(10.0, 30.0))
+    clean = run_campaign(camp)
+    fail_eta = next(r.eta for r in clean
+                    if r.algorithm == "RANDOM_ETA" and r.eta != 1)
+    plain = wmmse.build_phase_quadratic
+    solved = []
+
+    def failing(channels, mode, *args):
+        if any(lane.eta == fail_eta for lane in getattr(mode, "modes", ())):
+            raise ArithmeticError(f"forced failure at level {fail_eta}")
+        return plain(channels, mode, *args)
+
+    def counted(channels, modes, config):
+        solved.extend(mode.eta for mode in modes)
+        return wmmse.ao_solve_levels(channels, modes, config)
+
+    monkeypatch.setattr(wmmse, "build_phase_quadratic", failing)
+    monkeypatch.setattr(harness, "ao_solve_levels", counted)
+    forced = run_campaign(camp)
+    drops = camp.n_trials * len(camp.sweep_dbm)
+    assert solved.count(fail_eta) == drops
+    hit = 0
+    for before, after in zip(clean, forced):
+        needs_failing = (before.algorithm == "WA_OPT_ETA"
+                         or before.eta == fail_eta)
+        if needs_failing:
+            hit += before.algorithm == "RANDOM_ETA"
+            assert after.status == "failed:ArithmeticError"
+            assert after.message.endswith(f"level {fail_eta}")
+        else:
+            assert replace(after, wall_ms=0.0) == replace(before, wall_ms=0.0)
+    assert hit >= 1
 
 
 def test_run_campaign_rows_match_standalone_trials():

@@ -119,3 +119,27 @@ def test_beamforming_solution_power():
                               passive=PassiveBeam.uniform(4))
     assert sol.V.shape == (3, 2)
     assert sol.transmit_power == pytest.approx(4.0 + 8.0, rel=1e-15)
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.integers(1, 5))
+def test_metrics_lane_stack_equals_per_lane_calls(seed, lanes, n_ues):
+    """A leading lane axis gives, lane by lane, exactly the two-dimensional
+    results, with one noise value per lane for mse_all."""
+    rng = np.random.default_rng(seed)
+    dim = n_ues + 2
+    h = (rng.standard_normal((lanes, n_ues, dim))
+         + 1j * rng.standard_normal((lanes, n_ues, dim)))
+    V = (rng.standard_normal((lanes, dim, n_ues))
+         + 1j * rng.standard_normal((lanes, dim, n_ues)))
+    mu = rng.standard_normal((lanes, n_ues)) + 1j * rng.standard_normal(
+        (lanes, n_ues))
+    noise = rng.uniform(0.1, 2.0, lanes)
+    assert np.array_equal(mse_all(h, V, mu, noise), np.stack(
+        [mse_all(h[i], V[i], mu[i], noise[i]) for i in range(lanes)]))
+    assert np.array_equal(sinr_all(h, V, 0.3), np.stack(
+        [sinr_all(h[i], V[i], 0.3) for i in range(lanes)]))
+    report = sum_rate(h, V, 0.3)
+    for i in range(lanes):
+        alone = sum_rate(h[i], V[i], 0.3)
+        assert report.sum_rate[i] == alone.sum_rate
+        assert np.array_equal(report.rate[i], alone.rate)

@@ -6,17 +6,18 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rdars import wmmse
-from rdars.arrays import PassiveBeam, effective_matrix, los_channels, make_mode
+from rdars.arrays import (BeamStack, ModeStack, PassiveBeam, effective_matrix,
+                          feasible_sparsities, los_channels, make_mode)
 from rdars.harness import dbm_to_watt
 from rdars.metrics import (BeamformingSolution, RateReport, mse_all, sinr_all,
                            sum_rate)
 from rdars.scenario import default_scenario, scenario_geometry
 from rdars.wmmse import (AoResult, PhaseQuadratic, ao_solve,
-                         build_phase_quadratic, effective_noise,
-                         phase_objective, power_iteration, precoders_at,
-                         solve_fixed_eta, sparsity_search, surrogate_value,
-                         update_precoders, update_receivers, update_weights,
-                         wa_solve, zf_init)
+                         ao_solve_levels, build_phase_quadratic,
+                         effective_noise, phase_objective, power_iteration,
+                         precoders_at, solve_fixed_eta, sparsity_search,
+                         surrogate_value, update_precoders, update_receivers,
+                         update_weights, wa_solve, zf_init)
 
 from helpers import random_geometry, small_config
 
@@ -491,6 +492,135 @@ def test_power_iteration_validates_start_point():
         power_iteration(C, beta, p0=np.array([1.0, 0.0, 1.0]))
 
 
+# --- lane-stacked kernels -----------------------------------------------
+
+@settings(max_examples=25)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 4, 16]),
+       st.integers(1, 12))
+def test_map_kernels_lane_stack_equals_per_lane_calls(seed, n_connected,
+                                                      n_ues):
+    """Every kernel of the map, called once on a stack of lanes (one per
+    sparsity level), equals its two-dimensional calls lane by lane; the
+    last lane has no receiver, so the precoder step zeroes it alone."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(n_ues=n_ues, n_connected=n_connected)
+    power, noise = cfg.total_power, cfg.noise_power
+    channels = los_channels(random_geometry(cfg, rng), cfg)
+    modes = [make_mode(16, n_connected, eta)
+             for eta in feasible_sparsities(16, n_connected)]
+    lanes, dim = len(modes), cfg.n_tx + n_connected
+    phi = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (lanes, 16)))
+    h = effective_matrix(channels, BeamStack(phi), ModeStack(tuple(modes)))
+    V = _random_h(rng, lanes * dim, n_ues).reshape(lanes, dim, n_ues)
+    mu = _random_h(rng, lanes, n_ues) * 1e3
+    mu[-1] = 0.0
+    zeta = rng.uniform(0.5, 2.0, (lanes, n_ues))
+    stack = ModeStack(tuple(modes))
+
+    def same(stacked, per_lane):
+        assert np.array_equal(stacked, np.stack(per_lane))
+
+    same(update_receivers(h, V, noise, power),
+         [update_receivers(h[i], V[i], noise, power) for i in range(lanes)])
+    same(effective_noise(V, noise, power),
+         [effective_noise(V[i], noise, power) for i in range(lanes)])
+    same(surrogate_value(h, V, mu, zeta, noise, power),
+         [surrogate_value(h[i], V[i], mu[i], zeta[i], noise, power)
+          for i in range(lanes)])
+    same(precoders_at(h, mu + 1.0, zeta, 0.1),
+         [precoders_at(h[i], mu[i] + 1.0, zeta[i], 0.1) for i in range(lanes)])
+    V_new, mu_new = update_precoders(h, mu, zeta, noise, power)
+    alone = [update_precoders(h[i], mu[i], zeta[i], noise, power)
+             for i in range(lanes)]
+    same(V_new, [v for v, _ in alone])
+    same(mu_new, [m for _, m in alone])
+    quad = build_phase_quadratic(channels, stack, V[:, :cfg.n_tx],
+                                 V[:, cfg.n_tx:], mu, zeta)
+    quads = [build_phase_quadratic(channels, modes[i], V[i, :cfg.n_tx],
+                                   V[i, cfg.n_tx:], mu[i], zeta[i])
+             for i in range(lanes)]
+    same(quad.matrix, [q.matrix for q in quads])
+    same(quad.linear, [q.linear for q in quads])
+
+    # a loose stop test ends the lanes after different step counts; a
+    # stopped lane repeats its last objective
+    p0 = np.concatenate([phi.conj(), np.ones((lanes, 1))], axis=1)
+    x, hist = power_iteration(quad.matrix, quad.linear, tol=1e-3,
+                              max_iters=40, p0=p0)
+    for i in range(lanes):
+        x_i, hist_i = power_iteration(quad.matrix[i], quad.linear[i],
+                                      tol=1e-3, max_iters=40, p0=p0[i])
+        assert np.array_equal(x[i], x_i)
+        assert np.array_equal(hist[:len(hist_i), i], hist_i)
+        assert np.all(hist[len(hist_i):, i] == hist_i[-1])
+    with pytest.raises(ValueError, match="p0"):
+        power_iteration(quad.matrix, quad.linear)
+
+
+def _assert_same_solve(lockstep, alone):
+    assert np.array_equal(lockstep.solution.W, alone.solution.W)
+    assert np.array_equal(lockstep.solution.F, alone.solution.F)
+    assert np.array_equal(lockstep.solution.passive.phi,
+                          alone.solution.passive.phi)
+    assert np.array_equal(lockstep.surrogate_trace, alone.surrogate_trace)
+    assert np.array_equal(lockstep.sum_rate_trace, alone.sum_rate_trace)
+    assert lockstep.report.iterations == alone.report.iterations
+    assert lockstep.report.converged == alone.report.converged
+    assert lockstep.report.sum_rate == alone.report.sum_rate
+    assert (lockstep.accepted, lockstep.rejected) == (alone.accepted,
+                                                      alone.rejected)
+
+
+@settings(max_examples=25)
+@given(st.floats(min_value=-40.0, max_value=90.0),
+       st.integers(min_value=1, max_value=12),
+       st.sampled_from([1, 2, 4, 16]),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=2 ** 16))
+@example(dbm=90.0, n_ues=12, n_connected=4, cap=3, seed=0)
+@example(dbm=50.0, n_ues=3, n_connected=4, cap=200, seed=1)
+def test_ao_solve_levels_equals_one_level_solves(dbm, n_ues, n_connected,
+                                                 cap, seed):
+    """Lockstep levels, which stop in different rounds, give exactly the
+    one-level ``ao_solve`` results: -40...90 dBm, K > N_t + a (the
+    matched-filter start), a = 1 and a = N."""
+    cfg = small_config(n_ues=n_ues, n_connected=n_connected,
+                       total_power=dbm_to_watt(dbm), max_outer_iters=cap)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(seed)),
+                            cfg)
+    modes = [make_mode(16, n_connected, eta)
+             for eta in feasible_sparsities(16, n_connected)]
+    results = ao_solve_levels(channels, modes, cfg)
+    assert [r.mode for r in results] == modes
+    for mode, lockstep in zip(modes, results):
+        _assert_same_solve(lockstep, ao_solve(channels, mode, cfg))
+
+
+def test_ao_solve_levels_isolates_a_failing_level(monkeypatch):
+    """A round in which one level raises is redone lane by lane: that
+    level ends with its exception and the others finish as if alone."""
+    cfg = small_config(n_ues=3)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(3)),
+                            cfg)
+    modes = [make_mode(16, 4, eta) for eta in range(1, 6)]
+    alone = [ao_solve(channels, mode, cfg) for mode in modes]
+    plain = wmmse.build_phase_quadratic
+
+    def failing_at_three(channels, mode, *args):
+        lanes = getattr(mode, "modes", (mode,))
+        if any(lane.eta == 3 for lane in lanes):
+            raise ArithmeticError("forced failure at level 3")
+        return plain(channels, mode, *args)
+
+    monkeypatch.setattr(wmmse, "build_phase_quadratic", failing_at_three)
+    results = ao_solve_levels(channels, modes, cfg)
+    assert isinstance(results[2], ArithmeticError)
+    for i in (0, 1, 3, 4):
+        _assert_same_solve(results[i], alone[i])
+    with pytest.raises(ArithmeticError, match="level 3"):
+        ao_solve(channels, modes[2], cfg)
+
+
 # --- full alternating loop ----------------------------------------------
 
 def test_ao_solve_monotone_and_feasible():
@@ -535,42 +665,52 @@ def test_ao_solve_flags_nonconvergence():
 
 
 def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
-    """Every recorded row is surrogate_value at the states of its map:
-    before the map (with the previous and the new weights), after the
+    """Every recorded row is surrogate_value at the states of its lane's
+    map: before the map (with the previous and the new weights), after the
     precoder step, and after the phase step. A map that starts from an
-    accepted extrapolation starts below the last recorded value."""
-    maps = []
+    accepted extrapolation starts below the last recorded value. Checked
+    on every lane of a lockstep solve of three levels."""
+    maps = {}
     plain_map = wmmse._ao_map
 
     def recording(channels, mode, config, h, V, passive, zeta):
         out = plain_map(channels, mode, config, h, V, passive, zeta)
-        maps.append(((h, V, passive, zeta), out))
+        h1, V1, mu1, _, zeta1, rows = out
+        for i, lane in enumerate(mode.modes):
+            maps.setdefault(lane.eta, []).append(
+                ((h[i], V[i], zeta[i]), (h1[i], V1[i], mu1[i], zeta1[i],
+                                         rows[i])))
         return out
 
     monkeypatch.setattr(wmmse, "_ao_map", recording)
     cfg = small_config(n_ues=3, max_outer_iters=12, conv_threshold=1e-12)
     geo = random_geometry(cfg, np.random.default_rng(19))
-    res = ao_solve(los_channels(geo, cfg), make_mode(16, 4, 2), cfg)
+    results = ao_solve_levels(los_channels(geo, cfg),
+                              [make_mode(16, 4, eta) for eta in (1, 2, 3)],
+                              cfg)
     power, noise = cfg.total_power, cfg.noise_power
-    assert res.report.iterations == len(maps) == 12
-    assert res.accepted >= 1 and res.rejected >= 1
+    assert results[1].report.iterations == len(maps[2]) == 12
+    assert results[1].accepted >= 1 and results[1].rejected >= 1
 
-    rows = []
-    extrapolated = 0
-    for i, ((h0, V0, _, zeta0), (h1, V1, mu1, _, zeta1, row)) in \
-            enumerate(maps):
-        mu0 = update_receivers(h0, V0, noise, power)
-        rows.append((surrogate_value(h0, V0, mu0, zeta0, noise, power),
-                     surrogate_value(h0, V0, mu0, zeta1, noise, power),
-                     surrogate_value(h0, V1, mu1, zeta1, noise, power),
-                     surrogate_value(h1, V1, mu1, zeta1, noise, power)))
-        assert np.array_equal(row, rows[-1])
-        if i and V0 is not maps[i - 1][1][1]:
-            extrapolated += 1
-            assert rows[-1][0] <= rows[-2][3]
-    assert extrapolated == res.accepted
-    assert np.array_equal(res.surrogate_trace, np.asarray(rows))
-    np.testing.assert_array_equal(res.solution.V, maps[-1][1][1])
+    for res in results:
+        lane_maps = maps[res.mode.eta]
+        assert res.report.iterations == len(lane_maps)
+        rows = []
+        extrapolated = 0
+        for i, ((h0, V0, zeta0), (h1, V1, mu1, zeta1, row)) in \
+                enumerate(lane_maps):
+            mu0 = update_receivers(h0, V0, noise, power)
+            rows.append((surrogate_value(h0, V0, mu0, zeta0, noise, power),
+                         surrogate_value(h0, V0, mu0, zeta1, noise, power),
+                         surrogate_value(h0, V1, mu1, zeta1, noise, power),
+                         surrogate_value(h1, V1, mu1, zeta1, noise, power)))
+            assert np.array_equal(row, rows[-1])
+            if i and not np.array_equal(V0, lane_maps[i - 1][1][1]):
+                extrapolated += 1
+                assert rows[-1][0] <= rows[-2][3]
+        assert extrapolated == res.accepted
+        assert np.array_equal(res.surrogate_trace, np.asarray(rows))
+        np.testing.assert_array_equal(res.solution.V, lane_maps[-1][1][1])
 
 
 # Plain-loop rates at a 5000-map cap (seed 1, 50 dBm, the campaign layout
@@ -647,6 +787,14 @@ def test_ao_solve_phase_block_runs_no_eigendecomposition(monkeypatch):
     res = ao_solve(los_channels(geo, cfg), make_mode(16, 4, 2), cfg)
     assert res.report.iterations > 1
     assert calls == [wmmse._PHASE_STEPS] * res.report.iterations
+    # in lockstep, one call per round: as many as the longest level's maps
+    calls.clear()
+    results = ao_solve_levels(los_channels(geo, cfg),
+                              [make_mode(16, 4, eta) for eta in range(1, 6)],
+                              cfg)
+    rounds = max(r.report.iterations for r in results)
+    assert rounds < sum(r.report.iterations for r in results)
+    assert calls == [wmmse._PHASE_STEPS] * rounds
 
 
 @pytest.mark.parametrize("n_connected", [1, 16])
