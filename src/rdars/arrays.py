@@ -55,10 +55,11 @@ class ModeSelection:
 
 @dataclass(frozen=True)
 class ModeStack:
-    """Several sparsity levels of one aperture and connection count, one
-    lane each: the lane-stacked stand-in for a ``ModeSelection`` that
-    ``effective_matrix`` and the phase quadratic accept. ``index0`` and
-    ``a_vec`` gain a leading lane axis and are built once."""
+    """Sparsity levels of one aperture and connection count, one lane
+    each (a level may repeat): the lane-stacked stand-in for a
+    ``ModeSelection`` that ``effective_matrix`` and the phase quadratic
+    accept. ``index0`` and ``a_vec`` gain a leading lane axis and are
+    built once."""
 
     modes: tuple[ModeSelection, ...]
 
@@ -73,6 +74,13 @@ class ModeStack:
     @cached_property
     def a_vec(self) -> np.ndarray:
         return np.stack([mode.a_vec for mode in self.modes])
+
+    def __getitem__(self, lanes: slice) -> "ModeStack":
+        """The stack of a run of lanes; its arrays are views into these."""
+        part = ModeStack(self.modes[lanes])
+        part.__dict__.update(index0=self.index0[lanes],
+                             a_vec=self.a_vec[lanes])
+        return part
 
 
 def make_mode(n: int, a: int, eta: int, m0: int = 1) -> ModeSelection:

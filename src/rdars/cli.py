@@ -47,6 +47,9 @@ def _load(path: str | None):
 
 
 def _cmd_run(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1 (1 runs in-process), "
+                         f"got {args.jobs}")
     scenario = _load(args.scenario)
     algorithms = tuple(a.strip() for a in args.algorithms.split(",") if a.strip())
     sweep = parse_sweep(args.sweep) if args.sweep else ()
@@ -110,7 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--sweep", help="ptot_dbm=start:stop:step")
     run.add_argument("--jobs", type=int, default=1,
-                     help="worker processes (1 = in-process)")
+                     help="worker processes, one trial per task, at most "
+                          "one per trial (1 = in-process)")
     run.add_argument("--output", default="-", help="CSV path, - for stdout")
     run.set_defaults(func=_cmd_run)
 

@@ -7,16 +7,18 @@ in a fixed order (all UE radii, all UE angles, then the sparsity level
 for ``RANDOM_ETA``), so UE positions agree across algorithms and sweep
 values and reruns are byte-identical apart from wall times.
 
-A campaign's unit of work is the drop, one (sweep value, trial) pair: its
-geometry, channels and random sparsity pick are made once, and the
-alternating optimization runs at most once per sparsity level, shared by
-every algorithm that needs that level (``WA_OPT_ETA`` solves every level
-not solved yet in one lockstep ``ao_solve_levels`` call and hands the
-memo to ``sparsity_search``, ``COMPACT_ETA1`` takes level 1,
-``RANDOM_ETA`` the pick). A level whose solve raised keeps its exception,
-which every row needing that level reports. Rows are the same as when
-each trial runs alone; only ``wall_ms`` differs, because a shared piece
-of work is charged to the first row that needs it and later rows reuse it.
+A campaign's unit of work is the trial. Its geometry, channels and random
+sparsity pick do not depend on the transmit power, so they are made once
+for every sweep value. The alternating optimization runs at most once per
+(sweep value, sparsity level), shared by every algorithm that needs that
+level: the first row that needs a level solves it at every sweep value of
+the trial in one lockstep ``ao_solve_levels`` call (``WA_OPT_ETA`` asks
+for every level and hands the memo to ``sparsity_search``,
+``COMPACT_ETA1`` for level 1, ``RANDOM_ETA`` for the pick). A (sweep
+value, level) whose solve raised keeps its exception, which every row
+needing it reports. Rows are the same as when each row runs alone; only
+``wall_ms`` differs, because a shared piece of work is charged to the
+first row that needs it and later rows reuse it.
 
 Row status is ``ok``; ``unconverged`` for a solver row whose alternating
 optimization stopped at its iteration cap (the row keeps that solve's last
@@ -102,60 +104,88 @@ class TrialRow:
     message: str = ""
 
 
-class _Drop:
-    """One seeded UE drop at one transmit power, shared by the algorithms
-    of a campaign. The geometry (with the random sparsity pick drawn right
-    after it), the channels and one solve per sparsity level are each made
-    on first use and kept."""
+class _Trial:
+    """One seeded trial of a campaign at the given sweep values (in dBm).
+    The geometry (with the random sparsity pick drawn right after it), the
+    channels and one solve per (sweep value, sparsity level) are each made
+    on first use and kept. It holds no reference to the ``_Drop`` views
+    that read it, so it is freed as soon as they are."""
 
-    def __init__(self, campaign: Campaign, trial: int, sweep_dbm: float):
-        self.config = replace(campaign.scenario.config,
-                              total_power=dbm_to_watt(sweep_dbm))
-        self._scenario = replace(campaign.scenario, config=self.config)
+    def __init__(self, campaign: Campaign, trial: int, sweep_dbm):
+        self._scenario = campaign.scenario
         self._seed = campaign.seed ^ trial
+        self.configs = {s: replace(campaign.scenario.config,
+                                   total_power=dbm_to_watt(s))
+                        for s in sweep_dbm}
         self._geometry: Geometry | None = None
         self._channels: ChannelSet | None = None
-        self._solved: dict[int, AoResult | Exception] = {}
+        self._solved: dict[tuple[float, int], AoResult | Exception] = {}
         self.random_eta = 0
 
     def geometry(self) -> Geometry:
         if self._geometry is None:
             rng = np.random.default_rng(self._seed)
             geometry = scenario_geometry(self._scenario, rng)
-            fset = feasible_sparsities(self.config.n_elems,
-                                       self.config.n_connected)
+            config = self._scenario.config
+            fset = feasible_sparsities(config.n_elems, config.n_connected)
             self.random_eta = fset[int(rng.integers(len(fset)))]
             self._geometry = geometry
         return self._geometry
 
     def channels(self) -> ChannelSet:
         if self._channels is None:
-            self._channels = los_channels(self.geometry(), self.config)
+            self._channels = los_channels(self.geometry(),
+                                          self._scenario.config)
         return self._channels
 
     def solve_levels(self, levels) -> None:
-        """Solve the given sparsity levels not solved yet, all in one
-        lockstep ``ao_solve_levels`` call, and memoize each outcome: the
-        result, or the exception that ended that level."""
-        missing = [eta for eta in levels if eta not in self._solved]
+        """Solve the given sparsity levels at every sweep value, all pairs
+        not solved yet in one lockstep ``ao_solve_levels`` call, and
+        memoize each outcome: the result, or the exception that ended that
+        lane (without its traceback, whose frames would keep this trial
+        alive)."""
+        missing = [(s, eta) for eta in levels for s in self.configs
+                   if (s, eta) not in self._solved]
         if missing:
-            config = self.config
-            modes = [make_mode(config.n_elems, config.n_connected, eta)
-                     for eta in missing]
-            self._solved.update(zip(missing, ao_solve_levels(
-                self.channels(), modes, config)))
+            config = self._scenario.config
+            modes = {eta: make_mode(config.n_elems, config.n_connected, eta)
+                     for _, eta in missing}
+            outcomes = ao_solve_levels(self.channels(), [
+                (modes[eta], self.configs[s]) for s, eta in missing])
+            for key, out in zip(missing, outcomes):
+                if isinstance(out, Exception):
+                    out = out.with_traceback(None)
+                self._solved[key] = out
 
-    def solve_at(self, eta: int) -> AoResult:
-        """``ao_solve`` on this drop's channels at one sparsity level,
-        memoized per level; a level that failed raises its exception
-        again, without another solve."""
-        result = self._solved.get(eta)
+    def solve_at(self, sweep_dbm: float, eta: int) -> AoResult:
+        """``ao_solve`` at one sweep value and sparsity level, memoized; a
+        failed lane raises its exception again, without another solve."""
+        result = self._solved.get((sweep_dbm, eta))
         if result is None:
             self.solve_levels((eta,))
-            result = self._solved[eta]
+            result = self._solved[(sweep_dbm, eta)]
         if isinstance(result, Exception):
             raise result
         return result
+
+
+class _Drop:
+    """One sweep value of a trial, as the algorithms read it: that power's
+    config and the trial's shared geometry, pick and solves. Without
+    ``shared`` it makes a trial of its own sweep value alone."""
+
+    def __init__(self, campaign: Campaign, trial: int, sweep_dbm: float,
+                 shared: _Trial | None = None):
+        self.trial = (shared if shared is not None
+                      else _Trial(campaign, trial, (sweep_dbm,)))
+        self.sweep_dbm = sweep_dbm
+        self.config = self.trial.configs[sweep_dbm]
+
+    def geometry(self) -> Geometry:
+        return self.trial.geometry()
+
+    def solve_at(self, eta: int) -> AoResult:
+        return self.trial.solve_at(self.sweep_dbm, eta)
 
 
 def _solver_row(result: AoResult) -> tuple:
@@ -168,10 +198,10 @@ def _solver_row(result: AoResult) -> tuple:
 
 
 def _wa_opt_eta(drop: _Drop) -> tuple:
-    """Row fields of the scan: every level of the drop is solved in one
+    """Row fields of the scan: every level of the trial is solved in one
     lockstep call, then ``sparsity_search`` reads the memo."""
-    drop.solve_levels(feasible_sparsities(drop.config.n_elems,
-                                          drop.config.n_connected))
+    drop.trial.solve_levels(feasible_sparsities(drop.config.n_elems,
+                                                drop.config.n_connected))
     return _solver_row(sparsity_search(drop.solve_at, drop.config)[0])
 
 
@@ -193,7 +223,8 @@ def _two_ue_prop1(drop: _Drop) -> tuple:
 _ALGORITHMS = {
     "WA_OPT_ETA": _wa_opt_eta,
     "COMPACT_ETA1": lambda drop: _solver_row(drop.solve_at(1)),
-    "RANDOM_ETA": lambda drop: _solver_row(drop.solve_at(drop.random_eta)),
+    "RANDOM_ETA": lambda drop: _solver_row(
+        drop.solve_at(drop.trial.random_eta)),
     "SINGLE_UE_CLOSED": _single_ue_closed,
     "TWO_UE_PROP1": _two_ue_prop1,
 }
@@ -206,9 +237,9 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
 
     Failures are captured as a row with status ``failed:<ExceptionName>``,
     NaN rates and the exception text as ``message`` rather than aborting
-    the campaign. ``run_campaign`` passes the drop it shares across the
-    trial's algorithms as ``_drop``; the row is the same without it, apart
-    from ``wall_ms``.
+    the campaign. ``run_campaign`` passes a view of the trial it shares
+    across sweep values and algorithms as ``_drop``; the row is the same
+    without it, apart from ``wall_ms``.
     """
     drop = _drop if _drop is not None else _Drop(campaign, trial, sweep_dbm)
     t0 = time.perf_counter()
@@ -223,6 +254,9 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
         eta, srate, min_rate, iters = 0, math.nan, math.nan, 0
         status = f"failed:{type(exc).__name__}"
         message = f"{type(exc).__name__}: {exc}"
+        # a memoized exception would keep this frame, and so the trial,
+        # alive through its traceback
+        exc.with_traceback(None)
     wall_ms = (time.perf_counter() - t0) * 1e3
     return TrialRow(trial=trial, sweep_value=sweep_dbm, algorithm=algorithm,
                     eta=eta, sum_rate_bits=srate, min_ue_rate=min_rate,
@@ -230,27 +264,31 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
                     message=message)
 
 
-def _run_drop(args) -> list[TrialRow]:
-    campaign, trial, sweep = args
-    drop = _Drop(campaign, trial, sweep)
-    return [run_trial(campaign, trial, alg, sweep, drop)
-            for alg in campaign.algorithms]
+def _run_trial_rows(args) -> list[list[TrialRow]]:
+    """Every row of one trial, one list per sweep value."""
+    campaign, trial = args
+    sweep = campaign.sweep_points()
+    shared = _Trial(campaign, trial, sweep)
+    return [[run_trial(campaign, trial, alg, s, _Drop(campaign, trial, s,
+                                                         shared))
+             for alg in campaign.algorithms] for s in sweep]
 
 
 def run_campaign(campaign: Campaign, jobs: int = 1) -> list[TrialRow]:
     """Run every (sweep value, algorithm, trial) combination, one task per
-    drop (sweep value, trial), rows in drop order; with jobs greater than
-    one the drops run in worker processes. The row set is identical
-    either way."""
-    tasks = [(campaign, trial, sweep)
-             for sweep in campaign.sweep_points()
-             for trial in range(campaign.n_trials)]
-    if jobs <= 1:
-        per_drop = [_run_drop(task) for task in tasks]
+    trial, rows in (sweep value, trial, algorithm) order. With jobs greater
+    than one the trials run in min(jobs, trials) worker processes; with
+    one worker they run in this process. The row set is identical either
+    way."""
+    tasks = [(campaign, trial) for trial in range(campaign.n_trials)]
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
+        per_trial = [_run_trial_rows(task) for task in tasks]
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            per_drop = list(pool.map(_run_drop, tasks))
-    return [row for rows in per_drop for row in rows]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            per_trial = list(pool.map(_run_trial_rows, tasks))
+    return [row for i in range(len(campaign.sweep_points()))
+            for rows in per_trial for row in rows[i]]
 
 
 def emit_csv(rows, stream) -> None:

@@ -33,9 +33,10 @@ class BeamformingSolution:
 @dataclass(frozen=True)
 class RateReport:
     """Per-UE SINRs and rates plus solver metadata. ``wall_time`` of a
-    solve covers the whole call that made it: with several sparsity
-    levels solved in lockstep, the time of all of them. ``sum_rate``
-    evaluated on a stack of lanes holds one sum per lane."""
+    solve covers the whole call that made it: with several lanes (sparsity
+    levels, and in a campaign every sweep power of a trial) solved in
+    lockstep, the time of all of them. ``sum_rate`` evaluated on a stack
+    of lanes holds one sum per lane."""
 
     sinr: np.ndarray
     rate: np.ndarray
@@ -70,24 +71,13 @@ def sum_rate(h: np.ndarray, V: np.ndarray, noise: float) -> RateReport:
                       sum_rate=float(total) if total.ndim == 0 else total)
 
 
-def mse_k(h_k: np.ndarray, V: np.ndarray, k: int, mu_k: complex,
-          noise: float) -> float:
-    """Mean-square error of UE k's scalar receiver mu_k:
-    1 - 2 Re(conj(mu) h_k v_k) + |mu|^2 (sum_m |h_k v_m|^2 + noise)."""
-    s = np.asarray(h_k) @ V
-    return float(
-        1.0
-        - 2.0 * np.real(np.conj(mu_k) * s[k])
-        + abs(mu_k) ** 2 * (float(np.sum(np.abs(s) ** 2)) + noise)
-    )
-
-
 def mse_all(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
             noise: float | np.ndarray) -> np.ndarray:
     """Vector of every UE's MSE for the given scalar receivers, as
     |1 - conj(mu_k) h_k v_k|^2 + |mu_k|^2 (sum_{m != k} |h_k v_m|^2 + noise).
-    At high SINR the MSE is far below 1, and the expanded form of
-    ``mse_k`` would lose most of its digits to cancellation. A leading
+    At high SINR the MSE is far below 1, and the expanded form
+    1 - 2 Re(conj(mu_k) h_k v_k) + |mu_k|^2 (sum_m |h_k v_m|^2 + noise)
+    would lose most of its digits to cancellation. A leading
     lane axis on h, V and mu, with one noise value per lane, gives one
     row of MSEs per lane."""
     S = h @ V

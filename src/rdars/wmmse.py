@@ -24,11 +24,15 @@ sum rate no lower than that of the plain double step it replaces. The
 plain map from an accepted point then continues the same chain of
 inequalities, so monotonicity covers accepted extrapolations too.
 
-``ao_solve_levels`` solves several sparsity levels of one drop in
-lockstep. The kernels of the map take an optional leading lane axis, one
-lane per level, and each round runs one map for every level still going.
-Each lane performs the arithmetic of its own solve, so a lockstep result
-equals the one-level ``ao_solve`` result bit for bit.
+``ao_solve_levels`` solves several lanes of one drop in lockstep, a lane
+being one (sparsity level, config) pair; the configs may differ in the
+transmit power alone. The kernels of the map take an optional leading
+lane axis, with one transmit power per lane, and each round runs the
+pending SQUAREM guards of all lanes as one stacked evaluation and then one
+map for every lane still going. The phase block runs over lane chunks
+that keep its (N+1)^2 stacks within a fixed byte budget. Each lane
+performs the arithmetic of its own solve, so a lockstep result equals the
+one-lane ``ao_solve`` result bit for bit.
 """
 
 from __future__ import annotations
@@ -47,9 +51,10 @@ from .scenario import Geometry, SystemConfig
 
 
 def effective_noise(V: np.ndarray, noise_power: float,
-                    total_power: float) -> float | np.ndarray:
+                    total_power: float | np.ndarray) -> float | np.ndarray:
     """Noise power scaled by the fraction of the budget actually spent
-    (one value per lane for a stack of precoders)."""
+    (one value per lane for a stack of precoders, whose ``total_power``
+    may hold one budget per lane)."""
     return noise_power * _power(V) / total_power
 
 
@@ -72,9 +77,10 @@ def zf_init(h: np.ndarray, total_power: float) -> np.ndarray:
 
 
 def update_receivers(h: np.ndarray, V: np.ndarray, noise_power: float,
-                     total_power: float) -> np.ndarray:
+                     total_power: float | np.ndarray) -> np.ndarray:
     """Per-UE MMSE receive scalars under the scaled noise convention.
-    Like every kernel of the map, it also takes a leading lane axis."""
+    Like every kernel of the map, it also takes a leading lane axis, and
+    then one ``total_power`` per lane or one for all."""
     s = h @ V
     sig = effective_noise(V, noise_power, total_power)
     if (sig <= 0.0).any():
@@ -92,7 +98,7 @@ def update_weights(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
 
 def surrogate_value(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
                     zeta: np.ndarray, noise_power: float,
-                    total_power: float) -> float:
+                    total_power: float | np.ndarray) -> float | np.ndarray:
     """Lifted objective sum_k (zeta_k e_k - ln zeta_k)."""
     e = mse_all(h, V, mu, effective_noise(V, noise_power, total_power))
     return _lifted_objective(zeta, e)
@@ -105,23 +111,25 @@ def _lifted_objective(zeta: np.ndarray, e: np.ndarray) -> float | np.ndarray:
 
 
 def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
-                 rho: float) -> np.ndarray:
+                 rho: float | np.ndarray) -> np.ndarray:
     """Stacked precoder at a given normalized multiplier: columns
     zeta_k mu_k (A0 + rho s0 I)^{-1} h_k^H with A0 the weighted channel
     Gram matrix and s0 the weight sum. At rho = sigma^2 / P this is the
     minimizer of the lifted objective over V, the solve that
-    ``update_precoders`` makes."""
+    ``update_precoders`` makes. A lane stack takes one ``rho`` per lane
+    or one for all."""
     w = zeta * np.abs(mu) ** 2
     dim = h.shape[-1]
     hH = h.conj().swapaxes(-2, -1)
     a0 = (hH * w[..., None, :]) @ h
     s0 = np.sum(w, axis=-1)[..., None, None]
     rhs = hH * (zeta * mu)[..., None, :]
+    rho = np.asarray(rho)[..., None, None]
     return np.linalg.solve(a0 + rho * s0 * np.eye(dim), rhs)
 
 
 def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
-                     noise_power: float, total_power: float
+                     noise_power: float, total_power: float | np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Precoder block update, returned as a precoder and receiver pair.
 
@@ -131,7 +139,8 @@ def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     The objective does not change under (V, mu) -> (c V, mu / c), so
     c = sqrt(P / ||V||_F^2) puts the minimizer on the full-power sphere
     and the receivers are divided by c to match. A lane with no weight
-    anywhere (zeta |mu|^2 sums to 0) gets zeros and keeps its ``mu``.
+    anywhere (zeta |mu|^2 sums to 0) gets zeros and keeps its ``mu``. A
+    lane stack takes one ``total_power`` per lane or one for all.
     """
     rho = noise_power / total_power
     weighted = (zeta * np.abs(mu) ** 2).sum(axis=-1) > 0.0
@@ -142,8 +151,8 @@ def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
         V = precoders_at(h, mu, zeta, rho)
     else:
         V = np.zeros(shape, dtype=complex)
-        V[weighted] = precoders_at(h[weighted], mu[weighted],
-                                   zeta[weighted], rho)
+        V[weighted] = precoders_at(h[weighted], mu[weighted], zeta[weighted],
+                                   np.broadcast_to(rho, weighted.shape)[weighted])
     c = np.sqrt(total_power / np.where(weighted, _power(V), total_power))
     return c[..., None, None] * V, mu / c[..., None]
 
@@ -324,6 +333,19 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
 # within 1.4e-5 of the block run to its stop test, one step within 2e-4.
 _PHASE_STEPS = 3
 
+# Bytes one (N+1)^2 complex stack of the phase block may take; the block
+# runs over lane chunks that fit, and always at least one lane per chunk.
+# At N=32 that is seven lanes, which keeps the peak memory of a 60-lane
+# lockstep solve near that of a 10-lane one; at N=128 every lane runs
+# alone, where fresh multi-megabyte stacks cost more in page faults than
+# stacking saves in calls.
+_PHASE_STACK_BYTES = 128 * 1024
+
+
+def _phase_chunk(n_elems: int) -> int:
+    """Lanes per phase-block call at this aperture size."""
+    return max(1, _PHASE_STACK_BYTES // (16 * (n_elems + 1) ** 2))
+
 
 @dataclass(frozen=True)
 class AoResult:
@@ -345,22 +367,21 @@ class AoResult:
     rejected: int
 
 
-def _ao_map(channels: ChannelSet, mode: ModeStack, config: SystemConfig,
-            h: np.ndarray, V: np.ndarray, passive: BeamStack,
-            zeta: np.ndarray) -> tuple:
+def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
+            power: np.ndarray, h: np.ndarray, V: np.ndarray,
+            passive: BeamStack, zeta: np.ndarray) -> tuple:
     """One plain alternating-optimization map from the state (V, phases)
-    of every lane of a stack: ``mode`` holds one sparsity level per lane,
-    and ``h`` (the effective channels at the phases), ``V``, the phases
-    and ``zeta`` (the weights of the previous map) have a leading lane
-    axis.
+    of every lane of a stack: ``mode`` holds one sparsity level and
+    ``power`` one transmit power per lane, and ``h`` (the effective
+    channels at the phases), ``V``, the phases and ``zeta`` (the weights
+    of the previous map) have a leading lane axis.
 
     Updates the receivers, the weights and the precoder exactly, then
     takes ``_PHASE_STEPS`` MM steps of ``power_iteration`` on the phase
-    quadratic, warm-started at the current phases. Returns the new
-    (h, V, mu, passive, zeta) and, per lane, the lifted objective after
-    each of the four block updates.
+    quadratic, warm-started at the current phases, over lane chunks of
+    ``_phase_chunk`` lanes. Returns the new (h, V, mu, passive, zeta) and,
+    per lane, the lifted objective after each of the four block updates.
     """
-    power, noise = config.total_power, config.noise_power
     n_tx = channels.G.shape[1]
     mu = update_receivers(h, V, noise, power)
     e = mse_all(h, V, mu, effective_noise(V, noise, power))
@@ -370,11 +391,16 @@ def _ao_map(channels: ChannelSet, mode: ModeStack, config: SystemConfig,
     V, mu = update_precoders(h, mu, zeta, noise, power)
     s3 = surrogate_value(h, V, mu, zeta, noise, power)
 
-    quad = build_phase_quadratic(channels, mode, V[:, :n_tx], V[:, n_tx:],
-                                 mu, zeta)
-    p0 = np.concatenate([passive.phi.conj(), np.ones((len(V), 1))], axis=1)
-    x, _ = power_iteration(quad.matrix, quad.linear, max_iters=_PHASE_STEPS,
-                           p0=p0)
+    n_lanes = len(V)
+    p0 = np.concatenate([passive.phi.conj(), np.ones((n_lanes, 1))], axis=1)
+    x = np.empty_like(passive.phi)
+    step = _phase_chunk(channels.n_elems)
+    for lo in range(0, n_lanes, step):
+        part = slice(lo, lo + step)
+        quad = build_phase_quadratic(channels, mode[part], V[part, :n_tx],
+                                     V[part, n_tx:], mu[part], zeta[part])
+        x[part], _ = power_iteration(quad.matrix, quad.linear,
+                                     max_iters=_PHASE_STEPS, p0=p0[part])
     passive = BeamStack(x.conj())
     h = effective_matrix(channels, passive, mode)
     s4 = surrogate_value(h, V, mu, zeta, noise, power)
@@ -437,7 +463,7 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
 
     This is the one-lane call of ``ao_solve_levels``.
     """
-    (result,) = ao_solve_levels(channels, [mode], config)
+    (result,) = ao_solve_levels(channels, [(mode, config)])
     if isinstance(result, Exception):
         raise result
     return result
@@ -445,11 +471,15 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
 
 def _sqs3_lane(channels: ChannelSet, mode: ModeSelection,
                config: SystemConfig):
-    """The SQUAREM driver of ``ao_solve`` for one sparsity level, as a
-    generator: it yields the state (h, V, phases, zeta) whenever it needs
-    one plain map, is sent that map's output (h, V, phases, zeta, surrogate
-    row, rate report) by ``ao_solve_levels``, and returns the level's
-    ``AoResult`` (its ``wall_time`` is left to the caller)."""
+    """The SQUAREM driver of ``ao_solve`` for one lane, as a generator.
+
+    It yields requests to ``ao_solve_levels``: ``("map", (h, V, phases,
+    zeta))`` when it needs one plain map, which is answered with that
+    map's output (h, V, phases, zeta, surrogate row, rate report); and
+    ``("guard", (V, phases, zeta))`` for the guard of a finite
+    extrapolated point, answered with (h, lifted objective, sum rate) at
+    that point. It returns the lane's ``AoResult`` (its ``wall_time`` is
+    left to the caller)."""
     power, noise = config.total_power, config.noise_power
     cap = config.max_outer_iters
 
@@ -476,42 +506,33 @@ def _sqs3_lane(channels: ChannelSet, mode: ModeSelection,
         return report.sum_rate - rate_start < config.conv_threshold \
             * max(rate_start, np.finfo(float).tiny)
 
-    def guarded(V_x, phi_x):
-        """The extrapolated state (h, V, phases) if it passes the guard,
-        else None."""
-        if not (np.isfinite(V_x).all() and np.isfinite(phi_x).all()):
-            return None
-        h_x = effective_matrix(channels, PassiveBeam(phi_x), mode)
-        mu_x = update_receivers(h_x, V_x, noise, power)
-        e_x = mse_all(h_x, V_x, mu_x, effective_noise(V_x, noise, power))
-        if (_lifted_objective(zeta, e_x) <= surrogate_rows[-1][3]
-                and sum_rate(h_x, V_x, noise).sum_rate >= report.sum_rate):
-            return h_x, V_x, phi_x
-        return None
-
     converged = False
     while len(rate_trace) < cap and not converged:
         rate_start = report.sum_rate
         states = [(V, phi)]
-        record((yield h, V, phi, zeta))
+        record((yield "map", (h, V, phi, zeta)))
         if stalled(rate_start):
             converged = True
             break
         if len(rate_trace) == cap:
             break
         states.append((V, phi))
-        record((yield h, V, phi, zeta))
+        record((yield "map", (h, V, phi, zeta)))
         states.append((V, phi))
         point = (_squarem_point(states, power)
                  if len(rate_trace) < cap else None)
         if point is not None:
-            state = guarded(*point)
-            if state is None:
-                rejected += 1
-            else:
+            passed = False
+            if np.isfinite(point[0]).all() and np.isfinite(point[1]).all():
+                h_x, objective, rate_x = yield "guard", (*point, zeta)
+                passed = (objective <= surrogate_rows[-1][3]
+                          and rate_x >= report.sum_rate)
+            if passed:
                 accepted += 1
-                h, V, phi = state
-                record((yield h, V, phi, zeta))
+                (V, phi), h = point, h_x
+                record((yield "map", (h, V, phi, zeta)))
+            else:
+                rejected += 1
         converged = stalled(rate_start)
 
     report = replace(report, iterations=len(rate_trace), converged=converged)
@@ -524,72 +545,119 @@ def _sqs3_lane(channels: ChannelSet, mode: ModeSelection,
                     accepted=accepted, rejected=rejected)
 
 
-def ao_solve_levels(channels: ChannelSet, modes, config: SystemConfig
-                    ) -> list[AoResult | Exception]:
-    """``ao_solve`` on one drop's channels at several sparsity levels (of
-    one connection count), solved in lockstep.
+def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
+    """``ao_solve`` on one drop's channels for several lanes, each a
+    (sparsity level, config) pair, solved in lockstep. The levels share
+    one connection count, and the configs may differ in ``total_power``
+    alone; any other difference raises ValueError.
 
-    Every level runs its own SQUAREM driver (``_sqs3_lane``). Each round
-    stacks the states of all levels that wait for a plain map into one
-    lane-stacked ``_ao_map`` and ``sum_rate`` call; a level leaves the
-    stack when it stops. A lane runs exactly the operations of its solve
-    alone, so every result equals ``ao_solve`` at that level bit for bit;
-    only ``report.wall_time`` differs, as it covers the whole call.
+    Every lane runs its own SQUAREM driver (``_sqs3_lane``). Each round
+    first evaluates the guards of all lanes that wait for one, stacked into
+    one ``effective_matrix``, ``update_receivers``, ``mse_all`` and
+    ``sum_rate`` call, and then stacks the states of all lanes that wait
+    for a plain map into one ``_ao_map`` and ``sum_rate`` call; a lane
+    leaves the stack when it stops. A lane runs exactly the operations of
+    its solve alone, so every result equals ``ao_solve`` on that lane bit
+    for bit; only ``report.wall_time`` differs, as it covers the whole
+    call. Every lane gets copies of its slices of the stacked outputs, so
+    a lane's state does not keep whole round stacks alive.
 
-    A round that raises is redone one lane at a time. A level whose own
-    map, start point or guard raises ends there, and its entry in the
-    returned list, one per level in order, is that exception instead of
-    an ``AoResult``; the other levels go on.
+    A stacked evaluation that raises is redone one lane at a time. A lane
+    whose own map, start point or guard raises ends there, and its entry
+    in the returned list, one per lane in order, is that exception instead
+    of an ``AoResult``; the other lanes go on.
     """
     t0 = time.perf_counter()
-    drivers = [_sqs3_lane(channels, mode, config) for mode in modes]
+    lanes = list(lanes)
+    if not lanes:
+        return []
+    configs = [config for _, config in lanes]
+    for config in set(configs):
+        if replace(config, total_power=configs[0].total_power) != configs[0]:
+            raise ValueError("lockstep lanes may differ only in total_power")
+    noise = configs[0].noise_power
+    powers = np.array([config.total_power for config in configs])
+    drivers = [_sqs3_lane(channels, mode, config) for mode, config in lanes]
     results: list = [None] * len(drivers)
-    waiting = {}
-    stacks = {}
+    pending = {"map": {}, "guard": {}}
+    stacks = {}                         # kind -> (lanes, stack) last used
 
     def advance(i, out):
         try:
-            waiting[i] = drivers[i].send(out)
+            kind, state = drivers[i].send(out)
         except StopIteration as stop:
             results[i] = stop.value
-        except Exception as exc:        # this level fails; the rest go on
+        except Exception as exc:        # this lane fails; the rest go on
             results[i] = exc
+        else:
+            pending[kind][i] = state
 
-    def run(lanes, states):
+    def stack_of(kind, ids):
+        """The modes and powers of these lanes, reused while the rounds of
+        one kind keep the same lanes."""
+        last, stack = stacks.get(kind, ((), None))
+        if last != ids:
+            stack = (ModeStack(tuple(lanes[i][0] for i in ids)),
+                     powers[list(ids)])
+            stacks[kind] = (ids, stack)
+        return stack
+
+    def run_maps(ids, states):
         """One plain map for each of these lanes' states, all through one
         ``_ao_map`` and one ``sum_rate`` call; the per-lane outputs."""
-        stack = stacks.get(lanes)
-        if stack is None:
-            stack = stacks[lanes] = ModeStack(tuple(modes[i] for i in lanes))
+        mode, power = stack_of("map", ids)
         h, V, phi, zeta = (np.stack(part) for part in zip(*states))
-        h, V, _, passive, zeta, rows = _ao_map(channels, stack, config, h, V,
-                                               BeamStack(phi), zeta)
-        report = sum_rate(h, V, config.noise_power)
-        return [(h[i], V[i], passive.phi[i], zeta[i], rows[i],
-                 RateReport(sinr=report.sinr[i], rate=report.rate[i],
-                            sum_rate=float(report.sum_rate[i])))
-                for i in range(len(lanes))]
+        h, V, _, passive, zeta, rows = _ao_map(channels, mode, noise, power,
+                                               h, V, BeamStack(phi), zeta)
+        report = sum_rate(h, V, noise)
+        return [(h[i].copy(), V[i].copy(), passive.phi[i].copy(),
+                 zeta[i].copy(), row,
+                 RateReport(sinr=report.sinr[i].copy(),
+                            rate=report.rate[i].copy(), sum_rate=rate))
+                for i, (row, rate) in enumerate(zip(
+                    rows.tolist(), report.sum_rate.tolist()))]
 
-    for i in range(len(drivers)):
-        advance(i, None)
-    while waiting:
-        lanes = tuple(sorted(waiting))
-        states = [waiting.pop(i) for i in lanes]
+    def run_guards(ids, states):
+        """The guard quantities (h, lifted objective at fresh receivers
+        and the lane's weights, sum rate) at these lanes' extrapolated
+        points, all through one stacked evaluation."""
+        mode, power = stack_of("guard", ids)
+        V, phi, zeta = (np.stack(part) for part in zip(*states))
+        h = effective_matrix(channels, BeamStack(phi), mode)
+        mu = update_receivers(h, V, noise, power)
+        e = mse_all(h, V, mu, effective_noise(V, noise, power))
+        objective = _lifted_objective(zeta, e).tolist()
+        rate = sum_rate(h, V, noise).sum_rate.tolist()
+        return [(h[i].copy(), objective[i], rate[i]) for i in range(len(ids))]
+
+    def dispatch(kind, evaluate):
+        ids = tuple(sorted(pending[kind]))
+        states = [pending[kind].pop(i) for i in ids]
         try:
-            outs = run(lanes, states)
-        except Exception:               # find the lane(s) that raised
-            outs = []
-            for i, state in zip(lanes, states):
+            outs = evaluate(ids, states)
+        except Exception:
+            outs = None
+        if outs is None:                # find the lane(s) that raised,
+            outs = []                   # outside the handler: no context
+            for i, state in zip(ids, states):
                 try:
-                    outs.extend(run((i,), [state]))
+                    outs.extend(evaluate((i,), [state]))
                 except Exception as exc:
                     outs.append(exc)
-        for i, out in zip(lanes, outs):
+        for i, out in zip(ids, outs):
             if isinstance(out, Exception):
                 drivers[i].close()
                 results[i] = out
             else:
                 advance(i, out)
+
+    for i in range(len(drivers)):
+        advance(i, None)
+    while pending["map"] or pending["guard"]:
+        if pending["guard"]:
+            dispatch("guard", run_guards)
+        if pending["map"]:
+            dispatch("map", run_maps)
 
     wall = time.perf_counter() - t0
     return [result if isinstance(result, Exception) else
@@ -625,7 +693,8 @@ def wa_solve(geometry: Geometry, config: SystemConfig
     levels = feasible_sparsities(config.n_elems, config.n_connected)
     modes = [make_mode(config.n_elems, config.n_connected, eta)
              for eta in levels]
-    solved = dict(zip(levels, ao_solve_levels(channels, modes, config)))
+    solved = dict(zip(levels, ao_solve_levels(
+        channels, [(mode, config) for mode in modes])))
 
     def solve(eta: int) -> AoResult:
         if isinstance(solved[eta], Exception):

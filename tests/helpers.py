@@ -83,3 +83,15 @@ def brute_effective_rows(G, h_r, phi, index0):
         right = np.array([np.conj(h_r[k, i]) for i in index0])
         rows[k] = np.concatenate([left, right])
     return rows
+
+
+def mse_k(h_k: np.ndarray, V: np.ndarray, k: int, mu_k: complex,
+          noise: float) -> float:
+    """Mean-square error of UE k's scalar receiver mu_k, in the expanded
+    form 1 - 2 Re(conj(mu) h_k v_k) + |mu|^2 (sum_m |h_k v_m|^2 + noise)."""
+    s = np.asarray(h_k) @ V
+    return float(
+        1.0
+        - 2.0 * np.real(np.conj(mu_k) * s[k])
+        + abs(mu_k) ** 2 * (float(np.sum(np.abs(s) ** 2)) + noise)
+    )

@@ -133,6 +133,15 @@ def test_bad_sweep_is_reported(tiny_scenario, capsys):
     assert "sweep" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_nonpositive_jobs_is_reported(tiny_scenario, capsys, jobs):
+    code = main(["run", "--scenario", tiny_scenario, "--trials", "1",
+                 "--jobs", jobs])
+    assert code == 2
+    assert f"--jobs must be at least 1 (1 runs in-process), got {jobs}" \
+        in capsys.readouterr().err
+
+
 def test_subcommand_is_required():
     with pytest.raises(SystemExit):
         main([])

@@ -1,5 +1,7 @@
+import gc
 import io
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -229,7 +231,10 @@ def test_high_power_campaign_is_deterministic_across_jobs():
 
 
 def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
-    counts = {"ao_solve_levels": 0, "levels": 0, "los_channels": 0}
+    """Each trial builds its channels once and solves every (sweep value,
+    level) once, all in one lockstep call made by its first row."""
+    counts = {"ao_solve_levels": 0, "los_channels": 0}
+    lanes_solved = []
 
     def counted(name):
         inner = getattr(harness, name)
@@ -237,27 +242,30 @@ def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             if name == "ao_solve_levels":
-                counts["levels"] += len(args[1])
+                lanes_solved.append([(cfg.total_power, mode.eta)
+                                     for mode, cfg in args[1]])
             return inner(*args, **kwargs)
         return wrapper
 
     for name in ("ao_solve_levels", "los_channels"):
         monkeypatch.setattr(harness, name, counted(name))
     camp = Campaign(_scenario(), ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
-                    n_trials=2, seed=21)
+                    n_trials=2, seed=21, sweep_dbm=(10.0, 30.0))
     rows = run_campaign(camp)
     assert all(row.status == "ok" for row in rows)
-    # N=16, a=4: five levels per drop, solved in one lockstep call by the
-    # scan; the other two rows read them
-    assert counts == {"ao_solve_levels": 2, "levels": 2 * 5,
-                      "los_channels": 2}
+    # N=16, a=4: five levels at two powers per trial, solved in one
+    # lockstep call by the first scan row; the other rows read them
+    assert counts == {"ao_solve_levels": 2, "los_channels": 2}
+    for lanes in lanes_solved:
+        assert sorted(lanes) == sorted(
+            (dbm_to_watt(s), eta) for s in (10.0, 30.0) for eta in range(1, 6))
 
 
 def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
     """One sparsity level is forced to raise inside the lockstep rounds.
     Rows that need only other levels equal the unforced rows; every row
-    that needs the failing level reports its exception; and each drop
-    solves that level once."""
+    that needs the failing level reports its exception; and each (trial,
+    sweep value) solves that level once."""
     camp = Campaign(_scenario(), ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
                     n_trials=4, seed=31, sweep_dbm=(10.0, 30.0))
     clean = run_campaign(camp)
@@ -271,9 +279,9 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
             raise ArithmeticError(f"forced failure at level {fail_eta}")
         return plain(channels, mode, *args)
 
-    def counted(channels, modes, config):
-        solved.extend(mode.eta for mode in modes)
-        return wmmse.ao_solve_levels(channels, modes, config)
+    def counted(channels, lanes):
+        solved.extend(mode.eta for mode, _ in lanes)
+        return wmmse.ao_solve_levels(channels, lanes)
 
     monkeypatch.setattr(wmmse, "build_phase_quadratic", failing)
     monkeypatch.setattr(harness, "ao_solve_levels", counted)
@@ -291,6 +299,82 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
         else:
             assert replace(after, wall_ms=0.0) == replace(before, wall_ms=0.0)
     assert hit >= 1
+
+
+class _InlinePool:
+    """Stand-in for ProcessPoolExecutor that records its worker count and
+    runs the tasks in this process."""
+
+    created = []
+
+    def __init__(self, max_workers):
+        self.created.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+def test_run_campaign_caps_workers_at_the_trial_count(monkeypatch):
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
+    _InlinePool.created.clear()
+    camp = Campaign(_scenario(), ("TWO_UE_PROP1",), n_trials=3, seed=13,
+                    sweep_dbm=(10.0, 30.0))
+    serial = run_campaign(camp)
+    stripped = lambda rows: [replace(r, wall_ms=0.0) for r in rows]
+    assert stripped(run_campaign(camp, jobs=8)) == stripped(serial)
+    assert stripped(run_campaign(camp, jobs=2)) == stripped(serial)
+    assert _InlinePool.created == [3, 2]
+    one = Campaign(_scenario(), ("TWO_UE_PROP1",), n_trials=1, seed=13)
+    run_campaign(one, jobs=8)      # one trial runs in this process
+    assert _InlinePool.created == [3, 2]
+
+
+def test_finished_campaign_frees_its_trials(monkeypatch):
+    """No reference cycle keeps a trial, and with it every lane's result,
+    alive after its rows are made: with the cycle collector off, every
+    trial is gone when ``run_campaign`` returns, also when rows failed
+    and a failed level's exception was memoized and raised again."""
+    trials = []
+
+    class Tracked(harness._Trial):
+        def __init__(self, *args):
+            super().__init__(*args)
+            trials.append(weakref.ref(self))
+
+    plain = wmmse.build_phase_quadratic
+
+    def failing(channels, mode, *args):
+        # the scan raises at level 2 and never reads level 3's exception
+        if any(lane.eta in (2, 3) for lane in mode.modes):
+            raise ArithmeticError("forced failure")
+        return plain(channels, mode, *args)
+
+    monkeypatch.setattr(harness, "_Trial", Tracked)
+    camp = Campaign(_scenario(conv_threshold=1e-12, max_outer_iters=3),
+                    ("COMPACT_ETA1", "WA_OPT_ETA", "SINGLE_UE_CLOSED"),
+                    n_trials=2, seed=3, sweep_dbm=(10.0, 30.0))
+    for forced in (False, True):
+        if forced:
+            monkeypatch.setattr(wmmse, "build_phase_quadratic", failing)
+        trials.clear()
+        gc.collect()
+        gc.disable()
+        try:
+            rows = run_campaign(camp)
+            assert len(trials) == 2
+            assert [ref() for ref in trials] == [None, None]
+        finally:
+            gc.enable()
+        want = {"unconverged", "failed:ValueError"}
+        if forced:
+            want.add("failed:ArithmeticError")
+        assert {r.status for r in rows} == want
 
 
 def test_run_campaign_rows_match_standalone_trials():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from rdars.arrays import PassiveBeam
-from rdars.metrics import (BeamformingSolution, cscc, mse_all, mse_k,
-                           sinr_all, sum_rate)
+from rdars.metrics import (BeamformingSolution, cscc, mse_all, sinr_all,
+                           sum_rate)
+
+from helpers import mse_k
 
 
 def test_sinr_hand_case():

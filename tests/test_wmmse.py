@@ -590,7 +590,7 @@ def test_ao_solve_levels_equals_one_level_solves(dbm, n_ues, n_connected,
                             cfg)
     modes = [make_mode(16, n_connected, eta)
              for eta in feasible_sparsities(16, n_connected)]
-    results = ao_solve_levels(channels, modes, cfg)
+    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
     assert [r.mode for r in results] == modes
     for mode, lockstep in zip(modes, results):
         _assert_same_solve(lockstep, ao_solve(channels, mode, cfg))
@@ -613,12 +613,176 @@ def test_ao_solve_levels_isolates_a_failing_level(monkeypatch):
         return plain(channels, mode, *args)
 
     monkeypatch.setattr(wmmse, "build_phase_quadratic", failing_at_three)
-    results = ao_solve_levels(channels, modes, cfg)
+    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
     assert isinstance(results[2], ArithmeticError)
     for i in (0, 1, 3, 4):
         _assert_same_solve(results[i], alone[i])
     with pytest.raises(ArithmeticError, match="level 3"):
         ao_solve(channels, modes[2], cfg)
+
+
+def test_map_kernels_take_one_power_per_lane():
+    """With one transmit power per lane, every power-dependent kernel of
+    the map equals its two-dimensional calls at that lane's power."""
+    rng = np.random.default_rng(5)
+    cfg = small_config(n_ues=5)
+    noise, dim, lanes = cfg.noise_power, cfg.n_tx + cfg.n_connected, 4
+    power = dbm_to_watt(np.array([-40.0, 10.0, 10.0, 90.0]))
+    h = _random_h(rng, lanes * 5, dim).reshape(lanes, 5, dim)
+    V = _random_h(rng, lanes * dim, 5).reshape(lanes, dim, 5)
+    mu = _random_h(rng, lanes, 5)
+    mu[1] = 0.0
+    zeta = rng.uniform(0.5, 2.0, (lanes, 5))
+
+    def same(stacked, per_lane):
+        assert np.array_equal(stacked, np.stack(per_lane))
+
+    same(effective_noise(V, noise, power),
+         [effective_noise(V[i], noise, power[i]) for i in range(lanes)])
+    same(update_receivers(h, V, noise, power),
+         [update_receivers(h[i], V[i], noise, power[i])
+          for i in range(lanes)])
+    same(surrogate_value(h, V, mu, zeta, noise, power),
+         [surrogate_value(h[i], V[i], mu[i], zeta[i], noise, power[i])
+          for i in range(lanes)])
+    same(precoders_at(h, mu + 1.0, zeta, noise / power),
+         [precoders_at(h[i], mu[i] + 1.0, zeta[i], noise / power[i])
+          for i in range(lanes)])
+    V_new, mu_new = update_precoders(h, mu, zeta, noise, power)
+    alone = [update_precoders(h[i], mu[i], zeta[i], noise, power[i])
+             for i in range(lanes)]
+    same(V_new, [v for v, _ in alone])
+    same(mu_new, [m for _, m in alone])
+
+
+def _same_outcome(lockstep, lane, channels):
+    """A lockstep lane equals ``ao_solve`` on that lane, failure included."""
+    mode, cfg = lane
+    try:
+        alone = ao_solve(channels, mode, cfg)
+    except Exception as exc:
+        assert type(lockstep) is type(exc)
+        assert str(lockstep) == str(exc)
+        return False
+    _assert_same_solve(lockstep, alone)
+    return True
+
+
+@settings(max_examples=20)
+@given(st.lists(st.floats(min_value=-40.0, max_value=90.0), min_size=1,
+                max_size=4),
+       st.integers(min_value=9, max_value=12),
+       st.integers(min_value=1, max_value=3),
+       st.integers(min_value=0, max_value=5),
+       st.integers(min_value=0, max_value=2 ** 16))
+@example(dbms=[-40.0, 50.0, 90.0], n_ues=12, cap=3, fail_eta=2, seed=0)
+def test_ao_solve_levels_mixed_powers_equal_one_lane_solves(dbms, n_ues, cap,
+                                                           fail_eta, seed):
+    """Lanes at several transmit powers (-40...90 dBm) and every level, with
+    K > N_t + a (the matched-filter start) and caps 1-3 so lanes stop in
+    different rounds, give exactly the one-lane ``ao_solve`` outcomes;
+    a level forced to raise fails at every power and spares the rest."""
+    base = small_config(n_ues=n_ues, max_outer_iters=cap)
+    channels = los_channels(
+        random_geometry(base, np.random.default_rng(seed)), base)
+    lanes = [(make_mode(16, 4, eta), replace(base, total_power=dbm_to_watt(d)))
+             for d in dbms for eta in feasible_sparsities(16, 4)]
+    plain = wmmse.build_phase_quadratic
+
+    def failing(channels, mode, *args):
+        if any(lane.eta == fail_eta for lane in mode.modes):
+            raise ArithmeticError(f"forced failure at level {fail_eta}")
+        return plain(channels, mode, *args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wmmse, "build_phase_quadratic", failing)
+        results = ao_solve_levels(channels, lanes)
+        solved = [_same_outcome(res, lane, channels)
+                  for res, lane in zip(results, lanes)]
+    failed = [lane[0].eta == fail_eta for lane in lanes]
+    assert solved == [not f for f in failed]
+
+
+def test_ao_solve_levels_rejects_lanes_that_differ_beyond_power():
+    cfg = small_config(n_ues=3)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(4)),
+                            cfg)
+    mode = make_mode(16, 4, 1)
+    assert ao_solve_levels(channels, []) == []
+    with pytest.raises(ValueError, match="total_power"):
+        ao_solve_levels(channels, [(mode, cfg),
+                                   (mode, replace(cfg, max_outer_iters=5))])
+
+
+def test_ao_solve_levels_stacks_the_squarem_guards(monkeypatch):
+    """The guards of one round run as one stacked evaluation: fewer
+    stacked ``effective_matrix`` calls than lockstep rounds plus guards,
+    and at least one guard call carries several lanes."""
+    stacked = []
+    plain = wmmse.effective_matrix
+
+    def recording(channels, passive, mode):
+        if passive.phi.ndim == 2:
+            stacked.append(len(passive.phi))
+        return plain(channels, passive, mode)
+
+    monkeypatch.setattr(wmmse, "effective_matrix", recording)
+    cfg = small_config(n_ues=3, total_power=dbm_to_watt(50.0),
+                       max_outer_iters=30, conv_threshold=1e-12)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
+                            cfg)
+    lanes = [(make_mode(16, 4, eta), replace(cfg, total_power=p))
+             for eta in range(1, 6) for p in (cfg.total_power, 1.0)]
+    results = ao_solve_levels(channels, lanes)
+    rounds = max(r.report.iterations for r in results)
+    guards = sum(r.accepted + r.rejected for r in results)
+    assert guards > 0
+    assert len(stacked) - rounds < guards
+    for res, (mode, lane_cfg) in zip(results, lanes):
+        _assert_same_solve(res, ao_solve(channels, mode, lane_cfg))
+
+
+def test_lockstep_results_hold_no_round_stacks():
+    """Each lane keeps copies of its slices of the stacked round outputs,
+    so no returned array is a view into a stack with a lane axis."""
+    cfg = small_config(n_ues=3, max_outer_iters=8)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(6)),
+                            cfg)
+    results = ao_solve_levels(channels, [(make_mode(16, 4, eta), cfg)
+                                         for eta in range(1, 6)])
+    for res in results:
+        for arr in (res.solution.W, res.solution.F, res.solution.passive.phi,
+                    res.report.sinr, res.report.rate):
+            root = arr
+            while root.base is not None:
+                root = root.base
+            assert root.ndim == arr.ndim
+
+
+def test_phase_block_chunks_do_not_change_results(monkeypatch):
+    """At N=64 the byte budget runs every lane's phase block alone; one
+    chunk for all lanes gives the same solves bit for bit."""
+    cfg = small_config(n_elems=64, n_ues=3, max_outer_iters=6)
+    assert wmmse._phase_chunk(64) == 1
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(8)),
+                            cfg)
+    lanes = [(make_mode(64, 4, eta), replace(cfg, total_power=dbm_to_watt(d)))
+             for eta in (1, 9, 21) for d in (10.0, 60.0)]
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(len(args[0]))
+        return power_iteration(*args, **kwargs)
+
+    monkeypatch.setattr(wmmse, "power_iteration", counting)
+    chunked = ao_solve_levels(channels, lanes)
+    assert max(calls) == 1
+    calls.clear()
+    monkeypatch.setattr(wmmse, "_PHASE_STACK_BYTES", 1 << 30)
+    whole = ao_solve_levels(channels, lanes)
+    assert max(calls) == len(lanes)
+    for a, b in zip(chunked, whole):
+        _assert_same_solve(a, b)
 
 
 # --- full alternating loop ----------------------------------------------
@@ -673,8 +837,8 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
     maps = {}
     plain_map = wmmse._ao_map
 
-    def recording(channels, mode, config, h, V, passive, zeta):
-        out = plain_map(channels, mode, config, h, V, passive, zeta)
+    def recording(channels, mode, noise, power, h, V, passive, zeta):
+        out = plain_map(channels, mode, noise, power, h, V, passive, zeta)
         h1, V1, mu1, _, zeta1, rows = out
         for i, lane in enumerate(mode.modes):
             maps.setdefault(lane.eta, []).append(
@@ -686,8 +850,8 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
     cfg = small_config(n_ues=3, max_outer_iters=12, conv_threshold=1e-12)
     geo = random_geometry(cfg, np.random.default_rng(19))
     results = ao_solve_levels(los_channels(geo, cfg),
-                              [make_mode(16, 4, eta) for eta in (1, 2, 3)],
-                              cfg)
+                              [(make_mode(16, 4, eta), cfg)
+                               for eta in (1, 2, 3)])
     power, noise = cfg.total_power, cfg.noise_power
     assert results[1].report.iterations == len(maps[2]) == 12
     assert results[1].accepted >= 1 and results[1].rejected >= 1
@@ -790,8 +954,8 @@ def test_ao_solve_phase_block_runs_no_eigendecomposition(monkeypatch):
     # in lockstep, one call per round: as many as the longest level's maps
     calls.clear()
     results = ao_solve_levels(los_channels(geo, cfg),
-                              [make_mode(16, 4, eta) for eta in range(1, 6)],
-                              cfg)
+                              [(make_mode(16, 4, eta), cfg)
+                               for eta in range(1, 6)])
     rounds = max(r.report.iterations for r in results)
     assert rounds < sum(r.report.iterations for r in results)
     assert calls == [wmmse._PHASE_STEPS] * rounds
