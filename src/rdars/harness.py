@@ -267,11 +267,13 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
 def _run_trial_rows(args) -> list[list[TrialRow]]:
     """Every row of one trial, one list per sweep value."""
     campaign, trial = args
-    sweep = campaign.sweep_points()
-    shared = _Trial(campaign, trial, sweep)
-    return [[run_trial(campaign, trial, alg, s, _Drop(campaign, trial, s,
-                                                         shared))
-             for alg in campaign.algorithms] for s in sweep]
+    shared = _Trial(campaign, trial, campaign.sweep_points())
+    rows = []
+    for sweep in campaign.sweep_points():
+        drop = _Drop(campaign, trial, sweep, shared)
+        rows.append([run_trial(campaign, trial, alg, sweep, drop)
+                     for alg in campaign.algorithms])
+    return rows
 
 
 def run_campaign(campaign: Campaign, jobs: int = 1) -> list[TrialRow]:
