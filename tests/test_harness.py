@@ -301,38 +301,36 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
     assert hit >= 1
 
 
-class _InlinePool:
-    """Stand-in for ProcessPoolExecutor that records its worker count and
-    runs the tasks in this process."""
-
+def test_run_campaign_caps_workers_at_the_trial_count(monkeypatch):
     created = []
 
-    def __init__(self, max_workers):
-        self.created.append(max_workers)
+    class InlinePool:
+        """Stand-in for ProcessPoolExecutor: records its worker count and
+        runs the tasks in this process."""
 
-    def __enter__(self):
-        return self
+        def __init__(self, max_workers):
+            created.append(max_workers)
 
-    def __exit__(self, *exc):
-        return False
+        def __enter__(self):
+            return self
 
-    def map(self, fn, tasks):
-        return map(fn, tasks)
+        def __exit__(self, *exc):
+            return False
 
+        def map(self, fn, tasks):
+            return map(fn, tasks)
 
-def test_run_campaign_caps_workers_at_the_trial_count(monkeypatch):
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", _InlinePool)
-    _InlinePool.created.clear()
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
     camp = Campaign(_scenario(), ("TWO_UE_PROP1",), n_trials=3, seed=13,
                     sweep_dbm=(10.0, 30.0))
     serial = run_campaign(camp)
     stripped = lambda rows: [replace(r, wall_ms=0.0) for r in rows]
     assert stripped(run_campaign(camp, jobs=8)) == stripped(serial)
     assert stripped(run_campaign(camp, jobs=2)) == stripped(serial)
-    assert _InlinePool.created == [3, 2]
+    assert created == [3, 2]
     one = Campaign(_scenario(), ("TWO_UE_PROP1",), n_trials=1, seed=13)
     run_campaign(one, jobs=8)      # one trial runs in this process
-    assert _InlinePool.created == [3, 2]
+    assert created == [3, 2]
 
 
 def test_finished_campaign_frees_its_trials(monkeypatch):
