@@ -75,13 +75,6 @@ class ModeStack:
     def a_vec(self) -> np.ndarray:
         return np.stack([mode.a_vec for mode in self.modes])
 
-    def __getitem__(self, lanes: slice) -> "ModeStack":
-        """The stack of a run of lanes; its arrays are views into these."""
-        part = ModeStack(self.modes[lanes])
-        part.__dict__.update(index0=self.index0[lanes],
-                             a_vec=self.a_vec[lanes])
-        return part
-
 
 def make_mode(n: int, a: int, eta: int, m0: int = 1) -> ModeSelection:
     """Build the connected-element index set {m0 + m*eta : m = 0..a-1}."""
@@ -114,10 +107,14 @@ def feasible_sparsities(n: int, a: int) -> list[int]:
 @dataclass(frozen=True)
 class ChannelSet:
     """Raw propagation channels: BS-to-surface matrix G (N x N_t) and the
-    surface-to-UE vectors stacked as rows of h_r (K x N)."""
+    surface-to-UE vectors stacked as rows of h_r (K x N), with the LoS
+    factors of G = kappa_br b_aoa b_aod^H that built it."""
 
     G: np.ndarray
     h_r: np.ndarray
+    kappa_br: float
+    b_aoa: np.ndarray
+    b_aod: np.ndarray
 
     @property
     def n_ues(self) -> int:
@@ -140,7 +137,8 @@ def los_channels(geometry: Geometry, config: SystemConfig) -> ChannelSet:
         kr * steering(n, float(u), d, lam)
         for kr, u in zip(geometry.kappa_ru, geometry.u_ru_aod)
     ])
-    return ChannelSet(G=G, h_r=h_r)
+    return ChannelSet(G=G, h_r=h_r, kappa_br=float(geometry.kappa_br),
+                      b_aoa=b_aoa, b_aod=b_aod)
 
 
 def _check_unit_modulus(phi: np.ndarray) -> None:

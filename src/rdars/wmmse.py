@@ -16,23 +16,11 @@ precoder step ends on that sphere, so every iterate spends the whole
 budget, the objective after the weight update is K - ln(2) times the
 sum rate, and the recorded sum rate is nondecreasing by construction.
 
-``ao_solve`` accelerates this map with SQUAREM extrapolation. An
-extrapolated point is projected back onto the full-power sphere and unit
-modulus and accepted only if, at fresh receivers and the current weights,
-its lifted objective is no larger than the last recorded value and its
-sum rate no lower than that of the plain double step it replaces. The
-plain map from an accepted point then continues the same chain of
-inequalities, so monotonicity covers accepted extrapolations too.
-
-``ao_solve_levels`` solves several lanes of one drop in lockstep, a lane
-being one (sparsity level, config) pair; the configs may differ in the
-transmit power alone. The kernels of the map take an optional leading
-lane axis, with one transmit power per lane, and each round runs the
-pending SQUAREM guards of all lanes as one stacked evaluation and then one
-map for every lane still going. The phase block runs over lane chunks
-that keep its (N+1)^2 stacks within a fixed byte budget. Each lane
-performs the arithmetic of its own solve, so a lockstep result equals the
-one-lane ``ao_solve`` result bit for bit.
+``ao_solve`` accelerates this map with guarded SQUAREM extrapolation that
+keeps it monotone. ``ao_solve_levels`` solves several (sparsity level,
+config) lanes of one drop in lockstep, each bit for bit as alone; for it,
+the kernels of the map take an optional leading lane axis. The phase
+block works on the LoS factors of the channels and forms no N x N matrix.
 """
 
 from __future__ import annotations
@@ -40,6 +28,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -182,10 +171,8 @@ def build_phase_quadratic(channels: ChannelSet,
     w = zeta * np.abs(mu) ** 2
     B = (cmat_t * w[..., None, :]) @ cmat.conj()
     GW = channels.G @ W
-    # np.multiply, not `*`: numpy may compute `x * temporary` in the
-    # temporary's buffer with the operands swapped, and a complex product
-    # rounds differently by operand order; a lane's bits would then depend
-    # on how many lanes share the call
+    # np.multiply, not `*`: numpy may swap the operands of a large
+    # `x * temporary`, and complex products round by operand order
     C = np.multiply(B, GW @ GW.conj().swapaxes(-2, -1), out=B)
 
     sel = channels.h_r.T[mode.index0].swapaxes(-2, -1)   # rows h_sel_k
@@ -213,52 +200,39 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
     """Element-wise power iteration on the lifted phase problem.
 
     Minimizes x^H C x + 2 Re(beta^H x) over unit-modulus x by maximizing
-    p^H D p over unit-modulus p, with the homogenized matrix
-    D = [[-C, -beta], [-beta^H, 0]]. The majorizer (Sun, Babu, Palomar,
-    IEEE TSP 2017) adds the diagonal shift
-    Lambda_ii = sum_{j != i} |D_ij| - D_ii + 1e-9 max_i sum_j |D_ij|:
-    every row of D + Lambda then has a diagonal entry no smaller than the
-    moduli of its other entries, so D + Lambda is diagonally dominant and
-    positive semidefinite by construction, and no eigenvalue is needed.
-    On unit-modulus p the added term p^H Lambda p is the constant
+    p^H D p over unit-modulus p, with D = [[-C, -beta], [-beta^H, 0]].
+    The majorizer (Sun, Babu, Palomar, IEEE TSP 2017) adds the diagonal
+    Lambda_ii = sum_{j != i} |D_ij| - D_ii + 1e-9 max_i sum_j |D_ij|, which
+    makes D + Lambda diagonally dominant, hence positive semidefinite with
+    no eigenvalue needed. On unit-modulus p, p^H Lambda p is the constant
     tr Lambda, so maximizing the convex p^H (D + Lambda) p by one linear
-    minorant per step never lowers p^H D p. The relative margin makes
-    every row strictly dominant, so no product entry can vanish unless D
-    is zero; the all-zero rows of connected elements keep their phases.
+    minorant per step never lowers p^H D p. The margin makes every row
+    strictly dominant, so no product entry vanishes unless D is zero.
 
-    Each step costs one matrix-vector product z = (D + Lambda) p. It gives
-    the next phases z / |z| and, since |p_i| = 1, the objective of the
-    current point, p^H D p = Re(p^H z) - tr Lambda. Entries whose product
-    vanishes (every entry when D is zero) keep their previous phase: such
-    a step first yields NaN phases, which show up as a NaN objective, and
-    is then redone with that guard.
+    A step z = (D + Lambda) p gives the next phases z / |z| and the
+    objective p^H D p = Re(p^H z) - tr Lambda. Entries whose product
+    vanishes (all of them when D is zero, as on the all-zero rows of
+    connected elements) keep their phase: such a step yields NaN phases,
+    seen as a NaN objective, and is redone with that guard.
 
-    With no start point given, both the all-ones vector and the phases of
-    the leading eigenvector of D (one ``eigh``, used for nothing else)
-    are tried and the better finisher is kept; an explicit ``p0`` (e.g. a
-    warm start from an outer loop) runs alone without any
+    Without ``p0``, the all-ones vector and the phases of the leading
+    eigenvector of D (one ``eigh``) are both run and the better finisher
+    kept; an explicit ``p0`` (a warm start) runs alone, with no
     eigendecomposition, so the result never falls below the start value.
 
-    Returns the optimized x and the trace of the homogenized objective
-    p^H D p, which is nondecreasing by construction; a decrease beyond
-    rounding noise raises ArithmeticError.
-
-    A leading lane axis on C, beta_vec and p0 (which a stack needs) runs
-    independent problems in lockstep, one matrix-vector product per step
-    for all of them; each lane stops on its own test, exactly as it would
-    alone. The trace then has one column per lane, and a lane that stopped
-    early repeats its last value.
+    Returns x and the trace of p^H D p, nondecreasing by construction; a
+    decrease beyond rounding noise raises ArithmeticError. A leading lane
+    axis on C, beta_vec and p0 (which a stack needs) runs independent
+    problems in lockstep, each exactly as alone; a lane's trace column
+    repeats its last value once it stopped.
     """
     lanes = C.ndim == 3
     if lanes and p0 is None:
         raise ValueError("a stack of phase problems needs start points p0")
     C, beta_vec = (C, beta_vec) if lanes else (C[None], beta_vec[None])
     n_lanes, n = beta_vec.shape
-    D = np.empty((n_lanes, n + 1, n + 1), dtype=complex)
-    np.negative(C, out=D[:, :n, :n])
-    np.negative(beta_vec, out=D[:, :n, n])
-    np.negative(beta_vec.conj(), out=D[:, n, :n])
-    D[:, n, n] = 0.0
+    D = -np.block([[C, beta_vec[..., None]],
+                   [beta_vec.conj()[:, None], np.zeros((n_lanes, 1, 1))]])
     if p0 is None:
         lead = np.linalg.eigh(D[0])[1][:, -1]
         mags = np.abs(lead)
@@ -279,27 +253,38 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
     diagonal = np.diagonal(D, axis1=-2, axis2=-1)
     shift = (row_sums - np.abs(diagonal) - diagonal.real
              + 1e-9 * row_sums.max(axis=-1, keepdims=True))
-    diag = np.arange(n + 1)
-    shifted = D                        # D + Lambda, formed in place
-    shifted[:, diag, diag] += shift
+    apply = partial(_matvec, D + shift[..., None] * np.eye(n + 1))
     offset = shift.sum(axis=-1)
+    p_best, hist_best = _mm_steps(apply, offset, starts[0], tol, max_iters)
+    for p_start in starts[1:]:
+        p_alt, hist_alt = _mm_steps(apply, offset, p_start, tol, max_iters)
+        if hist_alt[-1, 0] > hist_best[-1, 0]:
+            p_best, hist_best = p_alt, hist_alt
+    x = np.exp(1j * np.angle(p_best[:, :n] * np.conj(p_best[:, n:])))
+    return (x, hist_best) if lanes else (x[0], hist_best[:, 0])
 
+
+def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
+              max_iters: int) -> tuple[np.ndarray, np.ndarray]:
+    """The step loop of ``power_iteration`` for any form of the operator:
+    ``apply(p)`` is (D + Lambda) p, one row per lane, ``offset`` is
+    tr Lambda. Returns the last p and the objective history by lane."""
     def objective(p, z):
         return (p.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real - offset
 
-    def iterate(p):
-        z = _matvec(shifted, p)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = apply(p)
         obj = objective(p, z)
         history = [obj]
-        active = np.ones(n_lanes, dtype=bool)
+        active = np.ones(len(p), dtype=bool)
         for _ in range(max_iters):
             p_new = z / np.abs(z)
-            z_new = _matvec(shifted, p_new)
+            z_new = apply(p_new)
             obj_new = objective(p_new, z_new)
             if np.isnan(obj_new).any():
                 # redoing a finite lane repeats its step exactly
                 p_new = np.where(np.abs(z) > 0.0, p_new, p)
-                z_new = _matvec(shifted, p_new)
+                z_new = apply(p_new)
                 obj_new = objective(p_new, z_new)
             scale = 1.0 + np.abs(obj)
             if (active & (obj_new < obj - 1e-8 * scale)).any():
@@ -315,45 +300,83 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
             active &= ~done
             if not active.any():
                 break
-        return p, np.asarray(history)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        p_best, hist_best = iterate(starts[0])
-        for p_start in starts[1:]:
-            p_alt, hist_alt = iterate(p_start)
-            if hist_alt[-1, 0] > hist_best[-1, 0]:
-                p_best, hist_best = p_alt, hist_alt
-    x = np.exp(1j * np.angle(p_best[:, :n] * np.conj(p_best[:, n:])))
-    return (x, hist_best) if lanes else (x[0], hist_best[:, 0])
+    return p, np.asarray(history)
 
 
-# MM steps per phase block. Each step keeps the block monotone, which is
-# all block successive upper-bound minimization needs (Razaviyayn, Hong,
-# Luo, SIAM J. Optim. 2013); on the `campaign_sweep` rows, three steps stay
-# within 1.4e-5 of the block run to its stop test, one step within 2e-4.
+def _phase_operator(channels: ChannelSet, mode: ModeStack, W: np.ndarray,
+                    F: np.ndarray, mu: np.ndarray, zeta: np.ndarray):
+    """D + Lambda of ``power_iteration`` on each lane's phase quadratic
+    (``build_phase_quadratic``'s), as (apply: p -> (D + Lambda) p, Lambda),
+    from the LoS factors; no N x N matrix is formed. G W = kappa b_aoa t
+    with t = b_aod^H W, so C = s P diag(w) P^H and beta = kappa P v, where
+    s = kappa^2 ||t||^2, w = zeta |mu|^2, P = diag(b_aoa) cmat^T and
+    v = (cross t) w - t zeta conj(mu): D = B A with B = -[[P, 0], [0, 1]]
+    and A = [[s diag(w) P^H, kappa v], [beta^H, 0]]. D_ii <= 0, so Lambda
+    is the row sums of |D| plus the margin. With h_r[k, m] =
+    kappa_k e^{j theta_k m}, |C_ij| = s abar_i abar_j g(|i - j|) for
+    g(d) = |sum_k w_k h_r[k, 0] h_r[k, d]|; its row sums take two prefix
+    sums of g, less g at the distances to the connected elements."""
+    abar = 1.0 - mode.a_vec
+    n = abar.shape[-1]
+    Pt = (abar * channels.b_aoa)[..., None, :] * channels.h_r.conj()   # P^T
+    w = zeta * np.abs(mu) ** 2
+    t = channels.b_aod.conj() @ W
+    s = channels.kappa_br ** 2 * (np.abs(t) ** 2).sum(axis=-1)
+    sel = channels.h_r.T[mode.index0].swapaxes(-2, -1)   # rows h_sel_k
+    u = _matvec(sel, _matvec(F.conj(), t))            # cross t
+    kv = channels.kappa_br * (u * w - t * zeta * mu.conj())
+    beta = _matvec(Pt.swapaxes(-2, -1), kv)
+
+    n_lanes, n_ues = w.shape
+    A = np.zeros((n_lanes, n_ues + 1, n + 1), dtype=complex)
+    np.multiply((s[:, None] * w)[..., None], Pt.conj(), out=A[:, :n_ues, :n])
+    A[:, :n_ues, n], A[:, n_ues, :n] = kv, beta.conj()
+    B = np.zeros((n_lanes, n_ues + 1, n + 1), dtype=complex)   # B^T
+    B[:, :n_ues, :n], B[:, n_ues, n] = -Pt, -1.0
+    B = B.swapaxes(-2, -1)
+
+    g = np.abs(_matvec(channels.h_r.T, w * channels.h_r[:, 0].real))
+    cum = np.cumsum(g, axis=-1)
+    dist = np.abs(np.arange(n)[:, None] - mode.index0[..., None, :])
+    connected = np.take(g, dist + n * np.arange(n_lanes)[:, None, None])
+    spread = cum + cum[..., ::-1] - g[..., :1] - connected.sum(axis=-1)
+    beta_abs = np.abs(beta)
+    row_sums = np.concatenate([s[:, None] * abar * spread + beta_abs,
+                               beta_abs.sum(axis=-1, keepdims=True)], axis=-1)
+    shift = row_sums + 1e-9 * row_sums.max(axis=-1, keepdims=True)
+
+    def apply(p):
+        return (B @ (A @ p[..., None]))[..., 0] + shift * p
+
+    return apply, shift
+
+
+def _phase_block(channels: ChannelSet, mode: ModeStack, W: np.ndarray,
+                 F: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
+                 p0: np.ndarray, max_iters: int) -> np.ndarray:
+    """The phase update of ``_ao_map``: at most ``max_iters`` steps of the
+    ``power_iteration`` loop, with its default stop test, on
+    ``_phase_operator`` from the start points ``p0`` (one row per lane);
+    returns the new phase vectors x."""
+    apply, shift = _phase_operator(channels, mode, W, F, mu, zeta)
+    p, _ = _mm_steps(apply, shift.sum(-1), p0 / np.abs(p0), 1e-10, max_iters)
+    return np.exp(1j * np.angle(p[:, :-1] * np.conj(p[:, -1:])))
+
+
+# Most MM steps per phase block (its stop test may end it sooner). Each
+# step keeps the block monotone, all that block successive upper-bound
+# minimization needs (Razaviyayn, Hong, Luo, SIAM J. Optim. 2013); on the
+# `campaign_sweep` rows three steps stay within 1.4e-5 of the block run
+# to its stop test, one step within 2e-4.
 _PHASE_STEPS = 3
-
-# Bytes one (N+1)^2 complex stack of the phase block may take; the block
-# runs over lane chunks that fit, and always at least one lane per chunk.
-# At N=32 that is seven lanes a call: on `campaign_sweep` (60 lanes a
-# trial) the peak RSS then stays about 2% above solving each power apart,
-# against 8% with one call for all lanes. At N=128 every lane runs alone,
-# where fresh multi-megabyte stacks cost more in page faults than
-# stacking saves in calls.
-_PHASE_STACK_BYTES = 128 * 1024
-
-
-def _phase_chunk(n_elems: int) -> int:
-    """Lanes per phase-block call at this aperture size."""
-    return max(1, _PHASE_STACK_BYTES // (16 * (n_elems + 1) ** 2))
 
 
 @dataclass(frozen=True)
 class AoResult:
     """A full alternating-optimization run: the beamformers, the mode they
     were optimized for, the rate report, the per-map traces, and the
-    accelerator's counts. The phase update of every plain map is
-    ``_PHASE_STEPS`` MM steps of ``power_iteration``.
+    accelerator's counts. The phase update of every plain map is at most
+    ``_PHASE_STEPS`` MM steps of the ``power_iteration`` loop.
 
     ``accepted`` and ``rejected`` count the SQUAREM extrapolations that
     passed and failed the monotonicity guard; a cycle whose step length
@@ -371,17 +394,13 @@ class AoResult:
 def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
             power: np.ndarray, h: np.ndarray, V: np.ndarray,
             passive: BeamStack, zeta: np.ndarray) -> tuple:
-    """One plain alternating-optimization map from the state (V, phases)
-    of every lane of a stack: ``mode`` holds one sparsity level and
-    ``power`` one transmit power per lane, and ``h`` (the effective
-    channels at the phases), ``V``, the phases and ``zeta`` (the weights
-    of the previous map) have a leading lane axis.
-
-    Updates the receivers, the weights and the precoder exactly, then
-    takes ``_PHASE_STEPS`` MM steps of ``power_iteration`` on the phase
-    quadratic, warm-started at the current phases, over lane chunks of
-    ``_phase_chunk`` lanes. Returns the new (h, V, mu, passive, zeta) and,
-    per lane, the lifted objective after each of the four block updates.
+    """One plain alternating-optimization map for every lane of a stack:
+    ``mode`` and ``power`` hold one level and one transmit power per lane;
+    ``h`` (the effective channels at the phases), ``V``, the phases and
+    ``zeta`` (the last weights) have a leading lane axis. Updates the
+    receivers, the weights and the precoder exactly, then the phases by
+    ``_phase_block``, warm-started. Returns the new (h, V, mu, passive,
+    zeta) and, per lane, the lifted objective after each block update.
     """
     n_tx = channels.G.shape[1]
     mu = update_receivers(h, V, noise, power)
@@ -392,16 +411,9 @@ def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
     V, mu = update_precoders(h, mu, zeta, noise, power)
     s3 = surrogate_value(h, V, mu, zeta, noise, power)
 
-    n_lanes = len(V)
-    p0 = np.concatenate([passive.phi.conj(), np.ones((n_lanes, 1))], axis=1)
-    x = np.empty_like(passive.phi)
-    step = _phase_chunk(channels.n_elems)
-    for lo in range(0, n_lanes, step):
-        part = slice(lo, lo + step)
-        quad = build_phase_quadratic(channels, mode[part], V[part, :n_tx],
-                                     V[part, n_tx:], mu[part], zeta[part])
-        x[part], _ = power_iteration(quad.matrix, quad.linear,
-                                     max_iters=_PHASE_STEPS, p0=p0[part])
+    p0 = np.concatenate([passive.phi.conj(), np.ones((len(V), 1))], axis=1)
+    x = _phase_block(channels, mode, V[:, :n_tx], V[:, n_tx:], mu, zeta, p0,
+                     max_iters=_PHASE_STEPS)
     passive = BeamStack(x.conj())
     h = effective_matrix(channels, passive, mode)
     s4 = surrogate_value(h, V, mu, zeta, noise, power)
@@ -410,17 +422,12 @@ def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
 
 def _squarem_point(states, power: float):
     """SqS3 extrapolation (Varadhan and Roland, Scand. J. Statist. 2008)
-    from three successive states (V, phi) of the plain map.
-
-    On the stacked vector (V / sqrt(P), phi), with r = x1 - x0,
-    v = x2 - 2 x1 + x0 and alpha = -||r|| / ||v||, the point
-    x0 - 2 alpha r + alpha^2 v is projected back onto the feasible set:
-    V onto the full-power sphere, phi onto unit modulus. Returns the
-    projected (V, phi), or None when alpha >= -1, where the extrapolation
-    would be no longer than the plain double step. An overflowing step or
-    a vanishing entry gives a non-finite pair, which the guard in
-    ``ao_solve`` rejects.
-    """
+    from three successive states (V, phi) of the plain map: on the stacked
+    vectors x = (V / sqrt(P), phi), with r = x1 - x0, v = x2 - 2 x1 + x0
+    and alpha = -||r|| / ||v||, x0 - 2 alpha r + alpha^2 v projected onto
+    the full-power sphere and unit modulus. None when alpha >= -1 (no
+    longer than the plain double step). An overflowing step or a
+    vanishing entry gives a non-finite pair, which the guard rejects."""
     scale = 1.0 / math.sqrt(power)
     x0, x1, x2 = (np.concatenate([V.ravel() * scale, phi])
                   for V, phi in states)
@@ -451,16 +458,14 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     the current weights is no larger than the last recorded one, and its
     sum rate no lower than at x2; one plain map from it then ends the
     cycle. Otherwise the next cycle starts at x2. Only plain-map outputs
-    are recorded and returned, so both traces stay monotone and the
-    returned precoder is an ``update_precoders`` output; a run in which
-    every extrapolation is rejected is the plain loop.
+    are recorded and returned, so both traces stay monotone; with every
+    extrapolation rejected, this is the plain loop.
 
     Every plain map counts against ``max_outer_iters``, and an
-    extrapolation is tried only when the stabilizing map still fits.
-    The run stops when the relative sum-rate gain of a cycle's first map,
-    or of the whole cycle, drops below the configured threshold, and
-    returns the last iterate; if the map budget runs out first, that
-    iterate is flagged unconverged.
+    extrapolation is tried only when the stabilizing map still fits. The
+    run stops when the relative sum-rate gain of a cycle's first map, or
+    of the whole cycle, drops below the threshold; a run that uses up its
+    maps first ends unconverged.
 
     This is the one-lane call of ``ao_solve_levels``.
     """
@@ -472,15 +477,12 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
 
 def _sqs3_lane(channels: ChannelSet, mode: ModeSelection,
                config: SystemConfig):
-    """The SQUAREM driver of ``ao_solve`` for one lane, as a generator.
-
-    It yields requests to ``ao_solve_levels``: ``("map", (h, V, phases,
-    zeta))`` when it needs one plain map, which is answered with that
-    map's output (h, V, phases, zeta, surrogate row, rate report); and
-    ``("guard", (V, phases, zeta))`` for the guard of a finite
-    extrapolated point, answered with (h, lifted objective, sum rate) at
-    that point. It returns the lane's ``AoResult`` (its ``wall_time`` is
-    left to the caller)."""
+    """The SQUAREM driver of ``ao_solve`` for one lane, as a generator. It
+    yields ``("map", (h, V, phases, zeta))`` for a plain map, answered with
+    (h, V, phases, zeta, surrogate row, rate report), and ``("guard",
+    (V, phases, zeta))`` at a finite extrapolated point, answered with
+    (h, lifted objective, sum rate) there; it returns the lane's
+    ``AoResult``, whose ``wall_time`` the caller sets."""
     power, noise = config.total_power, config.noise_power
     cap = config.max_outer_iters
 
@@ -549,24 +551,22 @@ def _sqs3_lane(channels: ChannelSet, mode: ModeSelection,
 def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     """``ao_solve`` on one drop's channels for several lanes, each a
     (sparsity level, config) pair, solved in lockstep. The levels share
-    one connection count, and the configs may differ in ``total_power``
-    alone; any other difference raises ValueError.
+    one connection count; configs that differ in more than ``total_power``
+    raise ValueError.
 
     Every lane runs its own SQUAREM driver (``_sqs3_lane``). Each round
-    first evaluates the guards of all lanes that wait for one, stacked into
-    one ``effective_matrix``, ``update_receivers``, ``mse_all`` and
-    ``sum_rate`` call, and then stacks the states of all lanes that wait
-    for a plain map into one ``_ao_map`` and ``sum_rate`` call; a lane
-    leaves the stack when it stops. A lane runs exactly the operations of
-    its solve alone, so every result equals ``ao_solve`` on that lane bit
-    for bit; only ``report.wall_time`` differs, as it covers the whole
-    call. Every lane gets copies of its slices of the stacked outputs, so
-    a lane's state does not keep whole round stacks alive.
+    runs the guards of all lanes that wait for one as one stacked
+    evaluation, then one ``_ao_map`` and ``sum_rate`` call for all lanes
+    that wait for a plain map; a lane leaves when it stops. A lane runs
+    exactly the operations of its solve alone, so every result equals
+    ``ao_solve`` bit for bit, apart from ``report.wall_time``, which
+    covers the whole call. Lanes keep copies of their slices of the
+    stacked outputs, so no lane keeps a round stack alive.
 
-    A stacked evaluation that raises is redone one lane at a time. A lane
-    whose own map, start point or guard raises ends there, and its entry
-    in the returned list, one per lane in order, is that exception instead
-    of an ``AoResult``; the other lanes go on.
+    A stacked evaluation that raises is redone lane by lane. A lane whose
+    own map, start point or guard raises ends there, and its entry in the
+    returned list (one per lane, in order) is that exception; the other
+    lanes go on.
     """
     t0 = time.perf_counter()
     lanes = list(lanes)

@@ -271,19 +271,19 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
     clean = run_campaign(camp)
     fail_eta = next(r.eta for r in clean
                     if r.algorithm == "RANDOM_ETA" and r.eta != 1)
-    plain = wmmse.build_phase_quadratic
+    plain = wmmse._phase_block
     solved = []
 
-    def failing(channels, mode, *args):
+    def failing(channels, mode, *args, **kwargs):
         if any(lane.eta == fail_eta for lane in getattr(mode, "modes", ())):
             raise ArithmeticError(f"forced failure at level {fail_eta}")
-        return plain(channels, mode, *args)
+        return plain(channels, mode, *args, **kwargs)
 
     def counted(channels, lanes):
         solved.extend(mode.eta for mode, _ in lanes)
         return wmmse.ao_solve_levels(channels, lanes)
 
-    monkeypatch.setattr(wmmse, "build_phase_quadratic", failing)
+    monkeypatch.setattr(wmmse, "_phase_block", failing)
     monkeypatch.setattr(harness, "ao_solve_levels", counted)
     forced = run_campaign(camp)
     drops = camp.n_trials * len(camp.sweep_dbm)
@@ -345,13 +345,13 @@ def test_finished_campaign_frees_its_trials(monkeypatch):
             super().__init__(*args)
             trials.append(weakref.ref(self))
 
-    plain = wmmse.build_phase_quadratic
+    plain = wmmse._phase_block
 
-    def failing(channels, mode, *args):
+    def failing(channels, mode, *args, **kwargs):
         # the scan raises at level 2 and never reads level 3's exception
         if any(lane.eta in (2, 3) for lane in mode.modes):
             raise ArithmeticError("forced failure")
-        return plain(channels, mode, *args)
+        return plain(channels, mode, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_Trial", Tracked)
     camp = Campaign(_scenario(conv_threshold=1e-12, max_outer_iters=3),
@@ -359,7 +359,7 @@ def test_finished_campaign_frees_its_trials(monkeypatch):
                     n_trials=2, seed=3, sweep_dbm=(10.0, 30.0))
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(wmmse, "build_phase_quadratic", failing)
+            monkeypatch.setattr(wmmse, "_phase_block", failing)
         trials.clear()
         gc.collect()
         gc.disable()

@@ -492,6 +492,111 @@ def test_power_iteration_validates_start_point():
         power_iteration(C, beta, p0=np.array([1.0, 0.0, 1.0]))
 
 
+def _dense_shifted(quad):
+    """The homogenized D and the shift Lambda that ``power_iteration``
+    builds from a (lane-stacked) phase quadratic, formed densely."""
+    C, beta = quad.matrix, quad.linear
+    n = beta.shape[-1]
+    D = np.zeros(beta.shape[:-1] + (n + 1, n + 1), dtype=complex)
+    D[..., :n, :n] = -C
+    D[..., :n, n] = -beta
+    D[..., n, :n] = -beta.conj()
+    row_sums = np.abs(D).sum(axis=-1)
+    diagonal = np.diagonal(D, axis1=-2, axis2=-1)
+    return D, (row_sums - np.abs(diagonal) - diagonal.real
+               + 1e-9 * row_sums.max(axis=-1, keepdims=True))
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([1, 2, 4, 16]),
+       st.integers(min_value=1, max_value=8),
+       st.booleans(),
+       st.integers(min_value=0, max_value=2 ** 16))
+@example(n_connected=16, n_ues=3, zero_w=False, seed=0)
+@example(n_connected=4, n_ues=3, zero_w=True, seed=0)
+@example(n_connected=1, n_ues=8, zero_w=False, seed=1)
+def test_phase_operator_matches_the_dense_one(n_connected, n_ues, zero_w,
+                                              seed):
+    """The factored operator of the AO phase block equals the dense
+    D + Lambda built from ``build_phase_quadratic``: the product with a
+    random unit-modulus point, the shift and the objective p^H D p, to
+    1e-12 relative, on random states of every level, a = 1 and a = N (a
+    zero operator), and W = 0 (also zero). A zero operator keeps the
+    phases, and no RuntimeWarning escapes the block."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(n_ues=n_ues, n_connected=n_connected)
+    channels = los_channels(random_geometry(cfg, rng), cfg)
+    modes = [make_mode(16, n_connected, eta)
+             for eta in feasible_sparsities(16, n_connected)]
+    stack = ModeStack(tuple(modes))
+    lanes, dim = len(modes), cfg.n_tx + n_connected
+    V = _random_h(rng, lanes * dim, n_ues).reshape(lanes, dim, n_ues)
+    if zero_w:
+        V[:, :cfg.n_tx] = 0.0
+    W, F = V[:, :cfg.n_tx], V[:, cfg.n_tx:]
+    mu = _random_h(rng, lanes, n_ues) * 1e3
+    zeta = rng.uniform(0.5, 2.0, (lanes, n_ues))
+    p = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (lanes, 17)))
+
+    D, shift = _dense_shifted(build_phase_quadratic(channels, stack, W, F,
+                                                    mu, zeta))
+    apply, got_shift = wmmse._phase_operator(channels, stack, W, F, mu, zeta)
+    z = (D @ p[..., None])[..., 0] + shift * p
+    got_z = apply(p)
+    objective = np.einsum("li,lij,lj->l", p.conj(), D, p).real
+    got_objective = np.einsum("li,li->l", p.conj(), got_z).real \
+        - got_shift.sum(axis=-1)
+    scale = shift.sum(axis=-1)
+    assert np.all(np.abs(got_shift - shift)
+                  <= 1e-12 * shift.max(axis=-1, keepdims=True))
+    assert np.all(np.abs(got_z - z)
+                  <= 1e-12 * np.abs(z).max(axis=-1, keepdims=True))
+    assert np.all(np.abs(got_objective - objective) <= 1e-12 * scale)
+
+    zero = n_connected == 16 or zero_w
+    assert (scale == 0.0).all() == zero
+    if zero:
+        x = wmmse._phase_block(channels, stack, W, F, mu, zeta, p,
+                               max_iters=wmmse._PHASE_STEPS)
+        np.testing.assert_allclose(x, p[:, :-1] * p[:, -1:].conj(),
+                                   rtol=0.0, atol=1e-15)
+
+
+def test_phase_block_lane_alone_equals_lane_in_a_stack(monkeypatch):
+    """At N=64, one lane's phase block run alone is bit-equal to the same
+    lane inside the 12-lane stack of a lockstep round (six levels at two
+    powers, states recorded from ``ao_solve_levels``); so are its shift
+    and its operator's product with the start point, where a last-bit
+    change would not always survive to the phases."""
+    cfg = small_config(n_elems=64, n_ues=3, max_outer_iters=4)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(8)),
+                            cfg)
+    lanes = [(make_mode(64, 4, eta), replace(cfg, total_power=dbm_to_watt(d)))
+             for eta in (1, 2, 5, 9, 13, 21) for d in (10.0, 60.0)]
+    rounds = []
+    plain = wmmse._phase_block
+
+    def recording(*args, **kwargs):
+        rounds.append((args, kwargs))
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(wmmse, "_phase_block", recording)
+    ao_solve_levels(channels, lanes)
+    assert len(rounds[0][0][1].modes) == 12
+    for (_, stack, W, F, mu, zeta, p0), kwargs in rounds:
+        x = plain(channels, stack, W, F, mu, zeta, p0, **kwargs)
+        apply, shift = wmmse._phase_operator(channels, stack, W, F, mu, zeta)
+        z = apply(p0)
+        for i, mode in enumerate(stack.modes):
+            one = slice(i, i + 1)
+            args = (channels, ModeStack((mode,)), W[one], F[one], mu[one],
+                    zeta[one])
+            assert np.array_equal(plain(*args, p0[one], **kwargs)[0], x[i])
+            apply_one, shift_one = wmmse._phase_operator(*args)
+            assert np.array_equal(shift_one[0], shift[i])
+            assert np.array_equal(apply_one(p0[one])[0], z[i])
+
+
 # --- lane-stacked kernels -----------------------------------------------
 
 @settings(max_examples=25)
@@ -604,15 +709,15 @@ def test_ao_solve_levels_isolates_a_failing_level(monkeypatch):
                             cfg)
     modes = [make_mode(16, 4, eta) for eta in range(1, 6)]
     alone = [ao_solve(channels, mode, cfg) for mode in modes]
-    plain = wmmse.build_phase_quadratic
+    plain = wmmse._phase_block
 
-    def failing_at_three(channels, mode, *args):
+    def failing_at_three(channels, mode, *args, **kwargs):
         lanes = getattr(mode, "modes", (mode,))
         if any(lane.eta == 3 for lane in lanes):
             raise ArithmeticError("forced failure at level 3")
-        return plain(channels, mode, *args)
+        return plain(channels, mode, *args, **kwargs)
 
-    monkeypatch.setattr(wmmse, "build_phase_quadratic", failing_at_three)
+    monkeypatch.setattr(wmmse, "_phase_block", failing_at_three)
     results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
     assert isinstance(results[2], ArithmeticError)
     for i in (0, 1, 3, 4):
@@ -687,15 +792,15 @@ def test_ao_solve_levels_mixed_powers_equal_one_lane_solves(dbms, n_ues, cap,
         random_geometry(base, np.random.default_rng(seed)), base)
     lanes = [(make_mode(16, 4, eta), replace(base, total_power=dbm_to_watt(d)))
              for d in dbms for eta in feasible_sparsities(16, 4)]
-    plain = wmmse.build_phase_quadratic
+    plain = wmmse._phase_block
 
-    def failing(channels, mode, *args):
+    def failing(channels, mode, *args, **kwargs):
         if any(lane.eta == fail_eta for lane in mode.modes):
             raise ArithmeticError(f"forced failure at level {fail_eta}")
-        return plain(channels, mode, *args)
+        return plain(channels, mode, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wmmse, "build_phase_quadratic", failing)
+        patch.setattr(wmmse, "_phase_block", failing)
         results = ao_solve_levels(channels, lanes)
         solved = [_same_outcome(res, lane, channels)
                   for res, lane in zip(results, lanes)]
@@ -757,32 +862,6 @@ def test_lockstep_results_hold_no_round_stacks():
             while root.base is not None:
                 root = root.base
             assert root.ndim == arr.ndim
-
-
-def test_phase_block_chunks_do_not_change_results(monkeypatch):
-    """At N=64 the byte budget runs every lane's phase block alone; one
-    chunk for all lanes gives the same solves bit for bit."""
-    cfg = small_config(n_elems=64, n_ues=3, max_outer_iters=6)
-    assert wmmse._phase_chunk(64) == 1
-    channels = los_channels(random_geometry(cfg, np.random.default_rng(8)),
-                            cfg)
-    lanes = [(make_mode(64, 4, eta), replace(cfg, total_power=dbm_to_watt(d)))
-             for eta in (1, 9, 21) for d in (10.0, 60.0)]
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(len(args[0]))
-        return power_iteration(*args, **kwargs)
-
-    monkeypatch.setattr(wmmse, "power_iteration", counting)
-    chunked = ao_solve_levels(channels, lanes)
-    assert max(calls) == 1
-    calls.clear()
-    monkeypatch.setattr(wmmse, "_PHASE_STACK_BYTES", 1 << 30)
-    whole = ao_solve_levels(channels, lanes)
-    assert max(calls) == len(lanes)
-    for a, b in zip(chunked, whole):
-        _assert_same_solve(a, b)
 
 
 # --- full alternating loop ----------------------------------------------
@@ -932,20 +1011,22 @@ def test_ao_solve_edges_stay_feasible_and_monotone(dbm, n_ues, coincident,
 
 
 def test_ao_solve_phase_block_runs_no_eigendecomposition(monkeypatch):
-    """The loop takes one fixed-length, warm-started power iteration per
-    outer iteration, and nothing in it calls eigvalsh or eigh."""
+    """The loop takes one warm-started phase block of at most
+    ``_PHASE_STEPS`` steps per outer iteration, and nothing in it calls
+    eigvalsh or eigh."""
     def forbidden(*args, **kwargs):
         raise AssertionError("eigendecomposition inside ao_solve")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
     calls = []
+    plain = wmmse._phase_block
 
     def counting(*args, **kwargs):
         calls.append(kwargs.get("max_iters"))
-        return power_iteration(*args, **kwargs)
+        return plain(*args, **kwargs)
 
-    monkeypatch.setattr("rdars.wmmse.power_iteration", counting)
+    monkeypatch.setattr("rdars.wmmse._phase_block", counting)
     cfg = small_config(n_ues=3)
     geo = random_geometry(cfg, np.random.default_rng(20))
     res = ao_solve(los_channels(geo, cfg), make_mode(16, 4, 2), cfg)
