@@ -75,6 +75,13 @@ class ModeStack:
     def a_vec(self) -> np.ndarray:
         return np.stack([mode.a_vec for mode in self.modes])
 
+    def select(self, rows: np.ndarray) -> "ModeStack":
+        """The lanes at these row indices, with ``index0`` and ``a_vec``
+        sliced from this stack's instead of stacked again."""
+        stack = ModeStack(tuple(self.modes[i] for i in rows.tolist()))
+        stack.__dict__.update(index0=self.index0[rows], a_vec=self.a_vec[rows])
+        return stack
+
 
 def make_mode(n: int, a: int, eta: int, m0: int = 1) -> ModeSelection:
     """Build the connected-element index set {m0 + m*eta : m = 0..a-1}."""

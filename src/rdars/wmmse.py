@@ -18,15 +18,16 @@ sum rate, and the recorded sum rate is nondecreasing by construction.
 
 ``ao_solve`` accelerates this map with guarded SQUAREM extrapolation that
 keeps it monotone. ``ao_solve_levels`` solves several (sparsity level,
-config) lanes of one drop in lockstep, each bit for bit as alone; for it,
-the kernels of the map take an optional leading lane axis. The phase
-block works on the LoS factors of the channels and forms no N x N matrix.
+config) lanes of one drop in lockstep, each bit for bit as alone: the
+start, the kernels of the map, the extrapolation step and its guard take
+a leading lane axis and run once per round for all lanes at that step.
+The phase block works on the LoS factors and forms no N x N matrix.
 """
 
 from __future__ import annotations
 
-import math
 import time
+from types import SimpleNamespace
 from dataclasses import dataclass, replace
 from functools import partial
 
@@ -55,14 +56,17 @@ def _power(V: np.ndarray) -> float | np.ndarray:
 def zf_init(h: np.ndarray, total_power: float) -> np.ndarray:
     """Zero-forcing start point: pseudoinverse columns scaled to equal
     power shares. Falls back to matched filtering when there are more UEs
-    than transmit dimensions (the pseudoinverse cannot null there)."""
+    than transmit dimensions (the pseudoinverse cannot null there). A
+    leading lane axis on ``h`` takes one ``total_power`` per lane or one
+    for all."""
     h = np.atleast_2d(h)
-    n_ues, dim = h.shape
-    V = np.linalg.pinv(h) if n_ues <= dim else h.conj().T
-    norms = np.linalg.norm(V, axis=0)
+    n_ues, dim = h.shape[-2:]
+    V = np.linalg.pinv(h) if n_ues <= dim else h.conj().swapaxes(-2, -1)
+    norms = np.linalg.norm(V, axis=-2)
     if np.any(norms == 0.0):
         raise ValueError("zero effective channel row; cannot initialize")
-    return V * (math.sqrt(total_power / n_ues) / norms)
+    share = np.sqrt(np.asarray(total_power) / n_ues)[..., None]
+    return V * (share / norms)[..., None, :]
 
 
 def update_receivers(h: np.ndarray, V: np.ndarray, noise_power: float,
@@ -379,8 +383,9 @@ class AoResult:
     ``_PHASE_STEPS`` MM steps of the ``power_iteration`` loop.
 
     ``accepted`` and ``rejected`` count the SQUAREM extrapolations that
-    passed and failed the monotonicity guard; a cycle whose step length
-    gives no extrapolation (alpha >= -1) counts in neither."""
+    passed and failed the monotonicity guard (a non-finite point fails
+    it); a cycle whose step length gives no extrapolation (alpha >= -1)
+    counts in neither. Every array it holds is its own copy."""
 
     solution: BeamformingSolution
     mode: ModeSelection
@@ -420,30 +425,35 @@ def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
     return h, V, mu, passive, zeta, np.stack([s1, s2, s3, s4], axis=1)
 
 
-def _squarem_point(states, power: float):
+def _norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row of a complex stack, with its bits:
+    it too takes dot products of the strided real and imaginary views."""
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _sqs3_step(states, power: np.ndarray):
     """SqS3 extrapolation (Varadhan and Roland, Scand. J. Statist. 2008)
-    from three successive states (V, phi) of the plain map: on the stacked
-    vectors x = (V / sqrt(P), phi), with r = x1 - x0, v = x2 - 2 x1 + x0
-    and alpha = -||r|| / ||v||, x0 - 2 alpha r + alpha^2 v projected onto
-    the full-power sphere and unit modulus. None when alpha >= -1 (no
-    longer than the plain double step). An overflowing step or a
-    vanishing entry gives a non-finite pair, which the guard rejects."""
-    scale = 1.0 / math.sqrt(power)
-    x0, x1, x2 = (np.concatenate([V.ravel() * scale, phi])
+    for a stack of lanes, from three successive states (V, phi) of the
+    plain map, each with a leading lane axis: on the stacked vectors
+    x = (V / sqrt(P), phi), with r = x1 - x0, v = x2 - 2 x1 + x0 and
+    alpha = -||r|| / ||v||, x0 - 2 alpha r + alpha^2 v projected onto the
+    full-power sphere and unit modulus. Returns (tried, V, phi); a lane
+    is not tried when alpha >= -1, and its point means nothing. An
+    overflowing step or a vanishing entry gives a non-finite point."""
+    shape, size = states[0][0].shape, states[0][0][0].size
+    scale = 1.0 / np.sqrt(power)[:, None]
+    x0, x1, x2 = (np.concatenate([V.reshape(len(V), -1) * scale, phi], axis=1)
                   for V, phi in states)
     r = x1 - x0
     v = x2 - 2.0 * x1 + x0
-    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
-    if not norm_r > norm_v:
-        return None
-    alpha = -norm_r / norm_v
-    shape, size = states[0][0].shape, states[0][0].size
+    norm_r, norm_v = _norms(r), _norms(v)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        alpha = (-norm_r / norm_v)[:, None]
         y = x0 - 2.0 * alpha * r + alpha * alpha * v
-        V = y[:size].reshape(shape)
-        V = V * (math.sqrt(power) / np.linalg.norm(V))
-        phi = y[size:] / np.abs(y[size:])
-    return V, phi
+        V = y[:, :size].reshape(shape)
+        V = V * (np.sqrt(power) / _norms(y[:, :size]))[:, None, None]
+        phi = y[:, size:] / np.abs(y[:, size:])
+    return norm_r > norm_v, V, phi
 
 
 def ao_solve(channels: ChannelSet, mode: ModeSelection,
@@ -453,12 +463,12 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     by SQUAREM on the plain map ``_ao_map``.
 
     Each cycle takes two plain maps from its start x0, to x1 and x2, and
-    extrapolates from the three (``_squarem_point``). The extrapolated
-    point is accepted only if its lifted objective at fresh receivers and
-    the current weights is no larger than the last recorded one, and its
-    sum rate no lower than at x2; one plain map from it then ends the
-    cycle. Otherwise the next cycle starts at x2. Only plain-map outputs
-    are recorded and returned, so both traces stay monotone; with every
+    extrapolates from the three (``_sqs3_step``). The extrapolated point
+    is accepted only if its lifted objective at fresh receivers and the
+    current weights is no larger than the last recorded one, and its sum
+    rate no lower than at x2; one plain map from it then ends the cycle.
+    Otherwise the next cycle starts at x2. Only plain-map outputs are
+    recorded and returned, so both traces stay monotone; with every
     extrapolation rejected, this is the plain loop.
 
     Every plain map counts against ``max_outer_iters``, and an
@@ -475,77 +485,8 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     return result
 
 
-def _sqs3_lane(channels: ChannelSet, mode: ModeSelection,
-               config: SystemConfig):
-    """The SQUAREM driver of ``ao_solve`` for one lane, as a generator. It
-    yields ``("map", (h, V, phases, zeta))`` for a plain map, answered with
-    (h, V, phases, zeta, surrogate row, rate report), and ``("guard",
-    (V, phases, zeta))`` at a finite extrapolated point, answered with
-    (h, lifted objective, sum rate) there; it returns the lane's
-    ``AoResult``, whose ``wall_time`` the caller sets."""
-    power, noise = config.total_power, config.noise_power
-    cap = config.max_outer_iters
-
-    passive = PassiveBeam.uniform(mode.n_elems)
-    phi = passive.phi
-    h = effective_matrix(channels, passive, mode)
-    V = zf_init(h, power)
-    zeta = np.ones(channels.n_ues)
-    report = sum_rate(h, V, noise)
-
-    surrogate_rows = []
-    rate_trace = []
-    accepted = rejected = 0
-
-    def record(out):
-        nonlocal h, V, phi, zeta, report
-        h, V, phi, zeta, row, report = out
-        surrogate_rows.append(row)
-        rate_trace.append(report.sum_rate)
-
-    def stalled(rate_start):
-        # multiplied-out fractional-gain test; the quotient would overflow
-        # on the first pass where the reference rate is still zero
-        return report.sum_rate - rate_start < config.conv_threshold \
-            * max(rate_start, np.finfo(float).tiny)
-
-    converged = False
-    while len(rate_trace) < cap and not converged:
-        rate_start = report.sum_rate
-        states = [(V, phi)]
-        record((yield "map", (h, V, phi, zeta)))
-        if stalled(rate_start):
-            converged = True
-            break
-        if len(rate_trace) == cap:
-            break
-        states.append((V, phi))
-        record((yield "map", (h, V, phi, zeta)))
-        states.append((V, phi))
-        point = (_squarem_point(states, power)
-                 if len(rate_trace) < cap else None)
-        if point is not None:
-            passed = False
-            if np.isfinite(point[0]).all() and np.isfinite(point[1]).all():
-                h_x, objective, rate_x = yield "guard", (*point, zeta)
-                passed = (objective <= surrogate_rows[-1][3]
-                          and rate_x >= report.sum_rate)
-            if passed:
-                accepted += 1
-                (V, phi), h = point, h_x
-                record((yield "map", (h, V, phi, zeta)))
-            else:
-                rejected += 1
-        converged = stalled(rate_start)
-
-    report = replace(report, iterations=len(rate_trace), converged=converged)
-    n_tx = channels.G.shape[1]
-    solution = BeamformingSolution(W=V[:n_tx], F=V[n_tx:],
-                                   passive=PassiveBeam(phi))
-    return AoResult(solution=solution, mode=mode, report=report,
-                    surrogate_trace=np.asarray(surrogate_rows),
-                    sum_rate_trace=np.asarray(rate_trace),
-                    accepted=accepted, rejected=rejected)
+# A lane's place in its SQUAREM cycle: the map it runs next
+_FIRST, _SECOND, _STABILIZE = range(3)
 
 
 def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
@@ -554,19 +495,18 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     one connection count; configs that differ in more than ``total_power``
     raise ValueError.
 
-    Every lane runs its own SQUAREM driver (``_sqs3_lane``). Each round
-    runs the guards of all lanes that wait for one as one stacked
-    evaluation, then one ``_ao_map`` and ``sum_rate`` call for all lanes
-    that wait for a plain map; a lane leaves when it stops. A lane runs
-    exactly the operations of its solve alone, so every result equals
-    ``ao_solve`` bit for bit, apart from ``report.wall_time``, which
-    covers the whole call. Lanes keep copies of their slices of the
-    stacked outputs, so no lane keeps a round stack alive.
+    The running lanes' states (precoders, phases, weights, rates, traces,
+    SQUAREM cycle phase and anchors) are arrays with one row per lane,
+    dropped when the lane stops. One stacked start serves all lanes; each
+    round runs one ``_ao_map`` and ``sum_rate`` call for all lanes, then,
+    if a lane just made a cycle's second map, one ``_sqs3_step`` on all
+    lanes and one stacked guard for such lanes. A lane runs exactly the
+    operations of its solve alone, so every result (its own copies) equals
+    ``ao_solve`` bit for bit apart from ``report.wall_time`` (the call's).
 
     A stacked evaluation that raises is redone lane by lane. A lane whose
-    own map, start point or guard raises ends there, and its entry in the
-    returned list (one per lane, in order) is that exception; the other
-    lanes go on.
+    own start point, map or guard raises ends there, and its entry in the
+    returned list (one per lane, in order) is that exception.
     """
     t0 = time.perf_counter()
     lanes = list(lanes)
@@ -576,94 +516,147 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     for config in set(configs):
         if replace(config, total_power=configs[0].total_power) != configs[0]:
             raise ValueError("lockstep lanes may differ only in total_power")
-    noise = configs[0].noise_power
-    powers = np.array([config.total_power for config in configs])
-    drivers = [_sqs3_lane(channels, mode, config) for mode, config in lanes]
-    results: list = [None] * len(drivers)
-    pending = {"map": {}, "guard": {}}
-    stacks = {}                         # kind -> (lanes, stack) last used
+    noise, cap = configs[0].noise_power, configs[0].max_outer_iters
+    threshold, tiny = configs[0].conv_threshold, np.finfo(float).tiny
+    errors: dict[int, Exception] = {}
+    done = []                   # (maps, state rows) of the lanes that stopped
 
-    def advance(i, out):
+    def take(state, rows):
+        """These rows (indices or a mask) of every array of a lane state."""
+        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+        return SimpleNamespace(**{
+            key: value.select(rows) if key == "mode" else value[rows]
+            for key, value in vars(state).items()})
+
+    def stacked(evaluate, rows):
+        """``evaluate(rows)`` for all these lanes, or else lane by lane: a
+        mask of the rows that passed (None for all) and their outputs."""
         try:
-            kind, state = drivers[i].send(out)
-        except StopIteration as stop:
-            results[i] = stop.value
-        except Exception as exc:        # this lane fails; the rest go on
-            results[i] = exc
-        else:
-            pending[kind][i] = state
+            return None, evaluate(rows)
+        except Exception:
+            pass                        # redone outside the handler: no context
+        passed, outs = np.zeros(len(rows), dtype=bool), []
+        for j, i in enumerate(rows.tolist()):
+            try:
+                outs.append(evaluate(rows[j:j + 1]))
+                passed[j] = True
+            except Exception as exc:    # this lane ends; the others go on
+                errors[int(s.lane[i])] = exc
+        return passed, tuple(map(np.concatenate, zip(*outs))) if outs else None
 
-    def stack_of(kind, ids):
-        """The modes and powers of these lanes, reused while the rounds of
-        one kind keep the same lanes."""
-        last, stack = stacks.get(kind, ((), None))
-        if last != ids:
-            stack = (ModeStack(tuple(lanes[i][0] for i in ids)),
-                     powers[list(ids)])
-            stacks[kind] = (ids, stack)
-        return stack
-
-    def run_maps(ids, states):
-        """One plain map for each of these lanes' states, all through one
-        ``_ao_map`` and one ``sum_rate`` call; the per-lane outputs."""
-        mode, power = stack_of("map", ids)
-        h, V, phi, zeta = (np.stack(part) for part in zip(*states))
-        h, V, _, passive, zeta, rows = _ao_map(channels, mode, noise, power,
-                                               h, V, BeamStack(phi), zeta)
+    def start(rows):
+        mode = s.mode if len(rows) == len(s.lane) else s.mode.select(rows)
+        h = effective_matrix(channels, BeamStack(s.phi[rows]), mode)
+        V = zf_init(h, s.power[rows])
         report = sum_rate(h, V, noise)
-        return [(h[i].copy(), V[i].copy(), passive.phi[i].copy(),
-                 zeta[i].copy(), row,
-                 RateReport(sinr=report.sinr[i].copy(),
-                            rate=report.rate[i].copy(), sum_rate=rate))
-                for i, (row, rate) in enumerate(zip(
-                    rows.tolist(), report.sum_rate.tolist()))]
+        return h, V, report.sinr, report.rate, report.sum_rate
 
-    def run_guards(ids, states):
-        """The guard quantities (h, lifted objective at fresh receivers
-        and the lane's weights, sum rate) at these lanes' extrapolated
-        points, all through one stacked evaluation."""
-        mode, power = stack_of("guard", ids)
-        V, phi, zeta = (np.stack(part) for part in zip(*states))
-        h = effective_matrix(channels, BeamStack(phi), mode)
+    def plain_map(rows):
+        one = s if len(rows) == len(s.lane) else take(s, rows)
+        h, V, _, passive, zeta, surrogate = _ao_map(
+            channels, one.mode, noise, one.power, one.h, one.V,
+            BeamStack(one.phi), one.zeta)
+        report = sum_rate(h, V, noise)
+        return (h, V, passive.phi, zeta, surrogate, report.sinr,
+                report.rate, report.sum_rate)
+
+    def guard(rows):
+        """The guard's h, lifted objective and sum rate at these points."""
+        V, power = V_x[rows], s.power[rows]
+        mode = s.mode if len(rows) == len(s.lane) else s.mode.select(rows)
+        h = effective_matrix(channels, BeamStack(phi_x[rows]), mode)
         mu = update_receivers(h, V, noise, power)
         e = mse_all(h, V, mu, effective_noise(V, noise, power))
-        objective = _lifted_objective(zeta, e).tolist()
-        rate = sum_rate(h, V, noise).sum_rate.tolist()
-        return [(h[i].copy(), objective[i], rate[i]) for i in range(len(ids))]
+        return (h, _lifted_objective(s.zeta[rows], e),
+                sum_rate(h, V, noise).sum_rate)
 
-    def dispatch(kind, evaluate):
-        ids = tuple(sorted(pending[kind]))
-        states = [pending[kind].pop(i) for i in ids]
-        try:
-            outs = evaluate(ids, states)
-        except Exception:
-            outs = None
-        if outs is None:                # find the lane(s) that raised,
-            outs = []                   # outside the handler: no context
-            for i, state in zip(ids, states):
-                try:
-                    outs.extend(evaluate((i,), [state]))
-                except Exception as exc:
-                    outs.append(exc)
-        for i, out in zip(ids, outs):
-            if isinstance(out, Exception):
-                drivers[i].close()
-                results[i] = out
-            else:
-                advance(i, out)
+    s = SimpleNamespace(                # the running lanes, a row each
+        lane=np.arange(len(lanes)), mode=ModeStack(tuple(m for m, _ in lanes)),
+        power=np.array([config.total_power for config in configs]),
+        phi=np.ones((len(lanes), lanes[0][0].n_elems), dtype=complex))
+    passed, out = stacked(start, s.lane)
+    s = s if passed is None else take(s, passed)
+    if out is not None:
+        # keep zf_init's layout of V: the first map's products round by it
+        s.h, s.V, s.sinr, s.rates, s.rate = out
+        s.zeta = np.ones(s.rates.shape)
+        s.V0, s.phi0, s.rate_start = s.V, s.phi, s.rate   # cycle anchors
+        s.trace = np.empty((len(s.lane), min(cap, 16), 5))   # surrogate, rate
+        s.tried, s.accepted, s.phase = np.zeros((3, len(s.lane)), int)
+    maps = 0                            # every running lane has made these
+    while len(s.lane):
+        first = s.phase == _FIRST
+        if first.any():
+            s.V0 = np.where(first[:, None, None], s.V, s.V0)
+            s.phi0 = np.where(first[:, None], s.phi, s.phi0)
+            s.rate_start = np.where(first, s.rate, s.rate_start)
+        passed, out = stacked(plain_map, np.arange(len(s.lane)))
+        if out is None:
+            break
+        if passed is not None:
+            s, first = take(s, passed), first[passed]
+        x1 = (s.V, s.phi)
+        s.h, s.V, s.phi, s.zeta, surrogate, s.sinr, s.rates, s.rate = out
+        if maps == s.trace.shape[1]:
+            s.trace = np.concatenate([s.trace, np.empty(
+                (len(s.lane), min(maps, cap - maps), 5))], axis=1)
+        s.trace[:, maps, :4], s.trace[:, maps, 4] = surrogate, s.rate
+        maps += 1
 
-    for i in range(len(drivers)):
-        advance(i, None)
-    while pending["map"] or pending["guard"]:
-        if pending["guard"]:
-            dispatch("guard", run_guards)
-        if pending["map"]:
-            dispatch("map", run_maps)
+        # multiplied out: the quotient overflows while the start rate is 0
+        s.converged = s.rate - s.rate_start < threshold * np.maximum(
+            s.rate_start, tiny)
+        stop = s.converged | (maps >= cap)
+        second = s.phase == _SECOND
+        s.phase = np.where(first, _SECOND, _FIRST)
+        if maps < cap and second.any():
+            tried, V_x, phi_x = _sqs3_step(
+                ((s.V0, s.phi0), x1, (s.V, s.phi)), s.power)
+            tried &= second
+            s.tried += tried
+            rows = np.flatnonzero(tried & np.isfinite(V_x).all(axis=(1, 2))
+                                  & np.isfinite(phi_x).all(axis=1))
+            passed, out = stacked(guard, rows) if len(rows) else (None, None)
+            if passed is not None:      # a lane whose guard raised ends
+                stop[rows[~passed]] = True
+                rows = rows[passed]
+            if out is not None:         # a passed guard skips the stop test
+                h_x, objective, rate_x = out
+                better = ((objective <= surrogate[rows, 3])
+                          & (rate_x >= s.rate[rows]))
+                taken = rows[better]
+                s.accepted[taken] += 1
+                s.h, s.V, s.phi = s.h.copy(), s.V.copy(), s.phi.copy()
+                s.h[taken], s.V[taken], s.phi[taken] = (
+                    h_x[better], V_x[taken], phi_x[taken])
+                s.phase[taken], stop[taken] = _STABILIZE, False
+        if stop.all():
+            done.append((maps, s))
+            break
+        if stop.any():
+            done.append((maps, take(s, stop)))
+            s = take(s, ~stop)
 
     wall = time.perf_counter() - t0
-    return [result if isinstance(result, Exception) else
-            replace(result, report=replace(result.report, wall_time=wall))
-            for result in results]
+
+    def result(maps, lane, j):
+        V, n_tx = lane.V[j].copy(), channels.G.shape[1]
+        solution = BeamformingSolution(W=V[:n_tx], F=V[n_tx:],
+                                       passive=PassiveBeam(lane.phi[j].copy()))
+        report = RateReport(sinr=lane.sinr[j].copy(), rate=lane.rates[j].copy(),
+                            sum_rate=float(lane.rate[j]), iterations=maps,
+                            wall_time=wall, converged=bool(lane.converged[j]))
+        return AoResult(solution=solution, mode=lanes[lane.lane[j]][0],
+                        report=report,
+                        surrogate_trace=lane.trace[j, :maps, :4].copy(),
+                        sum_rate_trace=lane.trace[j, :maps, 4].copy(),
+                        accepted=int(lane.accepted[j]),
+                        rejected=int(lane.tried[j] - lane.accepted[j]))
+
+    results = {i: result(maps, lane, j) for maps, lane in done
+               for j, i in enumerate(lane.lane.tolist()) if i not in errors}
+    results.update(errors)
+    return [results[i] for i in range(len(lanes))]
 
 
 def sparsity_search(solve, config: SystemConfig

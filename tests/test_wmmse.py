@@ -19,7 +19,8 @@ from rdars.wmmse import (AoResult, PhaseQuadratic, ao_solve,
                          surrogate_value, update_precoders, update_receivers,
                          update_weights, wa_solve, zf_init)
 
-from helpers import random_geometry, small_config
+from helpers import (random_geometry, small_config, sqs3_reference,
+                     squarem_point)
 
 
 def _random_h(rng, n_ues, dim, scale=1.0):
@@ -55,6 +56,25 @@ def test_zf_init_rejects_zero_row():
     h[0, 0] = 1.0
     with pytest.raises(ValueError):
         zf_init(h, 1.0)
+
+
+@pytest.mark.parametrize("n_ues", [3, 9])
+def test_zf_init_lane_stack_equals_per_lane_calls(n_ues):
+    """A stack of channels with one power per lane gives, lane by lane,
+    exactly the two-dimensional calls: the pseudoinverse with 3 UEs on 8
+    dimensions, the matched filter with 9 (K > N_t + a)."""
+    rng = np.random.default_rng(n_ues)
+    h = _random_h(rng, 6 * n_ues, 8).reshape(6, n_ues, 8)
+    h *= 10.0 ** rng.uniform(-8.0, 2.0, (6, 1, 1))
+    power = 10.0 ** rng.uniform(-4.0, 6.0, 6)
+    got = zf_init(h, power)
+    assert np.array_equal(got, np.stack([zf_init(h[i], power[i])
+                                         for i in range(6)]))
+    assert np.array_equal(zf_init(h, 2.0), np.stack([zf_init(one, 2.0)
+                                                     for one in h]))
+    h[4, 1] = 0.0
+    with pytest.raises(ValueError, match="zero effective channel row"):
+        zf_init(h, power)
 
 
 def test_receivers_match_direct_formula():
@@ -862,6 +882,219 @@ def test_lockstep_results_hold_no_round_stacks():
             while root.base is not None:
                 root = root.base
             assert root.ndim == arr.ndim
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(
+        a.view(float), b.view(float), equal_nan=True)
+
+
+def test_sqs3_step_equals_one_lane_formula():
+    """The stacked SqS3 step gives, lane by lane, the bits of the one-lane
+    formula: lanes with alpha < -1, lanes with alpha >= -1 (not tried, the
+    one-lane None) and a lane whose step overflows (tried, non-finite)."""
+    rng = np.random.default_rng(11)
+    lanes, dim, n_ues, n = 9, 8, 3, 16
+    power = 10.0 ** rng.uniform(-4.0, 6.0, lanes)
+    d, e = (_random_h(rng, lanes * dim, n_ues).reshape(lanes, dim, n_ues)
+            for _ in range(2))
+    bend = np.where(np.arange(lanes) % 3 == 0, 10.0, 0.1)[:, None, None]
+    V0 = np.sqrt(power)[:, None, None] * _random_h(
+        rng, lanes * dim, n_ues).reshape(lanes, dim, n_ues)
+    V = [V0, V0 + d, V0 + 2.0 * d + bend * e]
+    angles = rng.uniform(0.0, 2.0 * math.pi, (3, lanes, n))
+    phi = list(np.exp(1j * np.cumsum(angles * 0.1, axis=0)))
+    # last lane: r is 1e150 on one entry and v is 1e-150 on another, so
+    # alpha**2 v overflows
+    power[-1] = 1.0
+    for t in range(3):
+        V[t][-1], phi[t][-1] = 0.0, 0.0
+        V[t][-1, 0, 0] = t * 1e150
+    phi[2][-1, 0] = 1e-150
+    states = tuple(zip(V, phi))
+    tried, V_s, phi_s = wmmse._sqs3_step(states, power)
+    outcomes = []
+    for i in range(lanes):
+        point = squarem_point([(Vt[i], pt[i]) for Vt, pt in states], power[i])
+        assert tried[i] == (point is not None)
+        if point is None:
+            outcomes.append("untried")
+            continue
+        assert _same_bits(V_s[i], point[0]) and _same_bits(phi_s[i], point[1])
+        finite = np.isfinite(point[0]).all() and np.isfinite(point[1]).all()
+        outcomes.append("finite" if finite else "overflow")
+    assert outcomes[-1] == "overflow"
+    assert {"untried", "finite"} <= set(outcomes)
+
+
+def test_ao_solve_levels_counts_untried_and_non_finite_steps(monkeypatch):
+    """A step with alpha >= -1 counts as neither accepted nor rejected; a
+    non-finite point counts as rejected without a guard. Both leave the
+    plain loop, so the traces agree. With no point accepted the levels
+    keep one cycle, so every step call carries only lanes that just made
+    their second map."""
+    cfg = small_config(n_ues=3, total_power=dbm_to_watt(50.0),
+                       max_outer_iters=20, conv_threshold=1e-12)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
+                            cfg)
+    lanes = [(make_mode(16, 4, eta), cfg) for eta in range(1, 6)]
+    plain = wmmse._sqs3_step
+    runs = {}
+    for case in ("untried", "overflow"):
+        steps = []
+
+        def forced(states, power):
+            tried, V, phi = plain(states, power)
+            steps.append(len(power))
+            if case == "untried":
+                return np.zeros_like(tried), V, phi
+            return np.ones_like(tried), np.full_like(V, np.inf), phi
+
+        monkeypatch.setattr(wmmse, "_sqs3_step", forced)
+        runs[case] = (ao_solve_levels(channels, lanes), sum(steps))
+    (untried, n_untried), (overflow, n_overflow) = runs["untried"], \
+        runs["overflow"]
+    assert n_untried == n_overflow > 0
+    assert all(r.accepted == r.rejected == 0 for r in untried)
+    assert all(r.accepted == 0 for r in overflow)
+    assert sum(r.rejected for r in overflow) == n_overflow
+    for a, b in zip(untried, overflow):
+        assert np.array_equal(a.sum_rate_trace, b.sum_rate_trace)
+
+
+@pytest.mark.parametrize("cap", [2, 3])
+def test_ao_solve_levels_extrapolates_only_when_the_stabilizing_map_fits(
+        monkeypatch, cap):
+    """After a cycle's second map, the step is tried only if one more map
+    fits under the cap: never at cap 2, once per lane at cap 3."""
+    cfg = small_config(n_ues=3, total_power=dbm_to_watt(50.0),
+                       max_outer_iters=cap, conv_threshold=1e-12)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
+                            cfg)
+    lanes = [(make_mode(16, 4, eta), cfg) for eta in range(1, 6)]
+    steps = []
+    plain = wmmse._sqs3_step
+
+    def counting(states, power):
+        steps.append(len(power))
+        return plain(states, power)
+
+    monkeypatch.setattr(wmmse, "_sqs3_step", counting)
+    results = ao_solve_levels(channels, lanes)
+    assert all(r.report.iterations == cap for r in results)
+    assert sum(steps) == (0 if cap == 2 else len(lanes))
+    if cap == 2:
+        assert all(r.accepted == r.rejected == 0 for r in results)
+
+
+@settings(max_examples=12)
+@given(st.lists(st.floats(min_value=-40.0, max_value=90.0), min_size=1,
+                max_size=2),
+       st.integers(min_value=1, max_value=12),
+       st.sampled_from([1, 4, 16]),
+       st.sampled_from([1, 2, 3, 7, 200]),
+       st.sampled_from([1e-4, 1e-9]),
+       st.integers(min_value=0, max_value=2 ** 16))
+@example(dbms=[50.0, 90.0], n_ues=3, n_connected=4, cap=200,
+         threshold=1e-9, seed=23)
+@example(dbms=[30.0], n_ues=10, n_connected=4, cap=7, threshold=1e-4,
+         seed=2)
+def test_ao_solve_levels_follows_the_one_lane_sqs3_loop(
+        dbms, n_ues, n_connected, cap, threshold, seed):
+    """Every lockstep lane equals, bit for bit, the plain one-lane SqS3 loop
+    of ``helpers.sqs3_reference``: the cycle, the guard, the cap rule and
+    the stop test, at several powers and levels, with K > N_t + a (the
+    matched-filter start), a = 1 and a = N."""
+    base = small_config(n_ues=n_ues, n_connected=n_connected,
+                        max_outer_iters=cap, conv_threshold=threshold)
+    channels = los_channels(
+        random_geometry(base, np.random.default_rng(seed)), base)
+    lanes = [(make_mode(16, n_connected, eta),
+              replace(base, total_power=dbm_to_watt(d)))
+             for d in dbms for eta in feasible_sparsities(16, n_connected)]
+    for res, (mode, cfg) in zip(ao_solve_levels(channels, lanes), lanes):
+        (V, phi, sinr, rate, total, rows, trace, converged, accepted,
+         rejected) = sqs3_reference(channels, mode, cfg)
+        assert np.array_equal(res.solution.V, V)
+        assert np.array_equal(res.solution.passive.phi, phi)
+        assert np.array_equal(res.report.sinr, sinr)
+        assert np.array_equal(res.report.rate, rate)
+        assert res.report.sum_rate == total
+        assert np.array_equal(res.surrogate_trace, rows)
+        assert np.array_equal(res.sum_rate_trace, trace)
+        assert res.report.iterations == len(trace)
+        assert res.report.converged == converged
+        assert (res.accepted, res.rejected) == (accepted, rejected)
+
+
+def _isolated(results, alone, channels, mode, cfg, match):
+    """Level 3 (index 2) ended with the forced exception, which its
+    one-lane solve raises too; the other levels equal their solves."""
+    assert isinstance(results[2], ArithmeticError)
+    assert match in str(results[2])
+    for i in (0, 1, 3, 4):
+        _assert_same_solve(results[i], alone[i])
+    with pytest.raises(ArithmeticError, match=match):
+        ao_solve(channels, mode, cfg)
+
+
+def test_ao_solve_levels_isolates_a_failing_start(monkeypatch):
+    """The stacked start that raises for one level is redone lane by lane:
+    that level ends with its exception, the others solve as if alone."""
+    cfg = small_config(n_ues=3)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(3)),
+                            cfg)
+    modes = [make_mode(16, 4, eta) for eta in range(1, 6)]
+    alone = [ao_solve(channels, mode, cfg) for mode in modes]
+    h3 = effective_matrix(channels, PassiveBeam.uniform(16), modes[2])
+    calls = []
+    plain = wmmse.zf_init
+
+    def failing(h, power):
+        calls.append(len(h))
+        if any(np.array_equal(lane, h3) for lane in h):
+            raise ArithmeticError("forced start failure at level 3")
+        return plain(h, power)
+
+    monkeypatch.setattr(wmmse, "zf_init", failing)
+    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    assert calls == [5, 1, 1, 1, 1, 1]
+    _isolated(results, alone, channels, modes[2], cfg, "start failure")
+
+
+def test_ao_solve_levels_isolates_a_failing_guard(monkeypatch):
+    """A stacked guard that raises for one level is redone lane by lane:
+    that level ends with its exception, the others solve as if alone."""
+    cfg = small_config(n_ues=3, total_power=dbm_to_watt(50.0),
+                       max_outer_iters=30, conv_threshold=1e-12)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
+                            cfg)
+    modes = [make_mode(16, 4, eta) for eta in range(1, 6)]
+    alone = [ao_solve(channels, mode, cfg) for mode in modes]
+    assert alone[2].accepted + alone[2].rejected > 0
+    in_map, guards = [], []
+    plain_map, plain_rows = wmmse._ao_map, wmmse.effective_matrix
+
+    def mapping(*args):
+        in_map.append(True)
+        try:
+            return plain_map(*args)
+        finally:
+            in_map.pop()
+
+    def failing(channels, passive, mode):
+        etas = [lane.eta for lane in getattr(mode, "modes", (mode,))]
+        if not in_map and not np.all(passive.phi == 1.0):   # a guard
+            guards.append(etas)
+            if 3 in etas:
+                raise ArithmeticError("forced guard failure at level 3")
+        return plain_rows(channels, passive, mode)
+
+    monkeypatch.setattr(wmmse, "_ao_map", mapping)
+    monkeypatch.setattr(wmmse, "effective_matrix", failing)
+    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    assert any(3 in etas and len(etas) > 1 for etas in guards)
+    _isolated(results, alone, channels, modes[2], cfg, "guard failure")
 
 
 # --- full alternating loop ----------------------------------------------
