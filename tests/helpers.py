@@ -8,6 +8,9 @@ import math
 
 import numpy as np
 
+from rdars import wmmse
+from rdars.arrays import BeamStack, ModeStack, PassiveBeam
+from rdars.metrics import sum_rate
 from rdars.scenario import Geometry, SystemConfig, derive_geometry, drop_ues
 
 BS = (0.0, 0.0, 15.0)
@@ -135,10 +138,6 @@ def sqs3_reference(channels, mode, config):
     the threshold. Returns the fields of an ``AoResult``: (V, phases,
     SINRs, rates, sum rate, surrogate rows, sum-rate trace, converged,
     accepted, rejected)."""
-    from rdars import wmmse
-    from rdars.arrays import BeamStack, ModeStack, PassiveBeam
-    from rdars.metrics import sum_rate
-
     power, noise = config.total_power, config.noise_power
     stack, powers = ModeStack((mode,)), np.array([power])
     phi = np.ones(mode.n_elems, dtype=complex)
