@@ -76,10 +76,10 @@ class ModeStack:
         return np.stack([mode.a_vec for mode in self.modes])
 
     def select(self, rows: np.ndarray) -> "ModeStack":
-        """The lanes at these row indices, with ``index0`` and ``a_vec``
-        sliced from this stack's instead of stacked again."""
+        """The lanes at these row indices, slicing the cached stacks."""
         stack = ModeStack(tuple(self.modes[i] for i in rows.tolist()))
-        stack.__dict__.update(index0=self.index0[rows], a_vec=self.a_vec[rows])
+        stack.__dict__.update(index0=self.index0[rows],
+                              a_vec=self.a_vec[rows])
         return stack
 
 

@@ -426,8 +426,7 @@ def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
 
 
 def _norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row of a complex stack, with its bits:
-    it too takes dot products of the strided real and imaginary views."""
+    """``np.linalg.norm`` of each row, bit for bit: dots of .real, .imag."""
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
@@ -518,8 +517,7 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
             raise ValueError("lockstep lanes may differ only in total_power")
     noise, cap = configs[0].noise_power, configs[0].max_outer_iters
     threshold, tiny = configs[0].conv_threshold, np.finfo(float).tiny
-    errors: dict[int, Exception] = {}
-    done = []                   # (maps, state rows) of the lanes that stopped
+    errors, done = {}, []       # lane -> exception; (maps, rows) of stopped
 
     def take(state, rows):
         """These rows (indices or a mask) of every array of a lane state."""
@@ -534,7 +532,7 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         try:
             return None, evaluate(rows)
         except Exception:
-            pass                        # redone outside the handler: no context
+            pass                    # redone outside the handler: no context
         passed, outs = np.zeros(len(rows), dtype=bool), []
         for j, i in enumerate(rows.tolist()):
             try:
@@ -552,10 +550,10 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         return h, V, report.sinr, report.rate, report.sum_rate
 
     def plain_map(rows):
-        one = s if len(rows) == len(s.lane) else take(s, rows)
+        part = s if len(rows) == len(s.lane) else take(s, rows)
         h, V, _, passive, zeta, surrogate = _ao_map(
-            channels, one.mode, noise, one.power, one.h, one.V,
-            BeamStack(one.phi), one.zeta)
+            channels, part.mode, noise, part.power, part.h, part.V,
+            BeamStack(part.phi), part.zeta)
         report = sum_rate(h, V, noise)
         return (h, V, passive.phi, zeta, surrogate, report.sinr,
                 report.rate, report.sum_rate)
@@ -639,22 +637,23 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
 
     wall = time.perf_counter() - t0
 
-    def result(maps, lane, j):
-        V, n_tx = lane.V[j].copy(), channels.G.shape[1]
-        solution = BeamformingSolution(W=V[:n_tx], F=V[n_tx:],
-                                       passive=PassiveBeam(lane.phi[j].copy()))
-        report = RateReport(sinr=lane.sinr[j].copy(), rate=lane.rates[j].copy(),
-                            sum_rate=float(lane.rate[j]), iterations=maps,
-                            wall_time=wall, converged=bool(lane.converged[j]))
-        return AoResult(solution=solution, mode=lanes[lane.lane[j]][0],
+    def result(maps, chunk, j):
+        V, n_tx = chunk.V[j].copy(), channels.G.shape[1]
+        solution = BeamformingSolution(
+            W=V[:n_tx], F=V[n_tx:], passive=PassiveBeam(chunk.phi[j].copy()))
+        report = RateReport(
+            sinr=chunk.sinr[j].copy(), rate=chunk.rates[j].copy(),
+            sum_rate=float(chunk.rate[j]), iterations=maps, wall_time=wall,
+            converged=bool(chunk.converged[j]))
+        return AoResult(solution=solution, mode=lanes[chunk.lane[j]][0],
                         report=report,
-                        surrogate_trace=lane.trace[j, :maps, :4].copy(),
-                        sum_rate_trace=lane.trace[j, :maps, 4].copy(),
-                        accepted=int(lane.accepted[j]),
-                        rejected=int(lane.tried[j] - lane.accepted[j]))
+                        surrogate_trace=chunk.trace[j, :maps, :4].copy(),
+                        sum_rate_trace=chunk.trace[j, :maps, 4].copy(),
+                        accepted=int(chunk.accepted[j]),
+                        rejected=int(chunk.tried[j] - chunk.accepted[j]))
 
-    results = {i: result(maps, lane, j) for maps, lane in done
-               for j, i in enumerate(lane.lane.tolist()) if i not in errors}
+    results = {i: result(maps, chunk, j) for maps, chunk in done
+               for j, i in enumerate(chunk.lane.tolist()) if i not in errors}
     results.update(errors)
     return [results[i] for i in range(len(lanes))]
 
