@@ -21,9 +21,14 @@ from .scenario import ScenarioError, default_scenario, load_scenario, \
 from .validation import run_checks
 
 
+# Most points a --sweep may ask for (each one solves every trial again)
+_MAX_SWEEP_POINTS = 10_000
+
+
 def parse_sweep(text: str) -> tuple[float, ...]:
     """Parse ``ptot_dbm=start:stop:step`` into the swept dBm values
-    (inclusive of the stop point up to rounding)."""
+    (inclusive of the stop point up to rounding), at most
+    ``_MAX_SWEEP_POINTS`` of them."""
     name, _, rng = text.partition("=")
     if name != "ptot_dbm" or not rng:
         raise ValueError(f"sweep must look like ptot_dbm=a:b:step, got {text!r}")
@@ -38,7 +43,11 @@ def parse_sweep(text: str) -> tuple[float, ...]:
         raise ValueError(f"sweep step must be positive, got {step}")
     if stop < start:
         raise ValueError(f"sweep stop {stop} is below start {start}")
-    count = int(np.floor((stop - start) / step + 1e-9)) + 1
+    steps = (stop - start) / step
+    if not steps < _MAX_SWEEP_POINTS:
+        raise ValueError(f"sweep {rng!r} spans {steps:.3g} steps, more than "
+                         f"the {_MAX_SWEEP_POINTS} points allowed")
+    count = int(np.floor(steps + 1e-9)) + 1
     return tuple(start + i * step for i in range(count))
 
 

@@ -16,11 +16,12 @@ precoder step ends on that sphere, so every iterate spends the whole
 budget, the objective after the weight update is K - ln(2) times the
 sum rate, and the recorded sum rate is nondecreasing by construction.
 
-``ao_solve`` accelerates this map with guarded SQUAREM extrapolation that
-keeps it monotone. ``ao_solve_levels`` solves several (sparsity level,
-config) lanes of one drop in lockstep, each bit for bit as alone: the
-start, the kernels of the map, the extrapolation step and its guard take
-a leading lane axis and run once per round for all lanes at that step.
+``ao_solve`` accelerates this map with Anderson acceleration on the
+precoders, guarded by the sum rate so that it stays monotone.
+``ao_solve_levels`` solves several (sparsity level, config) lanes of one
+drop in lockstep, each bit for bit as alone: the start, the kernels of
+the map, the Anderson step and the rate of its candidates take a leading
+lane axis and run once per round for all lanes at that step.
 The phase block works on the LoS factors and forms no N x N matrix.
 """
 
@@ -382,10 +383,11 @@ class AoResult:
     accelerator's counts. The phase update of every plain map is at most
     ``_PHASE_STEPS`` MM steps of the ``power_iteration`` loop.
 
-    ``accepted`` and ``rejected`` count the SQUAREM extrapolations that
-    passed and failed the monotonicity guard (a non-finite point fails
-    it); a cycle whose step length gives no extrapolation (alpha >= -1)
-    counts in neither. Every array it holds is its own copy."""
+    ``accepted`` and ``rejected`` count the Anderson candidates whose sum
+    rate reached the map output's and those that fell short (a non-finite
+    one falls short). Every map but a run's first and last is followed by
+    one, so they add up to iterations - 2 (or 0). Every array it holds is
+    its own copy."""
 
     solution: BeamformingSolution
     mode: ModeSelection
@@ -425,56 +427,69 @@ def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
     return h, V, mu, passive, zeta, np.stack([s1, s2, s3, s4], axis=1)
 
 
-def _norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of each row, bit for bit: dots of .real, .imag."""
-    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+def _unit(V: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """The real vector of V / sqrt(P), one row per lane."""
+    return V.reshape(len(V), -1).view(float) / np.sqrt(power)[:, None]
 
 
-def _sqs3_step(states, power: np.ndarray):
-    """SqS3 extrapolation (Varadhan and Roland, Scand. J. Statist. 2008)
-    for a stack of lanes, from three successive states (V, phi) of the
-    plain map, each with a leading lane axis: on the stacked vectors
-    x = (V / sqrt(P), phi), with r = x1 - x0, v = x2 - 2 x1 + x0 and
-    alpha = -||r|| / ||v||, x0 - 2 alpha r + alpha^2 v projected onto the
-    full-power sphere and unit modulus. Returns (tried, V, phi); a lane
-    is not tried when alpha >= -1, and its point means nothing. An
-    overflowing step or a vanishing entry gives a non-finite point."""
-    shape, size = states[0][0].shape, states[0][0][0].size
-    scale = 1.0 / np.sqrt(power)[:, None]
-    x0, x1, x2 = (np.concatenate([V.reshape(len(V), -1) * scale, phi], axis=1)
-                  for V, phi in states)
-    r = x1 - x0
-    v = x2 - 2.0 * x1 + x0
-    norm_r, norm_v = _norms(r), _norms(v)
+# Differences of successive residuals an Anderson step uses at most
+_DEPTH = 5
+
+
+def _anderson_step(dF: np.ndarray, dG: np.ndarray, f: np.ndarray,
+                   g: np.ndarray, used: np.ndarray,
+                   power: np.ndarray) -> np.ndarray:
+    """Type-II Anderson acceleration (Walker and Ni, SIAM J. Numer. Anal.
+    2011) for a stack of lanes, on the real vectors x of V / sqrt(P): from
+    the last map's output g = G(x), its residual f = g - x and the newest
+    ``used`` differences of successive residuals (dF) and outputs (dG) of
+    each lane, g - dG gamma with gamma minimizing ||f - dF gamma||, solved
+    from its normal equations by elimination without pivoting (a Gram
+    matrix needs none), projected onto the full-power sphere: the real
+    vector of the candidate V. Unused slots come first and are padded with
+    the identity, so they change no bit; a lane using none gets g back.
+    A singular system or an overflowing step gives a non-finite candidate,
+    not an exception."""
+    depth = dF.shape[1]
+    valid = np.arange(depth + 1) >= depth - used[:, None]
+    cols = np.concatenate([dF, f[:, None]], axis=1)
+    M = np.where(valid[:, :-1, None] & valid[:, None, :],
+                 np.vecdot(dF[:, :, None], cols[:, None]),
+                 np.eye(depth, depth + 1))      # [normal matrix | dF^T f]
+    gamma = M[:, :, depth]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        alpha = (-norm_r / norm_v)[:, None]
-        y = x0 - 2.0 * alpha * r + alpha * alpha * v
-        V = y[:, :size].reshape(shape)
-        V = V * (np.sqrt(power) / _norms(y[:, :size]))[:, None, None]
-        phi = y[:, size:] / np.abs(y[:, size:])
-    return norm_r > norm_v, V, phi
+        for j in range(depth):
+            M[:, j + 1:] -= M[:, j + 1:, j, None] / M[:, j, j, None, None] \
+                * M[:, j, None]
+        for j in reversed(range(depth)):
+            gamma[:, j] /= M[:, j, j]
+            gamma[:, :j] -= M[:, :j, j] * gamma[:, j, None]
+        x = g - (gamma[:, :, None] * dG).sum(axis=1)
+        return x * (np.sqrt(power) / np.sqrt(np.vecdot(x, x)))[:, None]
 
 
 def ao_solve(channels: ChannelSet, mode: ModeSelection,
              config: SystemConfig) -> AoResult:
     """Run the alternating optimization from the standard start point
     (uniform reflection, zero-forcing precoder, unit weights), accelerated
-    by SQUAREM on the plain map ``_ao_map``.
+    by Anderson acceleration on the precoders of the plain map ``_ao_map``.
 
-    Each cycle takes two plain maps from its start x0, to x1 and x2, and
-    extrapolates from the three (``_sqs3_step``). The extrapolated point
-    is accepted only if its lifted objective at fresh receivers and the
-    current weights is no larger than the last recorded one, and its sum
-    rate no lower than at x2; one plain map from it then ends the cycle.
-    Otherwise the next cycle starts at x2. Only plain-map outputs are
-    recorded and returned, so both traces stay monotone; with every
-    extrapolation rejected, this is the plain loop.
+    After every plain map but the first, unless the run stops there (a
+    candidate needs one more map under ``max_outer_iters``),
+    ``_anderson_step`` proposes precoders from the lane's maps since its
+    last restart; the phases stay the map's. The candidate is accepted iff
+    its sum rate R at the map's channels is at least the map output's; the
+    next map then starts from it with fresh weights 1/e = 1 + SINR, so its
+    lifted objective starts at K - ln(2) R, no higher than where the last
+    map ended.
+    A rejected (or non-finite) candidate restarts the history at the last
+    map, which the next one continues as the plain loop does (Henderson
+    and Varadhan, J. Comput. Graph. Statist. 2019). Only plain-map outputs
+    are recorded and returned, so both traces stay monotone.
 
-    Every plain map counts against ``max_outer_iters``, and an
-    extrapolation is tried only when the stabilizing map still fits. The
-    run stops when the relative sum-rate gain of a cycle's first map, or
-    of the whole cycle, drops below the threshold; a run that uses up its
-    maps first ends unconverged.
+    The run stops when the relative sum-rate gain of one plain map over
+    the state it started from drops below the threshold; a run that uses
+    up its maps first ends unconverged.
 
     This is the one-lane call of ``ao_solve_levels``.
     """
@@ -484,28 +499,25 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
     return result
 
 
-# A lane's place in its SQUAREM cycle: the map it runs next
-_FIRST, _SECOND, _STABILIZE = range(3)
-
-
 def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     """``ao_solve`` on one drop's channels for several lanes, each a
     (sparsity level, config) pair, solved in lockstep. The levels share
     one connection count; configs that differ in more than ``total_power``
     raise ValueError.
 
-    The running lanes' states (precoders, phases, weights, rates, traces,
-    SQUAREM cycle phase and anchors) are arrays with one row per lane,
-    dropped when the lane stops. One stacked start serves all lanes; each
-    round runs one ``_ao_map`` and ``sum_rate`` call for all lanes, then,
-    if a lane just made a cycle's second map, one ``_sqs3_step`` on all
-    lanes and one stacked guard for such lanes. A lane runs exactly the
-    operations of its solve alone, so every result (its own copies) equals
-    ``ao_solve`` bit for bit apart from ``report.wall_time`` (the call's).
+    The running lanes' states (precoders, phases, weights, rates, traces
+    and Anderson histories) are arrays with one row per lane, dropped when
+    the lane stops. One stacked start serves all lanes; each round runs
+    one ``_ao_map`` and ``sum_rate`` call for all lanes, then one
+    ``_anderson_step`` and one stacked ``sum_rate`` of the candidates of
+    the lanes that try one. A lane runs exactly the operations of its
+    solve alone, so every result (its own copies) equals ``ao_solve`` bit
+    for bit apart from ``report.wall_time`` (the call's).
 
     A stacked evaluation that raises is redone lane by lane. A lane whose
-    own start point, map or guard raises ends there, and its entry in the
-    returned list (one per lane, in order) is that exception.
+    own start point, map or candidate evaluation raises ends there, and
+    its entry in the returned list (one per lane, in order) is that
+    exception.
     """
     t0 = time.perf_counter()
     lanes = list(lanes)
@@ -558,15 +570,9 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         return (h, V, passive.phi, zeta, surrogate, report.sinr,
                 report.rate, report.sum_rate)
 
-    def guard(rows):
-        """The guard's h, lifted objective and sum rate at these points."""
-        V, power = V_x[rows], s.power[rows]
-        mode = s.mode if len(rows) == len(s.lane) else s.mode.select(rows)
-        h = effective_matrix(channels, BeamStack(phi_x[rows]), mode)
-        mu = update_receivers(h, V, noise, power)
-        e = mse_all(h, V, mu, effective_noise(V, noise, power))
-        return (h, _lifted_objective(s.zeta[rows], e),
-                sum_rate(h, V, noise).sum_rate)
+    def evaluate_candidates(rows):
+        report = sum_rate(s.h[rows], V_x[rows], noise)
+        return report.sinr, report.sum_rate
 
     s = SimpleNamespace(                # the running lanes, a row each
         lane=np.arange(len(lanes)), mode=ModeStack(tuple(m for m, _ in lanes)),
@@ -578,22 +584,20 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         # keep zf_init's layout of V: the first map's products round by it
         s.h, s.V, s.sinr, s.rates, s.rate = out
         s.zeta = np.ones(s.rates.shape)
-        s.V0, s.phi0, s.rate_start = s.V, s.phi, s.rate   # cycle anchors
         s.trace = np.empty((len(s.lane), min(cap, 16), 5))   # surrogate, rate
-        s.tried, s.accepted, s.phase = np.zeros((3, len(s.lane)), int)
+        # Anderson history: points since the last restart, the newest
+        # residual and output, and the newest differences of successive ones
+        s.accepted, s.points = np.zeros((2, len(s.lane)), int)
+        s.f = s.g = np.zeros((len(s.lane), 2 * s.V[0].size))
+        s.dF = s.dG = np.empty((len(s.lane), 0, 2 * s.V[0].size))
     maps = 0                            # every running lane has made these
     while len(s.lane):
-        first = s.phase == _FIRST
-        if first.any():
-            s.V0 = np.where(first[:, None, None], s.V, s.V0)
-            s.phi0 = np.where(first[:, None], s.phi, s.phi0)
-            s.rate_start = np.where(first, s.rate, s.rate_start)
+        x, rate_start = _unit(s.V, s.power), s.rate
         passed, out = stacked(plain_map, np.arange(len(s.lane)))
         if out is None:
             break
         if passed is not None:
-            s, first = take(s, passed), first[passed]
-        x1 = (s.V, s.phi)
+            s, x, rate_start = take(s, passed), x[passed], rate_start[passed]
         s.h, s.V, s.phi, s.zeta, surrogate, s.sinr, s.rates, s.rate = out
         if maps == s.trace.shape[1]:
             s.trace = np.concatenate([s.trace, np.empty(
@@ -602,32 +606,36 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         maps += 1
 
         # multiplied out: the quotient overflows while the start rate is 0
-        s.converged = s.rate - s.rate_start < threshold * np.maximum(
-            s.rate_start, tiny)
+        s.converged = s.rate - rate_start < threshold * np.maximum(
+            rate_start, tiny)
         stop = s.converged | (maps >= cap)
-        second = s.phase == _SECOND
-        s.phase = np.where(first, _SECOND, _FIRST)
-        if maps < cap and second.any():
-            tried, V_x, phi_x = _sqs3_step(
-                ((s.V0, s.phi0), x1, (s.V, s.phi)), s.power)
-            tried &= second
-            s.tried += tried
-            rows = np.flatnonzero(tried & np.isfinite(V_x).all(axis=(1, 2))
-                                  & np.isfinite(phi_x).all(axis=1))
-            passed, out = stacked(guard, rows) if len(rows) else (None, None)
-            if passed is not None:      # a lane whose guard raised ends
+        g = _unit(s.V, s.power)
+        f = g - x
+        s.dF, s.dG = (np.concatenate([d, (new - old)[:, None]], axis=1)
+                      [:, -_DEPTH:] for d, new, old in ((s.dF, f, s.f),
+                                                        (s.dG, g, s.g)))
+        s.f, s.g, s.points = f, g, s.points + 1
+        tried = ~stop & (s.points > 1)
+        if tried.any():
+            V_x = _anderson_step(s.dF, s.dG, f, g, np.minimum(
+                s.points - 1, _DEPTH), s.power).view(complex).reshape(
+                    s.V.shape)
+            rows = np.flatnonzero(tried & np.isfinite(V_x).all(axis=(1, 2)))
+            passed, out = (stacked(evaluate_candidates, rows) if len(rows)
+                           else (None, None))
+            if passed is not None:      # a lane whose evaluation raised ends
                 stop[rows[~passed]] = True
                 rows = rows[passed]
-            if out is not None:         # a passed guard skips the stop test
-                h_x, objective, rate_x = out
-                better = ((objective <= surrogate[rows, 3])
-                          & (rate_x >= s.rate[rows]))
+            if out is not None:
+                sinr, rate = out
+                better = rate >= s.rate[rows]
                 taken = rows[better]
+                s.V, s.zeta, s.rate = s.V.copy(), s.zeta.copy(), s.rate.copy()
+                s.V[taken], s.zeta[taken] = V_x[taken], 1.0 + sinr[better]
+                s.rate[taken] = rate[better]
                 s.accepted[taken] += 1
-                s.h, s.V, s.phi = s.h.copy(), s.V.copy(), s.phi.copy()
-                s.h[taken], s.V[taken], s.phi[taken] = (
-                    h_x[better], V_x[taken], phi_x[taken])
-                s.phase[taken], stop[taken] = _STABILIZE, False
+                tried[taken] = False
+            s.points[tried] = 1         # restart at the last map
         if stop.all():
             done.append((maps, s))
             break
@@ -650,7 +658,7 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
                         surrogate_trace=chunk.trace[j, :maps, :4].copy(),
                         sum_rate_trace=chunk.trace[j, :maps, 4].copy(),
                         accepted=int(chunk.accepted[j]),
-                        rejected=int(chunk.tried[j] - chunk.accepted[j]))
+                        rejected=max(maps - 2, 0) - int(chunk.accepted[j]))
 
     results = {i: result(maps, chunk, j) for maps, chunk in done
                for j, i in enumerate(chunk.lane.tolist()) if i not in errors}

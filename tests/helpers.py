@@ -100,44 +100,48 @@ def mse_k(h_k: np.ndarray, V: np.ndarray, k: int, mu_k: complex,
     )
 
 
-def squarem_point(states, power: float):
-    """One-lane SqS3 extrapolation (Varadhan and Roland, Scand. J. Statist.
-    2008), the reference for ``wmmse._sqs3_step``: from three successive
-    states (V, phi) of the plain map, on the stacked vectors
-    x = (V / sqrt(P), phi), with r = x1 - x0, v = x2 - 2 x1 + x0 and
-    alpha = -||r|| / ||v||, x0 - 2 alpha r + alpha^2 v projected onto the
-    full-power sphere and unit modulus. None when alpha >= -1 (no longer
-    than the plain double step)."""
-    scale = 1.0 / math.sqrt(power)
-    x0, x1, x2 = (np.concatenate([V.ravel() * scale, phi])
-                  for V, phi in states)
-    r = x1 - x0
-    v = x2 - 2.0 * x1 + x0
-    norm_r, norm_v = float(np.linalg.norm(r)), float(np.linalg.norm(v))
-    if not norm_r > norm_v:
-        return None
-    alpha = -norm_r / norm_v
-    shape, size = states[0][0].shape, states[0][0].size
+def anderson_point(xs, gs, power: float, depth: int = 5) -> np.ndarray:
+    """One-lane Anderson step (Walker and Ni, SIAM J. Numer. Anal. 2011),
+    the reference for ``wmmse._anderson_step``: from the real vectors x_i
+    of V / sqrt(P) that a lane's maps started from since its last restart
+    and their outputs g_i, with residuals f_i = g_i - x_i over the newest
+    depth + 1 points, g - dG gamma for gamma solving the normal equations
+    of min ||f - dF gamma|| by Gaussian elimination without pivoting,
+    projected onto the full-power sphere. One point gives back g; a
+    singular system gives a non-finite point."""
+    xs, gs = xs[-depth - 1:], gs[-depth - 1:]
+    fs = [g - x for x, g in zip(xs, gs)]
+    dF = [b - a for a, b in zip(fs, fs[1:])]
+    dG = [b - a for a, b in zip(gs, gs[1:])]
+    m = len(dF)
+    A = [[np.dot(a, b) for b in dF] for a in dF]
+    gamma = [np.dot(a, fs[-1]) for a in dF]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        y = x0 - 2.0 * alpha * r + alpha * alpha * v
-        V = y[:size].reshape(shape)
-        V = V * (math.sqrt(power) / np.linalg.norm(V))
-        phi = y[size:] / np.abs(y[size:])
-    return V, phi
+        for j in range(m):
+            for i in range(j + 1, m):
+                mult = A[i][j] / A[j][j]
+                A[i] = [a - mult * b for a, b in zip(A[i], A[j])]
+                gamma[i] = gamma[i] - mult * gamma[j]
+        for j in reversed(range(m)):
+            gamma[j] = gamma[j] / A[j][j]
+            for i in range(j):
+                gamma[i] = gamma[i] - A[i][j] * gamma[j]
+        x = gs[-1] - sum(c * d for c, d in zip(gamma, dG))
+        return x * (math.sqrt(power) / np.linalg.norm(x))
 
 
-def sqs3_reference(channels, mode, config):
-    """One-lane SqS3 loop, written plainly as the reference for the
-    lockstep driver ``wmmse.ao_solve_levels``. Each cycle makes two plain
-    maps and extrapolates with ``squarem_point`` if the stabilizing map
-    still fits under the cap. A finite point passes the guard if its
-    lifted objective at fresh receivers and the current weights is at most
-    the last recorded one and its sum rate at least the current one; one
-    plain map from it ends the cycle. The run stops when the relative
-    sum-rate gain of a cycle's first map, or of the whole cycle, is below
-    the threshold. Returns the fields of an ``AoResult``: (V, phases,
-    SINRs, rates, sum rate, surrogate rows, sum-rate trace, converged,
-    accepted, rejected)."""
+def anderson_reference(channels, mode, config, step=anderson_point):
+    """One-lane Anderson loop, written plainly as the reference for the
+    lockstep driver ``wmmse.ao_solve_levels``. After each plain map that
+    did not stop the run and leaves another map under the cap, a lane with
+    at least two points since its last restart tries ``step`` on them. A
+    finite candidate whose sum rate at the map's channels is at least the
+    map output's is taken with fresh weights 1 + SINR; any other restarts
+    the history at the last point. The run stops when the relative
+    sum-rate gain of one map over the state it started from is below the
+    threshold. Returns the fields of an ``AoResult``: (V, phases, SINRs,
+    rates, sum rate, surrogate rows, sum-rate trace, converged, accepted,
+    rejected)."""
     power, noise = config.total_power, config.noise_power
     stack, powers = ModeStack((mode,)), np.array([power])
     phi = np.ones(mode.n_elems, dtype=complex)
@@ -146,51 +150,40 @@ def sqs3_reference(channels, mode, config):
     zeta = np.ones(channels.n_ues)
     report = sum_rate(h, V, noise)
     sinr, rate, total = report.sinr, report.rate, report.sum_rate
-    rows, trace = [], []
+    rows, trace, xs, gs = [], [], [], []
     accepted = rejected = 0
 
-    def plain_map(h, V, phi, zeta):
+    def unit(V):
+        return V.reshape(-1).view(float) / math.sqrt(power)
+
+    while True:
+        start = total
+        xs.append(unit(V))
         h, V, _, beam, zeta, row = wmmse._ao_map(
             channels, stack, noise, powers, h[None], V[None],
             BeamStack(phi[None]), zeta[None])
         report = sum_rate(h, V, noise)
+        h, V, phi, zeta = h[0], V[0], beam.phi[0], zeta[0]
+        sinr, rate, total = report.sinr[0], report.rate[0], report.sum_rate[0]
         rows.append(row[0])
-        trace.append(float(report.sum_rate[0]))
-        return (h[0], V[0], beam.phi[0], zeta[0], report.sinr[0],
-                report.rate[0], trace[-1])
-
-    def stalled(start):
-        return total - start < config.conv_threshold * max(
-            start, np.finfo(float).tiny)
-
-    converged = False
-    while len(trace) < config.max_outer_iters and not converged:
-        start, x0 = total, (V, phi)
-        h, V, phi, zeta, sinr, rate, total = plain_map(h, V, phi, zeta)
-        converged = stalled(start)
+        trace.append(float(total))
+        gs.append(unit(V))
+        converged = bool(total - start < config.conv_threshold * max(
+            start, np.finfo(float).tiny))
         if converged or len(trace) == config.max_outer_iters:
             break
-        x1 = (V, phi)
-        h, V, phi, zeta, sinr, rate, total = plain_map(h, V, phi, zeta)
-        point = (squarem_point([x0, x1, (V, phi)], power)
-                 if len(trace) < config.max_outer_iters else None)
-        if point is not None:
-            V_x, phi_x = point
-            passed = np.isfinite(V_x).all() and np.isfinite(phi_x).all()
-            if passed:
-                h_x = wmmse.effective_matrix(channels, BeamStack(phi_x[None]),
-                                             stack)
-                mu = wmmse.update_receivers(h_x, V_x[None], noise, powers)
-                objective = wmmse.surrogate_value(h_x, V_x[None], mu,
-                                                  zeta[None], noise, powers)
-                passed = (objective[0] <= rows[-1][3] and sum_rate(
-                    h_x, V_x[None], noise).sum_rate[0] >= total)
-            if passed:
-                accepted += 1
-                h, V, phi, zeta, sinr, rate, total = plain_map(
-                    h_x[0], V_x, phi_x, zeta)
-            else:
-                rejected += 1
-        converged = stalled(start)
+        if len(xs) < 2:
+            continue
+        V_x = step(xs, gs, power).view(complex).reshape(V.shape)
+        taken = False
+        if np.isfinite(V_x).all():
+            cand = sum_rate(h[None], V_x[None], noise)
+            taken = cand.sum_rate[0] >= total
+        if taken:
+            accepted += 1
+            V, zeta, total = V_x, 1.0 + cand.sinr[0], cand.sum_rate[0]
+        else:
+            rejected += 1
+            xs, gs = xs[-1:], gs[-1:]
     return (V, phi, sinr, rate, total, np.asarray(rows), np.asarray(trace),
             converged, accepted, rejected)

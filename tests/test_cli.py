@@ -127,6 +127,25 @@ def test_unknown_algorithm_is_reported(tiny_scenario, capsys):
     assert "unknown algorithms" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "ptot_dbm=0:10:1e-300",
+    "ptot_dbm=-1e308:1e308:1",
+    "ptot_dbm=0:10000:1",
+])
+def test_parse_sweep_rejects_oversize_before_allocating(text):
+    """A sweep of more than 10000 points fails with its reason, before any
+    point is made (the first would ask for about 1e301 points)."""
+    with pytest.raises(ValueError, match="more than the 10000 points"):
+        parse_sweep(text)
+
+
+def test_oversize_sweep_is_reported(tiny_scenario, capsys):
+    code = main(["run", "--scenario", tiny_scenario, "--sweep",
+                 "ptot_dbm=0:10:1e-300"])
+    assert code == 2
+    assert "10000 points" in capsys.readouterr().err
+
+
 def test_bad_sweep_is_reported(tiny_scenario, capsys):
     code = main(["run", "--scenario", tiny_scenario, "--sweep", "watts=1:2:1"])
     assert code == 2
