@@ -13,12 +13,12 @@ for every sweep value. The alternating optimization runs at most once per
 (sweep value, sparsity level), shared by every algorithm that needs that
 level: the first row that needs a level solves it at every sweep value of
 the trial in one lockstep ``ao_solve_levels`` call (``WA_OPT_ETA`` asks
-for every level and hands the memo to ``sparsity_search``,
-``COMPACT_ETA1`` for level 1, ``RANDOM_ETA`` for the pick). A (sweep
-value, level) whose solve raised keeps its exception, which every row
-needing it reports. Rows are the same as when each row runs alone; only
-``wall_ms`` differs, because a shared piece of work is charged to the
-first row that needs it and later rows reuse it.
+for every level and hands its sweep value's (level, outcome) scan to
+``sparsity_search``, ``COMPACT_ETA1`` for level 1, ``RANDOM_ETA`` for the
+pick). A (sweep value, level) whose solve raised keeps its exception,
+which every row needing it reports. Rows are the same as when each row
+runs alone; only ``wall_ms`` differs, because a shared piece of work is
+charged to the first row that needs it and later rows reuse it.
 
 Row status is ``ok``; ``unconverged`` for a solver row whose alternating
 optimization stopped at its iteration cap (the row keeps that solve's last
@@ -31,7 +31,6 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -108,8 +107,9 @@ class _Trial:
     """One seeded trial of a campaign at the given sweep values (in dBm).
     The geometry (with the random sparsity pick drawn right after it), the
     channels and one solve per (sweep value, sparsity level) are each made
-    on first use and kept. It holds no reference to the ``_Drop`` views
-    that read it, so it is freed as soon as they are."""
+    on first use and kept. The algorithms read it at one sweep value
+    each; nothing it holds refers back to them or to the rows, so it is
+    freed as soon as its rows are made."""
 
     def __init__(self, campaign: Campaign, trial: int, sweep_dbm):
         self._scenario = campaign.scenario
@@ -169,25 +169,6 @@ class _Trial:
         return result
 
 
-class _Drop:
-    """One sweep value of a trial, as the algorithms read it: that power's
-    config and the trial's shared geometry, pick and solves. Without
-    ``shared`` it makes a trial of its own sweep value alone."""
-
-    def __init__(self, campaign: Campaign, trial: int, sweep_dbm: float,
-                 shared: _Trial | None = None):
-        self.trial = (shared if shared is not None
-                      else _Trial(campaign, trial, (sweep_dbm,)))
-        self.sweep_dbm = sweep_dbm
-        self.config = self.trial.configs[sweep_dbm]
-
-    def geometry(self) -> Geometry:
-        return self.trial.geometry()
-
-    def solve_at(self, eta: int) -> AoResult:
-        return self.trial.solve_at(self.sweep_dbm, eta)
-
-
 def _solver_row(result: AoResult) -> tuple:
     """Row fields (eta, sum rate, min UE rate, iterations, status) of a
     solver result."""
@@ -197,34 +178,38 @@ def _solver_row(result: AoResult) -> tuple:
             report.iterations, status)
 
 
-def _wa_opt_eta(drop: _Drop) -> tuple:
+def _wa_opt_eta(trial: _Trial, sweep_dbm: float) -> tuple:
     """Row fields of the scan: every level of the trial is solved in one
-    lockstep call, then ``sparsity_search`` reads the memo."""
-    drop.trial.solve_levels(feasible_sparsities(drop.config.n_elems,
-                                                drop.config.n_connected))
-    return _solver_row(sparsity_search(drop.solve_at, drop.config)[0])
+    lockstep call, then ``sparsity_search`` scans this sweep value's
+    outcomes."""
+    config = trial.configs[sweep_dbm]
+    levels = feasible_sparsities(config.n_elems, config.n_connected)
+    trial.solve_levels(levels)
+    return _solver_row(sparsity_search(
+        [(eta, trial._solved[sweep_dbm, eta]) for eta in levels])[0])
 
 
-def _single_ue_closed(drop: _Drop) -> tuple:
-    config = drop.config
+def _single_ue_closed(trial: _Trial, sweep_dbm: float) -> tuple:
+    config = trial.configs[sweep_dbm]
     mode = make_mode(config.n_elems, config.n_connected, 1)
-    sol = single_ue_solution(drop.geometry(), config, mode)
+    sol = single_ue_solution(trial.geometry(), config, mode)
     rate = math.log2(1.0 + sol.snr_max)
     return mode.eta, rate, rate, 0, "ok"
 
 
-def _two_ue_prop1(drop: _Drop) -> tuple:
-    eta, _ = select_two_ue_eta(drop.geometry(), drop.config)
-    (_, rates), = _midpoint_rates(drop.geometry(), drop.config, (eta,))
+def _two_ue_prop1(trial: _Trial, sweep_dbm: float) -> tuple:
+    config = trial.configs[sweep_dbm]
+    eta, _ = select_two_ue_eta(trial.geometry(), config)
+    (_, rates), = _midpoint_rates(trial.geometry(), config, (eta,))
     return eta, float(rates.sum()), float(rates.min()), 0, "ok"
 
 
-# Algorithm name -> row fields of one drop.
+# Algorithm name -> row fields of a trial at one sweep value.
 _ALGORITHMS = {
     "WA_OPT_ETA": _wa_opt_eta,
-    "COMPACT_ETA1": lambda drop: _solver_row(drop.solve_at(1)),
-    "RANDOM_ETA": lambda drop: _solver_row(
-        drop.solve_at(drop.trial.random_eta)),
+    "COMPACT_ETA1": lambda trial, s: _solver_row(trial.solve_at(s, 1)),
+    "RANDOM_ETA": lambda trial, s: _solver_row(
+        trial.solve_at(s, trial.random_eta)),
     "SINGLE_UE_CLOSED": _single_ue_closed,
     "TWO_UE_PROP1": _two_ue_prop1,
 }
@@ -232,24 +217,26 @@ ALGORITHMS = tuple(_ALGORITHMS)
 
 
 def run_trial(campaign: Campaign, trial: int, algorithm: str,
-              sweep_dbm: float, _drop: _Drop | None = None) -> TrialRow:
+              sweep_dbm: float, _trial: _Trial | None = None) -> TrialRow:
     """One seeded trial of one algorithm at one transmit power.
 
     Failures are captured as a row with status ``failed:<ExceptionName>``,
     NaN rates and the exception text as ``message`` rather than aborting
-    the campaign. ``run_campaign`` passes a view of the trial it shares
-    across sweep values and algorithms as ``_drop``; the row is the same
-    without it, apart from ``wall_ms``.
+    the campaign. ``run_campaign`` passes the ``_Trial`` it shares across
+    sweep values and algorithms as ``_trial``; without it the row is made
+    from a trial of this sweep value alone, and is the same apart from
+    ``wall_ms``.
     """
-    drop = _drop if _drop is not None else _Drop(campaign, trial, sweep_dbm)
+    if _trial is None:
+        _trial = _Trial(campaign, trial, (sweep_dbm,))
     t0 = time.perf_counter()
     message = ""
     try:
-        drop.geometry()     # draws the random level too, before it is read
+        _trial.geometry()   # draws the random level too, before it is read
         row_fields = _ALGORITHMS.get(algorithm)
         if row_fields is None:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        eta, srate, min_rate, iters, status = row_fields(drop)
+        eta, srate, min_rate, iters, status = row_fields(_trial, sweep_dbm)
     except Exception as exc:
         eta, srate, min_rate, iters = 0, math.nan, math.nan, 0
         status = f"failed:{type(exc).__name__}"
@@ -268,12 +255,9 @@ def _run_trial_rows(args) -> list[list[TrialRow]]:
     """Every row of one trial, one list per sweep value."""
     campaign, trial = args
     shared = _Trial(campaign, trial, campaign.sweep_points())
-    rows = []
-    for sweep in campaign.sweep_points():
-        drop = _Drop(campaign, trial, sweep, shared)
-        rows.append([run_trial(campaign, trial, alg, sweep, drop)
-                     for alg in campaign.algorithms])
-    return rows
+    return [[run_trial(campaign, trial, alg, sweep, shared)
+             for alg in campaign.algorithms]
+            for sweep in campaign.sweep_points()]
 
 
 def run_campaign(campaign: Campaign, jobs: int = 1) -> list[TrialRow]:
@@ -287,6 +271,7 @@ def run_campaign(campaign: Campaign, jobs: int = 1) -> list[TrialRow]:
     if workers <= 1:
         per_trial = [_run_trial_rows(task) for task in tasks]
     else:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             per_trial = list(pool.map(_run_trial_rows, tasks))
     return [row for i in range(len(campaign.sweep_points()))

@@ -33,14 +33,6 @@ def path_gain(distance: float, c0_db: float, exponent: float) -> float:
     return math.sqrt(10.0 ** (-c0_db / 10.0) * distance ** (-exponent))
 
 
-def _unit(vec, label: str) -> np.ndarray:
-    v = np.asarray(vec, dtype=float).reshape(3)
-    n = float(np.linalg.norm(v))
-    if n == 0.0:
-        raise ScenarioError(f"{label} axis must be a nonzero vector")
-    return v / n
-
-
 @dataclass(frozen=True)
 class SystemConfig:
     """Scalar system parameters shared by every solver.
@@ -64,8 +56,6 @@ class SystemConfig:
     pathloss_exp_rdars_ue: float = 2.8
     conv_threshold: float = 1e-4
     max_outer_iters: int = 200
-    bs_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
-    rdars_axis: tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self):
         if self.carrier_freq <= 0.0:
@@ -75,10 +65,7 @@ class SystemConfig:
         # NaN passes every <= check below, so real values must be finite
         for f in fields(self):
             value = getattr(self, f.name)
-            if isinstance(value, int):
-                continue
-            values = value if f.name.endswith("_axis") else (value,)
-            if not all(math.isfinite(v) for v in values):
+            if not isinstance(value, int) and not math.isfinite(value):
                 raise ScenarioError(f"{f.name} must be finite, got {value}")
         if self.n_tx < 1 or self.n_elems < 1 or self.n_ues < 1:
             raise ScenarioError("antenna and UE counts must be positive")
@@ -107,7 +94,8 @@ class Geometry:
     """Positions plus the derived spatial frequencies and path gains.
 
     Spatial frequencies are cosines of the angle between a link direction
-    and the owning array's axis; kappa values are linear amplitudes.
+    and the owning array's axis, which is x for both arrays; kappa values
+    are linear amplitudes.
     """
 
     bs_pos: np.ndarray
@@ -128,8 +116,8 @@ def derive_geometry(bs_pos, rdars_pos, ue_pos, config: SystemConfig) -> Geometry
     """Build a Geometry from raw coordinates.
 
     The direction of each link (surface to the far end for UE links, BS to
-    surface for the backhaul link) is projected on the relevant array axis
-    to obtain the spatial frequency.
+    surface for the backhaul link) is projected on the array axis, x for
+    both arrays, to obtain the spatial frequency.
     """
     bs = np.asarray(bs_pos, dtype=float).reshape(3)
     rd = np.asarray(rdars_pos, dtype=float).reshape(3)
@@ -143,20 +131,16 @@ def derive_geometry(bs_pos, rdars_pos, ue_pos, config: SystemConfig) -> Geometry
             f"geometry has {ue.shape[0]} UEs but the config says {config.n_ues}"
         )
 
-    bs_axis = _unit(config.bs_axis, "BS")
-    rd_axis = _unit(config.rdars_axis, "RDARS")
-
     link = rd - bs
     dist_br = float(np.linalg.norm(link))
     if dist_br == 0.0:
         raise ScenarioError("BS and RDARS positions coincide")
     dir_br = link / dist_br
-    u_br_aod = float(np.clip(dir_br @ bs_axis, -1.0, 1.0))
-    u_br_aoa = float(np.clip(dir_br @ rd_axis, -1.0, 1.0))
+    u_br_aod = u_br_aoa = float(np.clip(dir_br[0], -1.0, 1.0))
 
     diffs = ue - rd
     dists = np.linalg.norm(diffs, axis=1)
-    u_ru = np.clip(diffs @ rd_axis / dists, -1.0, 1.0)
+    u_ru = np.clip(diffs[:, 0] / dists, -1.0, 1.0)
 
     c0 = config.ref_pathloss_db
     kappa_br = path_gain(dist_br, c0, config.pathloss_exp_bs_rdars)
@@ -206,7 +190,7 @@ _INT_KEYS = {"n_tx", "n_elems", "n_connected", "n_ues", "max_outer_iters"}
 _FLOAT_KEYS = {"carrier_freq", "spacing", "total_power", "noise_power",
                "ref_pathloss_db", "pathloss_exp_bs_rdars",
                "pathloss_exp_rdars_ue", "conv_threshold"}
-_VEC_KEYS = {"bs_axis", "rdars_axis", "bs_pos", "rdars_pos", "ue_center"}
+_VEC_KEYS = {"bs_pos", "rdars_pos", "ue_center"}
 _ALLOWED_KEYS = _INT_KEYS | _FLOAT_KEYS | _VEC_KEYS | {"ue_pos", "ue_radius"}
 
 
@@ -249,11 +233,7 @@ def parse_scenario_text(text: str) -> Scenario:
             elif key in _FLOAT_KEYS:
                 cfg_kwargs[key] = float(value)
             elif key in _VEC_KEYS:
-                vec = _parse_vec3(value, key, lineno)
-                if key in ("bs_axis", "rdars_axis"):
-                    cfg_kwargs[key] = vec
-                else:
-                    placement[key] = vec
+                placement[key] = _parse_vec3(value, key, lineno)
             elif key == "ue_radius":
                 placement[key] = float(value)
             elif key == "ue_pos":

@@ -666,19 +666,22 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     return [results[i] for i in range(len(lanes))]
 
 
-def sparsity_search(solve, config: SystemConfig
-                    ) -> tuple[AoResult, list[tuple[int, float]]]:
-    """Exhaustive search over the feasible sparsity levels.
+def sparsity_search(scan) -> tuple[AoResult, list[tuple[int, float]]]:
+    """Exhaustive search over solved sparsity levels.
 
-    ``solve`` maps a sparsity level to the alternating-optimization result
-    at that level; the levels are scanned in increasing order and ties are
-    broken toward the smaller level by the strict comparison. Returns the
-    best result and the scanned (level, sum rate) pairs.
+    ``scan`` yields (level, outcome) pairs in increasing level, each
+    outcome the alternating-optimization result at that level or the
+    exception that ended its solve, as ``ao_solve_levels`` returns them.
+    The first failed level raises its exception, and no later pair is
+    read. Ties are broken toward the smaller level by the strict
+    comparison. Returns the best result and the scanned (level, sum rate)
+    pairs.
     """
     best = None
     scanned = []
-    for eta in feasible_sparsities(config.n_elems, config.n_connected):
-        result = solve(eta)
+    for eta, result in scan:
+        if isinstance(result, Exception):
+            raise result
         scanned.append((eta, result.report.sum_rate))
         if best is None or result.report.sum_rate > best.report.sum_rate:
             best = result
@@ -689,20 +692,13 @@ def wa_solve(geometry: Geometry, config: SystemConfig
              ) -> tuple[BeamformingSolution, ModeSelection, RateReport]:
     """Whole procedure for one geometry: run the alternating optimization
     at every feasible sparsity level, in lockstep and each from a fresh
-    start on the same channels, and keep the best."""
-    channels = los_channels(geometry, config)
+    start on the same channels, and keep the best level's result by
+    ``sparsity_search`` (a failed level raises its exception)."""
     levels = feasible_sparsities(config.n_elems, config.n_connected)
-    modes = [make_mode(config.n_elems, config.n_connected, eta)
-             for eta in levels]
-    solved = dict(zip(levels, ao_solve_levels(
-        channels, [(mode, config) for mode in modes])))
-
-    def solve(eta: int) -> AoResult:
-        if isinstance(solved[eta], Exception):
-            raise solved[eta]
-        return solved[eta]
-
-    best, _ = sparsity_search(solve, config)
+    outcomes = ao_solve_levels(los_channels(geometry, config), [
+        (make_mode(config.n_elems, config.n_connected, eta), config)
+        for eta in levels])
+    best, _ = sparsity_search(zip(levels, outcomes))
     return best.solution, best.mode, best.report
 
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import io
 import math
@@ -223,7 +224,7 @@ def test_high_power_campaign_is_deterministic_across_jobs():
     assert len(first) == 2 * 3 * 2
     assert stripped(run_campaign(camp, jobs=1)) == first
     assert stripped(run_campaign(camp, jobs=2)) == first
-    solves = [harness._Drop(camp, trial, sweep).solve_at(eta)
+    solves = [harness._Trial(camp, trial, (sweep,)).solve_at(sweep, eta)
               for trial in range(2) for sweep in (50.0, 70.0)
               for eta in range(1, 6)]
     assert sum(res.accepted for res in solves) > 0
@@ -320,7 +321,8 @@ def test_run_campaign_caps_workers_at_the_trial_count(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", InlinePool)
+    # run_campaign imports the pool class from here when it needs one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     camp = Campaign(_scenario(), ("TWO_UE_PROP1",), n_trials=3, seed=13,
                     sweep_dbm=(10.0, 30.0))
     serial = run_campaign(camp)

@@ -1,4 +1,5 @@
 import ast
+import subprocess
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -32,6 +33,18 @@ def test_runtime_imports_only_stdlib_and_numpy():
 
 
 def test_scenario_keys_match_config_fields():
-    keys = scenario._INT_KEYS | scenario._FLOAT_KEYS | {"bs_axis",
-                                                        "rdars_axis"}
+    keys = scenario._INT_KEYS | scenario._FLOAT_KEYS
     assert keys == {f.name for f in fields(scenario.SystemConfig)}
+
+
+def test_import_loads_no_worker_pool():
+    """Only a multi-worker campaign needs the process pool, so importing
+    the package in a fresh interpreter loads neither it nor
+    multiprocessing."""
+    src = str(Path(rdars.__file__).parents[1])
+    probe = (f"import sys; sys.path.insert(0, {src!r}); import rdars; "
+             "print(sorted({'concurrent.futures.process', 'multiprocessing'}"
+             " & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True).stdout
+    assert out == "[]\n"

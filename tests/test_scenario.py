@@ -93,8 +93,6 @@ def test_config_validation(kwargs):
     ("pathloss_exp_bs_rdars", math.nan),
     ("pathloss_exp_rdars_ue", math.inf),
     ("conv_threshold", math.inf),
-    ("bs_axis", (1.0, math.nan, 0.0)),
-    ("rdars_axis", (math.inf, 0.0, 0.0)),
 ])
 def test_config_rejects_non_finite_values(name, value):
     with pytest.raises(ScenarioError, match=f"^{name} must be finite"):

@@ -1352,22 +1352,40 @@ def test_ao_solve_holds_constraints_at_extreme_connection_counts(
     assert np.all(np.diff(flat) <= 1e-9 * (1.0 + np.abs(flat[:-1])))
 
 
+def _stub_result(eta, rate):
+    report = RateReport(sinr=np.zeros(2), rate=np.zeros(2), sum_rate=rate)
+    sol = BeamformingSolution(W=np.zeros((4, 2), dtype=complex),
+                              F=np.zeros((4, 2), dtype=complex),
+                              passive=PassiveBeam.uniform(16))
+    return AoResult(solution=sol, mode=make_mode(16, 4, eta), report=report,
+                    surrogate_trace=np.zeros((0, 4)),
+                    sum_rate_trace=np.zeros(0), accepted=0, rejected=0)
+
+
 def test_sparsity_search_breaks_ties_toward_compact():
-    cfg = small_config(n_ues=2)
+    scan = [(eta, _stub_result(eta, 5.0)) for eta in range(1, 6)]
+    best, scanned = sparsity_search(scan)
+    assert best is scan[0][1]              # all rates equal: keep smallest
+    assert scanned == [(eta, 5.0) for eta in range(1, 6)]
 
-    def stub_solve(eta):
-        report = RateReport(sinr=np.zeros(2), rate=np.zeros(2), sum_rate=5.0)
-        sol = BeamformingSolution(W=np.zeros((4, 2), dtype=complex),
-                                  F=np.zeros((4, 2), dtype=complex),
-                                  passive=PassiveBeam.uniform(16))
-        return AoResult(solution=sol, mode=make_mode(16, 4, eta),
-                        report=report,
-                        surrogate_trace=np.zeros((0, 4)),
-                        sum_rate_trace=np.zeros(0), accepted=0, rejected=0)
 
-    best, scanned = sparsity_search(stub_solve, cfg)
-    assert best.mode.eta == 1              # all rates equal: keep smallest
-    assert [eta for eta, _ in scanned] == [1, 2, 3, 4, 5]
+def test_sparsity_search_raises_the_first_failed_level():
+    """A failed level raises its own exception, also when a better level
+    came before it, and the scan stops there: no later level is read."""
+    failure = ArithmeticError("level 3 failed")
+    outcomes = [_stub_result(1, 2.0), _stub_result(2, 7.0), failure,
+                ArithmeticError("level 4 failed"), _stub_result(5, 9.0)]
+    read = []
+
+    def scan():
+        for eta, outcome in enumerate(outcomes, start=1):
+            read.append(eta)
+            yield eta, outcome
+
+    with pytest.raises(ArithmeticError) as info:
+        sparsity_search(scan())
+    assert info.value is failure
+    assert read == [1, 2, 3]
 
 
 def test_wa_solve_returns_best_of_scan():
