@@ -78,8 +78,8 @@ class ModeStack:
     def select(self, rows: np.ndarray) -> "ModeStack":
         """The lanes at these row indices, slicing the cached stacks."""
         stack = ModeStack(tuple(self.modes[i] for i in rows.tolist()))
-        stack.__dict__.update(index0=self.index0[rows],
-                              a_vec=self.a_vec[rows])
+        stack.__dict__.update(index0=self.index0.take(rows, 0),
+                              a_vec=self.a_vec.take(rows, 0))
         return stack
 
 

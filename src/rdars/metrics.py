@@ -56,7 +56,11 @@ def sinr_all(h: np.ndarray, V: np.ndarray, noise: float) -> np.ndarray:
         raise ValueError("noise power must be positive")
     if h.shape[-1] != V.shape[-2] or h.shape[-2] != V.shape[-1]:
         raise ValueError(f"shape mismatch: h {h.shape} vs V {V.shape}")
-    powers = np.abs(h @ V) ** 2          # [k, i] = |h_k v_i|^2
+    return _sinr_of(np.abs(h @ V) ** 2, noise)
+
+
+def _sinr_of(powers: np.ndarray, noise: float) -> np.ndarray:
+    """``sinr_all`` from the powers |h_k v_i|^2 at [k, i] of S = h V."""
     signal = np.diagonal(powers, axis1=-2, axis2=-1)
     interference = powers.sum(axis=-1) - signal
     return signal / (interference + noise)
@@ -64,7 +68,11 @@ def sinr_all(h: np.ndarray, V: np.ndarray, noise: float) -> np.ndarray:
 
 def sum_rate(h: np.ndarray, V: np.ndarray, noise: float) -> RateReport:
     """Rates log2(1 + sinr) per UE and their sum (per lane for a stack)."""
-    g = sinr_all(h, V, noise)
+    return _rate_report(sinr_all(h, V, noise))
+
+
+def _rate_report(g: np.ndarray) -> RateReport:
+    """``sum_rate``'s report at these SINRs."""
     rate = np.log2(1.0 + g)
     total = rate.sum(axis=-1)
     return RateReport(sinr=g, rate=rate,
@@ -81,10 +89,16 @@ def mse_all(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
     lane axis on h, V and mu, with one noise value per lane, gives one
     row of MSEs per lane."""
     S = h @ V
-    own = np.diagonal(S, axis1=-2, axis2=-1)
-    leak = np.abs(S) ** 2
-    diag = np.arange(leak.shape[-1])
-    leak[..., diag, diag] = 0.0
+    return _mse_of(S, np.abs(S) ** 2, mu, noise)
+
+
+def _mse_of(S: np.ndarray, powers: np.ndarray, mu: np.ndarray,
+            noise: float | np.ndarray) -> np.ndarray:
+    """``mse_all`` from S = h V and its powers |S|^2."""
+    own = S.diagonal(0, -2, -1)
+    leak = powers.copy()
+    n = leak.shape[-1]
+    leak.reshape(leak.shape[:-2] + (n * n,))[..., ::n + 1] = 0.0  # diagonal
     return (np.abs(1.0 - np.conj(mu) * own) ** 2
             + np.abs(mu) ** 2 * (leak.sum(axis=-1)
                                  + np.asarray(noise)[..., None]))

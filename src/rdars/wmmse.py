@@ -22,7 +22,16 @@ precoders, guarded by the sum rate so that it stays monotone.
 drop in lockstep, each bit for bit as alone: the start, the kernels of
 the map, the Anderson step and the rate of its candidates take a leading
 lane axis and run once per round for all lanes at that step.
-The phase block works on the LoS factors and forms no N x N matrix.
+
+The lockstep map runs in (1 + a)-dimensional LoS coordinates. The
+BS-surface channel is G = kappa b_aoa b_aod^H, so every precoder iterate
+lies in span(b_aod) + C^a: W = q t with q = b_aod / sqrt(N_t), and a lane
+holds V = [t; F] against the reduced rows [sqrt(N_t) g_k(phi), d_k]
+(``_Lanes``). q has unit norm, so powers, rates and the Anderson vectors
+are those of the full precoder; W is lifted back once per returned
+result. Each lane also carries S = h V and |S|^2 from the map or the
+candidate evaluation that made its state. The phase block works on the
+LoS factors and forms no N x N matrix.
 """
 
 from __future__ import annotations
@@ -30,14 +39,14 @@ from __future__ import annotations
 import time
 from types import SimpleNamespace
 from dataclasses import dataclass, replace
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .arrays import (BeamStack, ChannelSet, ModeSelection, ModeStack,
-                     PassiveBeam, effective_matrix, feasible_sparsities,
-                     los_channels, make_mode)
-from .metrics import BeamformingSolution, RateReport, mse_all, sum_rate
+from .arrays import (ChannelSet, ModeSelection, ModeStack, PassiveBeam,
+                     feasible_sparsities, los_channels, make_mode)
+from .metrics import (BeamformingSolution, RateReport, _mse_of, _rate_report,
+                      _sinr_of, mse_all)
 from .scenario import Geometry, SystemConfig
 
 
@@ -51,7 +60,8 @@ def effective_noise(V: np.ndarray, noise_power: float,
 
 def _power(V: np.ndarray) -> float | np.ndarray:
     """||V||_F^2, per lane for a stack."""
-    return (np.abs(V) ** 2).sum(axis=(-2, -1))
+    flat = V.reshape(V.shape[:-2] + (-1,))
+    return np.vecdot(flat, flat).real
 
 
 def zf_init(h: np.ndarray, total_power: float) -> np.ndarray:
@@ -61,12 +71,19 @@ def zf_init(h: np.ndarray, total_power: float) -> np.ndarray:
     leading lane axis on ``h`` takes one ``total_power`` per lane or one
     for all."""
     h = np.atleast_2d(h)
-    n_ues, dim = h.shape[-2:]
-    V = np.linalg.pinv(h) if n_ues <= dim else h.conj().swapaxes(-2, -1)
+    return _zf_columns(h, total_power, h.shape[-2] > h.shape[-1])
+
+
+def _zf_columns(h: np.ndarray, total_power: float | np.ndarray,
+                matched: bool) -> np.ndarray:
+    """``zf_init``'s columns, matched filters if ``matched`` and else the
+    pseudoinverse's: the rule stays the one of the full rows when h holds
+    the reduced rows of ``_Lanes``."""
+    V = h.conj().swapaxes(-2, -1) if matched else np.linalg.pinv(h)
     norms = np.linalg.norm(V, axis=-2)
     if np.any(norms == 0.0):
         raise ValueError("zero effective channel row; cannot initialize")
-    share = np.sqrt(np.asarray(total_power) / n_ues)[..., None]
+    share = np.sqrt(np.asarray(total_power) / h.shape[-2])[..., None]
     return V * (share / norms)[..., None, :]
 
 
@@ -75,12 +92,19 @@ def update_receivers(h: np.ndarray, V: np.ndarray, noise_power: float,
     """Per-UE MMSE receive scalars under the scaled noise convention.
     Like every kernel of the map, it also takes a leading lane axis, and
     then one ``total_power`` per lane or one for all."""
-    s = h @ V
-    sig = effective_noise(V, noise_power, total_power)
-    if (sig <= 0.0).any():
+    S = h @ V
+    return _receivers_of(S, np.abs(S) ** 2,
+                         effective_noise(V, noise_power, total_power))
+
+
+def _receivers_of(S: np.ndarray, powers: np.ndarray,
+                  sig: float | np.ndarray) -> np.ndarray:
+    """``update_receivers`` from S = h V, its powers |S|^2 and the scaled
+    noise."""
+    if (np.asarray(sig) <= 0.0).any():
         raise ValueError("precoder carries no power; receivers undefined")
-    denom = (np.abs(s) ** 2).sum(axis=-1) + np.asarray(sig)[..., None]
-    return np.diagonal(s, axis1=-2, axis2=-1) / denom
+    denom = powers.sum(axis=-1) + np.asarray(sig)[..., None]
+    return np.diagonal(S, axis1=-2, axis2=-1) / denom
 
 
 def update_weights(h: np.ndarray, V: np.ndarray, mu: np.ndarray,
@@ -111,14 +135,24 @@ def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     Gram matrix and s0 the weight sum. At rho = sigma^2 / P this is the
     minimizer of the lifted objective over V, the solve that
     ``update_precoders`` makes. A lane stack takes one ``rho`` per lane
-    or one for all."""
+    or one for all.
+
+    With fewer UEs than dimensions it solves the K x K system of the
+    push-through identity instead, V = h^H (diag(w) h h^H + rho s0 I)^{-1}
+    diag(zeta mu) with w = zeta |mu|^2 (Zhao, Lu, Shi, Luo, IEEE TSP
+    2023): smaller, and every column stays in the row space of h."""
     w = zeta * np.abs(mu) ** 2
-    dim = h.shape[-1]
+    n_ues, dim = h.shape[-2:]
     hH = h.conj().swapaxes(-2, -1)
-    a0 = (hH * w[..., None, :]) @ h
-    s0 = np.sum(w, axis=-1)[..., None, None]
-    rhs = hH * (zeta * mu)[..., None, :]
+    s0 = w.sum(axis=-1)[..., None, None]
     rho = np.asarray(rho)[..., None, None]
+    if n_ues < dim:
+        eye = np.eye(n_ues)
+        gram = w[..., None] * (h @ hH)
+        rhs = eye * (zeta * mu)[..., None, :]
+        return hH @ np.linalg.solve(gram + rho * s0 * eye, rhs)
+    a0 = (hH * w[..., None, :]) @ h
+    rhs = hH * (zeta * mu)[..., None, :]
     return np.linalg.solve(a0 + rho * s0 * np.eye(dim), rhs)
 
 
@@ -217,8 +251,7 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
     A step z = (D + Lambda) p gives the next phases z / |z| and the
     objective p^H D p = Re(p^H z) - tr Lambda. Entries whose product
     vanishes (all of them when D is zero, as on the all-zero rows of
-    connected elements) keep their phase: such a step yields NaN phases,
-    seen as a NaN objective, and is redone with that guard.
+    connected elements) keep their phase.
 
     Without ``p0``, the all-ones vector and the phases of the leading
     eigenvector of D (one ``eigh``) are both run and the better finisher
@@ -275,7 +308,7 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
     ``apply(p)`` is (D + Lambda) p, one row per lane, ``offset`` is
     tr Lambda. Returns the last p and the objective history by lane."""
     def objective(p, z):
-        return (p.conj()[:, None, :] @ z[:, :, None])[:, 0, 0].real - offset
+        return np.vecdot(p, z).real - offset
 
     with np.errstate(divide="ignore", invalid="ignore"):
         z = apply(p)
@@ -283,72 +316,124 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
         history = [obj]
         active = np.ones(len(p), dtype=bool)
         for _ in range(max_iters):
-            p_new = z / np.abs(z)
+            mags = np.abs(z)
+            p_new = p.copy()
+            np.divide(z, mags, out=p_new, where=mags > 0.0)
             z_new = apply(p_new)
             obj_new = objective(p_new, z_new)
-            if np.isnan(obj_new).any():
-                # redoing a finite lane repeats its step exactly
-                p_new = np.where(np.abs(z) > 0.0, p_new, p)
-                z_new = apply(p_new)
-                obj_new = objective(p_new, z_new)
-            scale = 1.0 + np.abs(obj)
-            if (active & (obj_new < obj - 1e-8 * scale)).any():
+            change = (obj_new - obj) / (1.0 + np.abs(obj))
+            every = active.all()
+            if (change.min() if every else change[active].min()) < -1e-8:
                 raise ArithmeticError("homogenized objective decreased "
                                       "during the phase power iteration")
-            if not active.all():        # stopped lanes keep their state
+            if not every:               # stopped lanes keep their state
                 p_new = np.where(active[:, None], p_new, p)
                 z_new = np.where(active[:, None], z_new, z)
                 obj_new = np.where(active, obj_new, obj)
-            done = np.abs(obj_new - obj) <= tol * scale
             p, z, obj = p_new, z_new, obj_new
             history.append(obj)
-            active &= ~done
+            active &= ~(np.abs(change) <= tol)
             if not active.any():
                 break
     return p, np.asarray(history)
 
 
-def _phase_operator(channels: ChannelSet, mode: ModeStack, W: np.ndarray,
-                    F: np.ndarray, mu: np.ndarray, zeta: np.ndarray):
+@dataclass(frozen=True)
+class _Lanes:
+    """The operands of the map that stay fixed per lane (one sparsity
+    level each) on one drop's LoS channels, built once per lockstep call.
+
+    The map runs in the rank-one coordinates of G = kappa_br b_aoa b_aod^H:
+    W = q t with q = b_aod / sqrt(N_t), so a state is V = [t; F] and the
+    reduced row of UE k is [sqrt(N_t) g_k(phi), d_k], with g_k(phi) =
+    kappa_br (P phi)_k for P[k, n] = (1 - a_n) b_aoa[n] conj(h_r[k, n])
+    and d_k = conj(h_r[k]) at the connected elements. ``kappa`` is
+    kappa_br sqrt(N_t), the factor of P phi in that row. ``Bt``, ``abar``,
+    ``sel`` and ``dist`` serve ``_phase_operator``; ``h_r`` and ``h0``
+    (h_r[:, 0], real) are shared by all lanes. Every lane-stacked array is
+    C-contiguous, so a selection of lanes keeps the layout, and with it
+    the bits of every product."""
+
+    mode: ModeStack
+    kappa: float
+    h_r: np.ndarray
+    h0: np.ndarray
+    abar: np.ndarray       # (lanes, N) 1 - a
+    Pt: np.ndarray         # (lanes, K, N) P
+    sel: np.ndarray        # (lanes, K, a) h_r at the connected elements
+    direct: np.ndarray     # conj(sel): the d_k
+    Bt: np.ndarray         # (lanes, K + 1, N + 1) -[[P, 0], [0, 1]]
+    dist: np.ndarray       # (lanes, a, N) |i - connected index|
+
+    @cached_property
+    def flat_dist(self) -> np.ndarray:
+        """``dist`` as flat indices into a (lanes, N) array."""
+        n = self.dist.shape[-1]
+        return self.dist + n * np.arange(len(self.dist))[:, None, None]
+
+    def select(self, rows: np.ndarray) -> "_Lanes":
+        """The lanes at these row indices."""
+        return _Lanes(self.mode.select(rows), self.kappa, self.h_r, self.h0,
+                      *(getattr(self, name).take(rows, 0) for name in (
+                          "abar", "Pt", "sel", "direct", "Bt", "dist")))
+
+
+def _lane_operands(channels: ChannelSet, mode: ModeStack) -> _Lanes:
+    """``_Lanes`` of these levels on these channels."""
+    abar = 1.0 - mode.a_vec
+    n, n_ues = abar.shape[-1], channels.n_ues
+    kappa = channels.kappa_br * np.sqrt(channels.b_aod.size)
+    Pt = (abar * channels.b_aoa)[..., None, :] * channels.h_r.conj()
+    Bt = np.zeros((len(abar), n_ues + 1, n + 1), dtype=complex)
+    Bt[:, :n_ues, :n], Bt[:, n_ues, n] = -Pt, -1.0
+    dist = np.abs(np.arange(n) - mode.index0[..., None])
+    sel = np.ascontiguousarray(channels.h_r.T[mode.index0].swapaxes(-2, -1))
+    return _Lanes(mode, kappa, channels.h_r, channels.h_r[:, 0].real, abar,
+                  Pt, sel, sel.conj(), Bt, dist)
+
+
+def _reduced_rows(lanes: _Lanes, phi: np.ndarray) -> np.ndarray:
+    """Every lane's K reduced rows [sqrt(N_t) g_k(phi), d_k] at its phases:
+    ``effective_matrix`` is these rows with the first column times
+    b_aod^H / sqrt(N_t)."""
+    g = lanes.kappa * _matvec(lanes.Pt, phi)
+    return np.concatenate([g[..., None], lanes.direct], axis=-1)
+
+
+def _phase_operator(lanes: _Lanes, t: np.ndarray, F: np.ndarray,
+                    mu: np.ndarray, zeta: np.ndarray):
     """D + Lambda of ``power_iteration`` on each lane's phase quadratic
-    (``build_phase_quadratic``'s), as (apply: p -> (D + Lambda) p, Lambda),
-    from the LoS factors; no N x N matrix is formed. G W = kappa b_aoa t
-    with t = b_aod^H W, so C = s P diag(w) P^H and beta = kappa P v, where
-    s = kappa^2 ||t||^2, w = zeta |mu|^2, P = diag(b_aoa) cmat^T and
-    v = (cross t) w - t zeta conj(mu): D = B A with B = -[[P, 0], [0, 1]]
-    and A = [[s diag(w) P^H, kappa v], [beta^H, 0]]. D_ii <= 0, so Lambda
-    is the row sums of |D| plus the margin. With h_r[k, m] =
+    (``build_phase_quadratic``'s at W = q t), as (apply: p -> (D + Lambda)
+    p, Lambda), from the LoS factors; no N x N matrix is formed. G W =
+    kappa b_aoa t with kappa = ``lanes.kappa``, so C = s P^T diag(w) conj(P)
+    and beta = P^T v, where s = kappa^2 ||t||^2, w = zeta |mu|^2 and v =
+    kappa ((cross t) w - t zeta conj(mu)): D = B A with B = -[[P^T, 0],
+    [0, 1]] and A = [[s diag(w) conj(P), v], [beta^H, 0]]. D_ii <= 0, so
+    Lambda is the row sums of |D| plus the margin. With h_r[k, m] =
     kappa_k e^{j theta_k m}, |C_ij| = s abar_i abar_j g(|i - j|) for
     g(d) = |sum_k w_k h_r[k, 0] h_r[k, d]|; its row sums take two prefix
     sums of g, less g at the distances to the connected elements."""
-    abar = 1.0 - mode.a_vec
-    n = abar.shape[-1]
-    Pt = (abar * channels.b_aoa)[..., None, :] * channels.h_r.conj()   # P^T
     w = zeta * np.abs(mu) ** 2
-    t = channels.b_aod.conj() @ W
-    s = channels.kappa_br ** 2 * (np.abs(t) ** 2).sum(axis=-1)
-    sel = channels.h_r.T[mode.index0].swapaxes(-2, -1)   # rows h_sel_k
-    u = _matvec(sel, _matvec(F.conj(), t))            # cross t
-    kv = channels.kappa_br * (u * w - t * zeta * mu.conj())
-    beta = _matvec(Pt.swapaxes(-2, -1), kv)
+    s = lanes.kappa ** 2 * np.vecdot(t, t).real
+    u = _matvec(lanes.sel, _matvec(F.conj(), t))      # cross t
+    kv = lanes.kappa * (u * w - t * zeta * mu.conj())
+    beta = _matvec(lanes.Pt.swapaxes(-2, -1), kv)
 
     n_lanes, n_ues = w.shape
+    n = lanes.abar.shape[-1]
     A = np.zeros((n_lanes, n_ues + 1, n + 1), dtype=complex)
-    np.multiply((s[:, None] * w)[..., None], Pt.conj(), out=A[:, :n_ues, :n])
+    A[:, :n_ues, :n] = (s[:, None] * w)[..., None] * lanes.Pt.conj()
     A[:, :n_ues, n], A[:, n_ues, :n] = kv, beta.conj()
-    B = np.zeros((n_lanes, n_ues + 1, n + 1), dtype=complex)   # B^T
-    B[:, :n_ues, :n], B[:, n_ues, n] = -Pt, -1.0
-    B = B.swapaxes(-2, -1)
 
-    g = np.abs(_matvec(channels.h_r.T, w * channels.h_r[:, 0].real))
-    cum = np.cumsum(g, axis=-1)
-    dist = np.abs(np.arange(n)[:, None] - mode.index0[..., None, :])
-    connected = np.take(g, dist + n * np.arange(n_lanes)[:, None, None])
-    spread = cum + cum[..., ::-1] - g[..., :1] - connected.sum(axis=-1)
+    g = np.abs(_matvec(lanes.h_r.T, w * lanes.h0))
+    cum = g.cumsum(axis=-1)
+    connected = g.take(lanes.flat_dist).sum(axis=1)
+    spread = cum + cum[..., ::-1] - g[..., :1] - connected
     beta_abs = np.abs(beta)
-    row_sums = np.concatenate([s[:, None] * abar * spread + beta_abs,
+    row_sums = np.concatenate([s[:, None] * lanes.abar * spread + beta_abs,
                                beta_abs.sum(axis=-1, keepdims=True)], axis=-1)
     shift = row_sums + 1e-9 * row_sums.max(axis=-1, keepdims=True)
+    B = lanes.Bt.swapaxes(-2, -1)
 
     def apply(p):
         return (B @ (A @ p[..., None]))[..., 0] + shift * p
@@ -356,16 +441,17 @@ def _phase_operator(channels: ChannelSet, mode: ModeStack, W: np.ndarray,
     return apply, shift
 
 
-def _phase_block(channels: ChannelSet, mode: ModeStack, W: np.ndarray,
-                 F: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
-                 p0: np.ndarray, max_iters: int) -> np.ndarray:
+def _phase_block(lanes: _Lanes, t: np.ndarray, F: np.ndarray, mu: np.ndarray,
+                 zeta: np.ndarray, p0: np.ndarray, max_iters: int
+                 ) -> np.ndarray:
     """The phase update of ``_ao_map``: at most ``max_iters`` steps of the
     ``power_iteration`` loop, with its default stop test, on
     ``_phase_operator`` from the start points ``p0`` (one row per lane);
-    returns the new phase vectors x."""
-    apply, shift = _phase_operator(channels, mode, W, F, mu, zeta)
+    returns the new reflection phases (the conjugate of x)."""
+    apply, shift = _phase_operator(lanes, t, F, mu, zeta)
     p, _ = _mm_steps(apply, shift.sum(-1), p0 / np.abs(p0), 1e-10, max_iters)
-    return np.exp(1j * np.angle(p[:, :-1] * np.conj(p[:, -1:])))
+    phi = p[:, :-1].conj() * p[:, -1:]
+    return phi / np.abs(phi)
 
 
 # Most MM steps per phase block (its stop test may end it sooner). Each
@@ -398,38 +484,49 @@ class AoResult:
     rejected: int
 
 
-def _ao_map(channels: ChannelSet, mode: ModeStack, noise: float,
-            power: np.ndarray, h: np.ndarray, V: np.ndarray,
-            passive: BeamStack, zeta: np.ndarray) -> tuple:
-    """One plain alternating-optimization map for every lane of a stack:
-    ``mode`` and ``power`` hold one level and one transmit power per lane;
-    ``h`` (the effective channels at the phases), ``V``, the phases and
-    ``zeta`` (the last weights) have a leading lane axis. Updates the
-    receivers, the weights and the precoder exactly, then the phases by
-    ``_phase_block``, warm-started. Returns the new (h, V, mu, passive,
-    zeta) and, per lane, the lifted objective after each block update.
-    """
-    n_tx = channels.G.shape[1]
-    mu = update_receivers(h, V, noise, power)
-    e = mse_all(h, V, mu, effective_noise(V, noise, power))
-    s1 = _lifted_objective(zeta, e)
-    zeta = 1.0 / e                         # update_weights at this state
-    s2 = _lifted_objective(zeta, e)
+def _ao_map(lanes: _Lanes, noise: float, power: np.ndarray, h: np.ndarray,
+            V: np.ndarray, S: np.ndarray, S2: np.ndarray, phi: np.ndarray,
+            zeta: np.ndarray) -> tuple:
+    """One plain alternating-optimization map for every lane of a stack,
+    in the reduced coordinates of ``_Lanes``: ``power`` holds one transmit
+    power per lane; ``h`` (the reduced rows at the phases ``phi``), ``V``
+    = [t; F], S = h V, its powers ``S2`` = |S|^2 and ``zeta`` (the last
+    weights) have a leading lane axis. Updates the receivers, the weights
+    and the precoder exactly, then the phases by ``_phase_block``,
+    warm-started. Returns the new (h, V, S, S2, mu, phi, zeta) and, per
+    lane, the lifted objective after each block update."""
+    sig = effective_noise(V, noise, power)
+    mu = _receivers_of(S, S2, sig)
+    e = _mse_of(S, S2, mu, sig)
+    zeta_old, zeta = zeta, 1.0 / e         # update_weights at this state
     V, mu = update_precoders(h, mu, zeta, noise, power)
-    s3 = surrogate_value(h, V, mu, zeta, noise, power)
+    S_pre = h @ V                          # before the phase update
 
-    p0 = np.concatenate([passive.phi.conj(), np.ones((len(V), 1))], axis=1)
-    x = _phase_block(channels, mode, V[:, :n_tx], V[:, n_tx:], mu, zeta, p0,
-                     max_iters=_PHASE_STEPS)
-    passive = BeamStack(x.conj())
-    h = effective_matrix(channels, passive, mode)
-    s4 = surrogate_value(h, V, mu, zeta, noise, power)
-    return h, V, mu, passive, zeta, np.stack([s1, s2, s3, s4], axis=1)
+    p0 = np.concatenate([phi.conj(), np.ones((len(V), 1))], axis=1)
+    phi = _phase_block(lanes, V[:, 0], V[:, 1:], mu, zeta, p0,
+                       max_iters=_PHASE_STEPS)
+    h = _reduced_rows(lanes, phi)
+    S = h @ V
+    both = np.stack([S_pre, S])
+    both2 = np.abs(both) ** 2
+    S2 = both2[1]
+    e_after = _mse_of(both, both2, mu, effective_noise(V, noise, power))
+    # after the receiver, weight, precoder and phase updates
+    rows = _lifted_objective(np.stack([zeta_old, zeta, zeta, zeta]),
+                             np.concatenate([np.stack([e, e]), e_after]))
+    return h, V, S, S2, mu, phi, zeta, rows.T
 
 
-def _unit(V: np.ndarray, power: np.ndarray) -> np.ndarray:
-    """The real vector of V / sqrt(P), one row per lane."""
-    return V.reshape(len(V), -1).view(float) / np.sqrt(power)[:, None]
+def _rated(h: np.ndarray, V: np.ndarray, noise: float) -> tuple:
+    """S = h V, its powers |S|^2 and their ``sum_rate`` report."""
+    S = h @ V
+    S2 = np.abs(S) ** 2
+    return S, S2, _rate_report(_sinr_of(S2, noise))
+
+
+def _unit(V: np.ndarray, root: np.ndarray) -> np.ndarray:
+    """The real vector of V / sqrt(P), one row per lane, from sqrt(P)."""
+    return V.reshape(len(V), -1).view(float) / root[:, None]
 
 
 # Differences of successive residuals an Anderson step uses at most
@@ -447,10 +544,11 @@ def _anderson_step(dF: np.ndarray, dG: np.ndarray, f: np.ndarray,
     from its normal equations by elimination without pivoting (a Gram
     matrix needs none), projected onto the full-power sphere: the real
     vector of the candidate V. Unused slots come first and are padded with
-    the identity, so they change no bit; a lane using none gets g back.
-    A singular system or an overflowing step gives a non-finite candidate,
-    not an exception."""
-    depth = dF.shape[1]
+    the identity, so they change no bit; the slots no lane uses are left
+    out, and a lane using none gets g back. A singular system or an
+    overflowing step gives a non-finite candidate, not an exception."""
+    depth = int(used.max(initial=0))
+    dF, dG = dF[:, dF.shape[1] - depth:], dG[:, dG.shape[1] - depth:]
     valid = np.arange(depth + 1) >= depth - used[:, None]
     cols = np.concatenate([dF, f[:, None]], axis=1)
     M = np.where(valid[:, :-1, None] & valid[:, None, :],
@@ -466,6 +564,11 @@ def _anderson_step(dF: np.ndarray, dG: np.ndarray, f: np.ndarray,
             gamma[:, :j] -= M[:, :j, j] * gamma[:, j, None]
         x = g - (gamma[:, :, None] * dG).sum(axis=1)
         return x * (np.sqrt(power) / np.sqrt(np.vecdot(x, x)))[:, None]
+
+
+# The lane state an ``AoResult`` reads
+_RESULT_KEYS = frozenset(("lane", "V", "phi", "sinr", "rates", "rate",
+                          "converged", "trace", "accepted"))
 
 
 def ao_solve(channels: ChannelSet, mode: ModeSelection,
@@ -505,14 +608,16 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     one connection count; configs that differ in more than ``total_power``
     raise ValueError.
 
-    The running lanes' states (precoders, phases, weights, rates, traces
-    and Anderson histories) are arrays with one row per lane, dropped when
-    the lane stops. One stacked start serves all lanes; each round runs
-    one ``_ao_map`` and ``sum_rate`` call for all lanes, then one
-    ``_anderson_step`` and one stacked ``sum_rate`` of the candidates of
-    the lanes that try one. A lane runs exactly the operations of its
-    solve alone, so every result (its own copies) equals ``ao_solve`` bit
-    for bit apart from ``report.wall_time`` (the call's).
+    The running lanes' states (reduced rows and precoders with their
+    product S = h V, phases, weights, rates, traces and Anderson
+    histories) are arrays with one row per lane, next to the lane-fixed
+    operands of ``_Lanes``, and are dropped when the lane stops. One
+    stacked start serves all lanes; each round runs one ``_ao_map`` for
+    all lanes, whose S gives the rates, then one ``_anderson_step`` and one
+    stacked ``_rated`` of the candidates of the lanes that try one. A lane
+    runs exactly the operations of its solve alone, so every result (its
+    own copies, with W lifted to N_t x K) equals ``ao_solve`` bit for bit
+    apart from ``report.wall_time`` (the call's).
 
     A stacked evaluation that raises is redone lane by lane. A lane whose
     own start point, map or candidate evaluation raises ends there, and
@@ -530,13 +635,18 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     noise, cap = configs[0].noise_power, configs[0].max_outer_iters
     threshold, tiny = configs[0].conv_threshold, np.finfo(float).tiny
     errors, done = {}, []       # lane -> exception; (maps, rows) of stopped
+    q = channels.b_aod / np.sqrt(channels.b_aod.size)
+    # zf_init's rule at the full rows' N_t + a dimensions
+    matched = channels.n_ues > channels.b_aod.size + lanes[0][0].n_connected
 
-    def take(state, rows):
-        """These rows (indices or a mask) of every array of a lane state."""
-        rows = np.flatnonzero(rows) if rows.dtype == bool else rows
+    def take(state, rows, keys=None):
+        """These rows (indices or a mask) of every array of a lane state,
+        or of those under ``keys``."""
+        rows = rows.nonzero()[0] if rows.dtype == bool else rows
         return SimpleNamespace(**{
-            key: value.select(rows) if key == "mode" else value[rows]
-            for key, value in vars(state).items()})
+            key: value.select(rows) if key == "lanes" else value.take(rows, 0)
+            for key, value in vars(state).items()
+            if keys is None or key in keys})
 
     def stacked(evaluate, rows):
         """``evaluate(rows)`` for all these lanes, or else lane by lane: a
@@ -555,50 +665,53 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         return passed, tuple(map(np.concatenate, zip(*outs))) if outs else None
 
     def start(rows):
-        mode = s.mode if len(rows) == len(s.lane) else s.mode.select(rows)
-        h = effective_matrix(channels, BeamStack(s.phi[rows]), mode)
-        V = zf_init(h, s.power[rows])
-        report = sum_rate(h, V, noise)
-        return h, V, report.sinr, report.rate, report.sum_rate
+        part = s if len(rows) == len(s.lane) else take(s, rows)
+        h = _reduced_rows(part.lanes, part.phi)
+        V = _zf_columns(h, part.power, matched)
+        S, S2, report = _rated(h, V, noise)
+        return h, V, S, S2, report.sinr, report.rate, report.sum_rate
 
     def plain_map(rows):
         part = s if len(rows) == len(s.lane) else take(s, rows)
-        h, V, _, passive, zeta, surrogate = _ao_map(
-            channels, part.mode, noise, part.power, part.h, part.V,
-            BeamStack(part.phi), part.zeta)
-        report = sum_rate(h, V, noise)
-        return (h, V, passive.phi, zeta, surrogate, report.sinr,
-                report.rate, report.sum_rate)
+        h, V, S, S2, _, phi, zeta, surrogate = _ao_map(
+            part.lanes, noise, part.power, part.h, part.V, part.S, part.S2,
+            part.phi, part.zeta)
+        report = _rate_report(_sinr_of(S2, noise))
+        return (h, V, S, S2, phi, zeta, surrogate, report.sinr, report.rate,
+                report.sum_rate)
 
     def evaluate_candidates(rows):
-        report = sum_rate(s.h[rows], V_x[rows], noise)
-        return report.sinr, report.sum_rate
+        S, S2, report = _rated(s.h[rows], V_x[rows], noise)
+        return S, S2, report.sinr, report.sum_rate
 
+    power = np.array([config.total_power for config in configs])
     s = SimpleNamespace(                # the running lanes, a row each
-        lane=np.arange(len(lanes)), mode=ModeStack(tuple(m for m, _ in lanes)),
-        power=np.array([config.total_power for config in configs]),
+        lane=np.arange(len(lanes)), power=power, root=np.sqrt(power),
+        lanes=_lane_operands(channels, ModeStack(tuple(m for m, _ in lanes))),
         phi=np.ones((len(lanes), lanes[0][0].n_elems), dtype=complex))
     passed, out = stacked(start, s.lane)
     s = s if passed is None else take(s, passed)
     if out is not None:
-        # keep zf_init's layout of V: the first map's products round by it
-        s.h, s.V, s.sinr, s.rates, s.rate = out
+        s.h, s.V, s.S, s.S2, s.sinr, s.rates, s.rate = out
         s.zeta = np.ones(s.rates.shape)
         s.trace = np.empty((len(s.lane), min(cap, 16), 5))   # surrogate, rate
-        # Anderson history: points since the last restart, the newest
-        # residual and output, and the newest differences of successive ones
+        # Anderson history: points since the last restart, the point the
+        # next map starts from, the newest residual and output, and the
+        # newest differences of successive ones
         s.accepted, s.points = np.zeros((2, len(s.lane)), int)
-        s.f = s.g = np.zeros((len(s.lane), 2 * s.V[0].size))
-        s.dF = s.dG = np.empty((len(s.lane), 0, 2 * s.V[0].size))
+        s.x = _unit(s.V, s.root)
+        s.f = s.g = np.zeros_like(s.x)
+        s.dF = s.dG = np.empty((len(s.lane), 0, s.x.shape[1]))
     maps = 0                            # every running lane has made these
     while len(s.lane):
-        x, rate_start = _unit(s.V, s.power), s.rate
+        rate_start = s.rate
         passed, out = stacked(plain_map, np.arange(len(s.lane)))
         if out is None:
             break
         if passed is not None:
-            s, x, rate_start = take(s, passed), x[passed], rate_start[passed]
-        s.h, s.V, s.phi, s.zeta, surrogate, s.sinr, s.rates, s.rate = out
+            s, rate_start = take(s, passed), rate_start[passed]
+        (s.h, s.V, s.S, s.S2, s.phi, s.zeta, surrogate, s.sinr, s.rates,
+         s.rate) = out
         if maps == s.trace.shape[1]:
             s.trace = np.concatenate([s.trace, np.empty(
                 (len(s.lane), min(maps, cap - maps), 5))], axis=1)
@@ -609,46 +722,62 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         s.converged = s.rate - rate_start < threshold * np.maximum(
             rate_start, tiny)
         stop = s.converged | (maps >= cap)
-        g = _unit(s.V, s.power)
-        f = g - x
+        g = _unit(s.V, s.root)
+        f = g - s.x
         s.dF, s.dG = (np.concatenate([d, (new - old)[:, None]], axis=1)
                       [:, -_DEPTH:] for d, new, old in ((s.dF, f, s.f),
                                                         (s.dG, g, s.g)))
-        s.f, s.g, s.points = f, g, s.points + 1
-        tried = ~stop & (s.points > 1)
-        if tried.any():
-            V_x = _anderson_step(s.dF, s.dG, f, g, np.minimum(
-                s.points - 1, _DEPTH), s.power).view(complex).reshape(
-                    s.V.shape)
-            rows = np.flatnonzero(tried & np.isfinite(V_x).all(axis=(1, 2)))
+        s.f, s.g, s.x, s.points = f, g, g, s.points + 1
+        tried = (~stop & (s.points > 1)).nonzero()[0]
+        if len(tried):
+            every = len(tried) == len(s.lane)
+            X = _anderson_step(*(a if every else a[tried] for a in (
+                s.dF, s.dG, f, g, np.minimum(s.points - 1, _DEPTH),
+                s.power)))
+            X = X.view(complex).reshape((len(tried),) + s.V.shape[1:])
+            if every:
+                V_x = X
+            else:
+                V_x = np.empty_like(s.V)
+                V_x[tried] = X
+            rows = tried[np.isfinite(X).all(axis=(1, 2))]
             passed, out = (stacked(evaluate_candidates, rows) if len(rows)
                            else (None, None))
             if passed is not None:      # a lane whose evaluation raised ends
                 stop[rows[~passed]] = True
                 rows = rows[passed]
-            if out is not None:
-                sinr, rate = out
-                better = rate >= s.rate[rows]
-                taken = rows[better]
-                s.V, s.zeta, s.rate = s.V.copy(), s.zeta.copy(), s.rate.copy()
-                s.V[taken], s.zeta[taken] = V_x[taken], 1.0 + sinr[better]
-                s.rate[taken] = rate[better]
-                s.accepted[taken] += 1
-                tried[taken] = False
+            points = s.points.take(tried)
             s.points[tried] = 1         # restart at the last map
+            if out is not None:
+                S, S2, sinr, rate = out
+                better = rate >= s.rate.take(rows)
+                taken = rows[better]
+                if len(taken):          # ... unless the candidate was taken
+                    s.points[taken] = points[np.searchsorted(tried, taken)]
+                    # the map's outputs stay as they were returned
+                    s.V, s.S, s.S2, s.zeta, s.rate, s.x = (
+                        s.V.copy(), s.S.copy(), s.S2.copy(), s.zeta.copy(),
+                        s.rate.copy(), g.copy())
+                    s.V[taken], s.S[taken], s.S2[taken] = (
+                        V_x.take(taken, 0), S[better], S2[better])
+                    s.zeta[taken] = 1.0 + sinr[better]
+                    s.rate[taken] = rate[better]
+                    s.accepted[taken] += 1
+                    s.x[taken] = _unit(s.V.take(taken, 0), s.root.take(taken))
         if stop.all():
             done.append((maps, s))
             break
         if stop.any():
-            done.append((maps, take(s, stop)))
+            done.append((maps, take(s, stop, _RESULT_KEYS)))
             s = take(s, ~stop)
 
     wall = time.perf_counter() - t0
 
     def result(maps, chunk, j):
-        V, n_tx = chunk.V[j].copy(), channels.G.shape[1]
+        V = chunk.V[j]
         solution = BeamformingSolution(
-            W=V[:n_tx], F=V[n_tx:], passive=PassiveBeam(chunk.phi[j].copy()))
+            W=q[:, None] * V[0], F=V[1:].copy(),
+            passive=PassiveBeam(chunk.phi[j].copy()))
         report = RateReport(
             sinr=chunk.sinr[j].copy(), rate=chunk.rates[j].copy(),
             sum_rate=float(chunk.rate[j]), iterations=maps, wall_time=wall,

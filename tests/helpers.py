@@ -9,7 +9,7 @@ import math
 import numpy as np
 
 from rdars import wmmse
-from rdars.arrays import BeamStack, ModeStack, PassiveBeam
+from rdars.arrays import ModeStack
 from rdars.metrics import sum_rate
 from rdars.scenario import Geometry, SystemConfig, derive_geometry, drop_ues
 
@@ -130,6 +130,13 @@ def anderson_point(xs, gs, power: float, depth: int = 5) -> np.ndarray:
         return x * (math.sqrt(power) / np.linalg.norm(x))
 
 
+def lift(channels, V):
+    """The full precoder [q t; F] of a reduced one [t; F], with q =
+    b_aod / sqrt(N_t): what ``wmmse.ao_solve_levels`` returns."""
+    q = channels.b_aod / math.sqrt(channels.b_aod.size)
+    return np.vstack([q[:, None] * V[0], V[1:]])
+
+
 def anderson_reference(channels, mode, config, step=anderson_point):
     """One-lane Anderson loop, written plainly as the reference for the
     lockstep driver ``wmmse.ao_solve_levels``. After each plain map that
@@ -139,17 +146,22 @@ def anderson_reference(channels, mode, config, step=anderson_point):
     map output's is taken with fresh weights 1 + SINR; any other restarts
     the history at the last point. The run stops when the relative
     sum-rate gain of one map over the state it started from is below the
-    threshold. Returns the fields of an ``AoResult``: (V, phases, SINRs,
-    rates, sum rate, surrogate rows, sum-rate trace, converged, accepted,
-    rejected)."""
+    threshold. The maps run in the reduced coordinates of ``wmmse._Lanes``
+    from ``zf_init``'s start on the reduced rows, with its matched-filter
+    rule at the full N_t + a dimensions. Returns the fields of an
+    ``AoResult``: (V, phases, SINRs, rates, sum rate, surrogate rows,
+    sum-rate trace, converged, accepted, rejected), with V reduced (see
+    ``lift``)."""
     power, noise = config.total_power, config.noise_power
-    stack, powers = ModeStack((mode,)), np.array([power])
-    phi = np.ones(mode.n_elems, dtype=complex)
-    h = wmmse.effective_matrix(channels, PassiveBeam(phi), mode)
-    V = wmmse.zf_init(h, power)
-    zeta = np.ones(channels.n_ues)
+    lanes, powers = wmmse._lane_operands(channels, ModeStack((mode,))), \
+        np.array([power])
+    phi = np.ones((1, mode.n_elems), dtype=complex)
+    h = wmmse._reduced_rows(lanes, phi)
+    matched = channels.n_ues > channels.b_aod.size + mode.n_connected
+    V = wmmse._zf_columns(h, powers, matched)
+    zeta = np.ones((1, channels.n_ues))
     report = sum_rate(h, V, noise)
-    sinr, rate, total = report.sinr, report.rate, report.sum_rate
+    sinr, rate, total = report.sinr[0], report.rate[0], report.sum_rate[0]
     rows, trace, xs, gs = [], [], [], []
     accepted = rejected = 0
 
@@ -159,11 +171,10 @@ def anderson_reference(channels, mode, config, step=anderson_point):
     while True:
         start = total
         xs.append(unit(V))
-        h, V, _, beam, zeta, row = wmmse._ao_map(
-            channels, stack, noise, powers, h[None], V[None],
-            BeamStack(phi[None]), zeta[None])
+        S = h @ V
+        h, V, _, _, _, phi, zeta, row = wmmse._ao_map(
+            lanes, noise, powers, h, V, S, np.abs(S) ** 2, phi, zeta)
         report = sum_rate(h, V, noise)
-        h, V, phi, zeta = h[0], V[0], beam.phi[0], zeta[0]
         sinr, rate, total = report.sinr[0], report.rate[0], report.sum_rate[0]
         rows.append(row[0])
         trace.append(float(total))
@@ -177,13 +188,13 @@ def anderson_reference(channels, mode, config, step=anderson_point):
         V_x = step(xs, gs, power).view(complex).reshape(V.shape)
         taken = False
         if np.isfinite(V_x).all():
-            cand = sum_rate(h[None], V_x[None], noise)
+            cand = sum_rate(h, V_x, noise)
             taken = cand.sum_rate[0] >= total
         if taken:
             accepted += 1
-            V, zeta, total = V_x, 1.0 + cand.sinr[0], cand.sum_rate[0]
+            V, zeta, total = V_x, 1.0 + cand.sinr, cand.sum_rate[0]
         else:
             rejected += 1
             xs, gs = xs[-1:], gs[-1:]
-    return (V, phi, sinr, rate, total, np.asarray(rows), np.asarray(trace),
-            converged, accepted, rejected)
+    return (V[0], phi[0], sinr, rate, total, np.asarray(rows),
+            np.asarray(trace), converged, accepted, rejected)

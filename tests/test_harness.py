@@ -275,10 +275,10 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
     plain = wmmse._phase_block
     solved = []
 
-    def failing(channels, mode, *args, **kwargs):
-        if any(lane.eta == fail_eta for lane in getattr(mode, "modes", ())):
+    def failing(lanes, *args, **kwargs):
+        if any(lane.eta == fail_eta for lane in lanes.mode.modes):
             raise ArithmeticError(f"forced failure at level {fail_eta}")
-        return plain(channels, mode, *args, **kwargs)
+        return plain(lanes, *args, **kwargs)
 
     def counted(channels, lanes):
         solved.extend(mode.eta for mode, _ in lanes)
@@ -349,11 +349,11 @@ def test_finished_campaign_frees_its_trials(monkeypatch):
 
     plain = wmmse._phase_block
 
-    def failing(channels, mode, *args, **kwargs):
+    def failing(lanes, *args, **kwargs):
         # the scan raises at level 2 and never reads level 3's exception
-        if any(lane.eta in (2, 3) for lane in mode.modes):
+        if any(lane.eta in (2, 3) for lane in lanes.mode.modes):
             raise ArithmeticError("forced failure")
-        return plain(channels, mode, *args, **kwargs)
+        return plain(lanes, *args, **kwargs)
 
     monkeypatch.setattr(harness, "_Trial", Tracked)
     camp = Campaign(_scenario(conv_threshold=1e-12, max_outer_iters=3),

@@ -19,8 +19,8 @@ from rdars.wmmse import (AoResult, PhaseQuadratic, ao_solve,
                          surrogate_value, update_precoders, update_receivers,
                          update_weights, wa_solve, zf_init)
 
-from helpers import (anderson_point, anderson_reference, random_geometry,
-                     small_config)
+from helpers import (anderson_point, anderson_reference, lift,
+                     random_geometry, small_config)
 
 
 def _random_h(rng, n_ues, dim, scale=1.0):
@@ -194,6 +194,25 @@ def test_update_precoders_tiny_receiver_lands_on_budget():
         assert float(np.sum(np.abs(V) ** 2)) == pytest.approx(power, rel=1e-12)
         np.testing.assert_allclose(V[:, 0], V[0, 0], rtol=1e-12)
         assert np.all(np.isfinite(mu))
+
+
+def test_precoders_stay_in_the_row_space_at_a_tiny_multiplier():
+    """One UE on h = ones(1, 3) with a 1e-12 receiver at rho = 1e-7: the
+    weighted Gram matrix is rank one and rho s0 I is 1e-31 I, so the
+    precoder lies in the row space of h and its entries are equal. A
+    general 3 x 3 LU solve loses that null space (entries 3.8e-9 apart);
+    the 1 x 1 push-through solve keeps them equal to 1e-12. Both forms of
+    the solve agree where both apply."""
+    V, _ = update_precoders(np.ones((1, 3), dtype=complex),
+                            np.array([1e-12 + 0j]), np.array([1.0]), 0.1, 1e6)
+    np.testing.assert_allclose(V[:, 0], V[0, 0], rtol=1e-12)
+    h, mu, zeta = _precoder_inputs(8)
+    for rho in (1e-3, 0.7):
+        w = zeta * np.abs(mu) ** 2
+        full = np.linalg.solve((h.conj().T * w) @ h + rho * w.sum()
+                               * np.eye(6), h.conj().T * (zeta * mu))
+        np.testing.assert_allclose(precoders_at(h, mu, zeta, rho), full,
+                                   rtol=1e-10)
 
 
 def test_update_precoders_zero_gram_returns_zeros():
@@ -560,7 +579,9 @@ def test_phase_operator_matches_the_dense_one(n_connected, n_ues, zero_w,
 
     D, shift = _dense_shifted(build_phase_quadratic(channels, stack, W, F,
                                                     mu, zeta))
-    apply, got_shift = wmmse._phase_operator(channels, stack, W, F, mu, zeta)
+    lanes = wmmse._lane_operands(channels, stack)
+    t = channels.b_aod.conj() @ W / math.sqrt(cfg.n_tx)
+    apply, got_shift = wmmse._phase_operator(lanes, t, F, mu, zeta)
     z = (D @ p[..., None])[..., 0] + shift * p
     got_z = apply(p)
     objective = np.einsum("li,lij,lj->l", p.conj(), D, p).real
@@ -576,9 +597,9 @@ def test_phase_operator_matches_the_dense_one(n_connected, n_ues, zero_w,
     zero = n_connected == 16 or zero_w
     assert (scale == 0.0).all() == zero
     if zero:
-        x = wmmse._phase_block(channels, stack, W, F, mu, zeta, p,
-                               max_iters=wmmse._PHASE_STEPS)
-        np.testing.assert_allclose(x, p[:, :-1] * p[:, -1:].conj(),
+        phi = wmmse._phase_block(lanes, t, F, mu, zeta, p,
+                                 max_iters=wmmse._PHASE_STEPS)
+        np.testing.assert_allclose(phi, p[:, :-1].conj() * p[:, -1:],
                                    rtol=0.0, atol=1e-15)
 
 
@@ -602,15 +623,15 @@ def test_phase_block_lane_alone_equals_lane_in_a_stack(monkeypatch):
 
     monkeypatch.setattr(wmmse, "_phase_block", recording)
     ao_solve_levels(channels, lanes)
-    assert len(rounds[0][0][1].modes) == 12
-    for (_, stack, W, F, mu, zeta, p0), kwargs in rounds:
-        x = plain(channels, stack, W, F, mu, zeta, p0, **kwargs)
-        apply, shift = wmmse._phase_operator(channels, stack, W, F, mu, zeta)
+    assert len(rounds[0][0][0].mode.modes) == 12
+    for (stack, t, F, mu, zeta, p0), kwargs in rounds:
+        x = plain(stack, t, F, mu, zeta, p0, **kwargs)
+        apply, shift = wmmse._phase_operator(stack, t, F, mu, zeta)
         z = apply(p0)
-        for i, mode in enumerate(stack.modes):
+        for i, mode in enumerate(stack.mode.modes):
             one = slice(i, i + 1)
-            args = (channels, ModeStack((mode,)), W[one], F[one], mu[one],
-                    zeta[one])
+            args = (wmmse._lane_operands(channels, ModeStack((mode,))),
+                    t[one], F[one], mu[one], zeta[one])
             assert np.array_equal(plain(*args, p0[one], **kwargs)[0], x[i])
             apply_one, shift_one = wmmse._phase_operator(*args)
             assert np.array_equal(shift_one[0], shift[i])
@@ -682,6 +703,66 @@ def test_map_kernels_lane_stack_equals_per_lane_calls(seed, n_connected,
         power_iteration(quad.matrix, quad.linear)
 
 
+@settings(max_examples=30)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 2, 4, 16]),
+       st.integers(1, 12))
+@example(seed=0, n_connected=4, n_ues=3)      # K < 1 + a
+@example(seed=1, n_connected=4, n_ues=7)      # 1 + a < K <= N_t + a
+@example(seed=2, n_connected=2, n_ues=9)      # K > N_t + a
+def test_reduced_coordinates_match_the_full_rows(seed, n_connected, n_ues):
+    """The lockstep map runs in the rank-one LoS coordinates V = [t; F],
+    W = q t with q = b_aod / sqrt(N_t). Its reduced rows times a reduced
+    precoder equal the full effective rows times the lifted one to 1e-12;
+    its start, lifted, equals ``zf_init`` on the full rows (the
+    pseudoinverse up to K = N_t + a, matched filters beyond) to 64 eps
+    times the squared condition number of the rows (the full and reduced
+    rows share their nonzero singular values; a pseudoinverse is accurate
+    to about cond eps of its norm, and its smallest column, scaled to an
+    equal power share, to cond^2 eps); and every returned W lies in
+    span(b_aod)."""
+    rng = np.random.default_rng(seed)
+    cfg = small_config(n_ues=n_ues, n_connected=n_connected,
+                       max_outer_iters=3)
+    channels = los_channels(random_geometry(cfg, rng), cfg)
+    modes = [make_mode(16, n_connected, eta)
+             for eta in feasible_sparsities(16, n_connected)]
+    stack, lanes = ModeStack(tuple(modes)), len(modes)
+    phi = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (lanes, 16)))
+    V = _random_h(rng, lanes * (1 + n_connected), n_ues).reshape(
+        lanes, 1 + n_connected, n_ues)
+    reduced = wmmse._reduced_rows(wmmse._lane_operands(channels, stack), phi)
+    for i in range(lanes):
+        full = effective_matrix(channels, PassiveBeam(phi[i]), modes[i])
+        want = full @ lift(channels, V[i])
+        got = reduced[i] @ V[i]
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    starts = []
+    plain = wmmse._zf_columns
+
+    def recording(*args):
+        starts.append(plain(*args))
+        return starts[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(wmmse, "_zf_columns", recording)
+        results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    (start,) = starts
+    uniform = wmmse._reduced_rows(wmmse._lane_operands(channels, stack),
+                                  np.ones((lanes, 16), dtype=complex))
+    for i, mode in enumerate(modes):
+        want = zf_init(effective_matrix(channels, PassiveBeam.uniform(16),
+                                        mode), cfg.total_power)
+        tol = 64 * np.finfo(float).eps * np.linalg.cond(uniform[i]) ** 2
+        assert np.abs(lift(channels, start[i]) - want).max() \
+            <= tol * np.abs(want).max()
+    q = channels.b_aod / math.sqrt(cfg.n_tx)
+    for res in results:
+        W = res.solution.W
+        off = W - np.outer(q, q.conj() @ W)
+        assert np.abs(off).max() <= 1e-12 * np.abs(W).max()
+
+
 def _assert_same_solve(lockstep, alone):
     assert np.array_equal(lockstep.solution.W, alone.solution.W)
     assert np.array_equal(lockstep.solution.F, alone.solution.F)
@@ -731,11 +812,10 @@ def test_ao_solve_levels_isolates_a_failing_level(monkeypatch):
     alone = [ao_solve(channels, mode, cfg) for mode in modes]
     plain = wmmse._phase_block
 
-    def failing_at_three(channels, mode, *args, **kwargs):
-        lanes = getattr(mode, "modes", (mode,))
-        if any(lane.eta == 3 for lane in lanes):
+    def failing_at_three(lanes, *args, **kwargs):
+        if any(lane.eta == 3 for lane in lanes.mode.modes):
             raise ArithmeticError("forced failure at level 3")
-        return plain(channels, mode, *args, **kwargs)
+        return plain(lanes, *args, **kwargs)
 
     monkeypatch.setattr(wmmse, "_phase_block", failing_at_three)
     results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
@@ -814,10 +894,10 @@ def test_ao_solve_levels_mixed_powers_equal_one_lane_solves(dbms, n_ues, cap,
              for d in dbms for eta in feasible_sparsities(16, 4)]
     plain = wmmse._phase_block
 
-    def failing(channels, mode, *args, **kwargs):
-        if any(lane.eta == fail_eta for lane in mode.modes):
+    def failing(lanes, *args, **kwargs):
+        if any(lane.eta == fail_eta for lane in lanes.mode.modes):
             raise ArithmeticError(f"forced failure at level {fail_eta}")
-        return plain(channels, mode, *args, **kwargs)
+        return plain(lanes, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wmmse, "_phase_block", failing)
@@ -839,37 +919,36 @@ def test_ao_solve_levels_rejects_lanes_that_differ_beyond_power():
                                    (mode, replace(cfg, max_outer_iters=5))])
 
 
-def _hook_candidate_evaluations(monkeypatch, evaluate):
-    """Route every ``sum_rate`` call of ``ao_solve_levels`` that evaluates
-    candidates (neither the start's, which follows ``zf_init``, nor a plain
-    map's, which takes the map's own V) to ``evaluate(h, V, noise, etas)``,
-    with the level of each lane found by its channels among the last
-    map's."""
+def _hook_candidate_evaluations(monkeypatch, observe):
+    """Call ``observe(etas)`` before every candidate evaluation of
+    ``ao_solve_levels``: a ``_rated`` call after a map (the start's
+    follows ``_zf_columns``), with the level of each lane found by its
+    reduced rows among the last map's."""
     last = {}
-    plain_start = wmmse.zf_init
-    plain_map, plain_rate = wmmse._ao_map, wmmse.sum_rate
+    plain_start = wmmse._zf_columns
+    plain_map, plain_rated = wmmse._ao_map, wmmse._rated
 
-    def starting(h, power):
+    def starting(*args):
         last.clear()
-        return plain_start(h, power)
+        return plain_start(*args)
 
-    def mapping(channels, mode, *args):
-        out = plain_map(channels, mode, *args)
-        last.update(h=out[0], V=out[1], etas=[m.eta for m in mode.modes])
+    def mapping(lanes, *args):
+        out = plain_map(lanes, *args)
+        last.update(h=out[0], etas=[m.eta for m in lanes.mode.modes])
         return out
 
     def rating(h, V, noise):
-        if "V" not in last or V is last["V"]:
-            return plain_rate(h, V, noise)
-        etas = [eta for row in h for eta, h_map in zip(last["etas"], last["h"])
-                if np.array_equal(row, h_map)]
-        assert len(etas) == len(h)
-        return evaluate(h, V, noise, etas)
+        if "h" in last:
+            etas = [eta for row in h
+                    for eta, h_map in zip(last["etas"], last["h"])
+                    if np.array_equal(row, h_map)]
+            assert len(etas) == len(h)
+            observe(etas)
+        return plain_rated(h, V, noise)
 
-    monkeypatch.setattr(wmmse, "zf_init", starting)
+    monkeypatch.setattr(wmmse, "_zf_columns", starting)
     monkeypatch.setattr(wmmse, "_ao_map", mapping)
-    monkeypatch.setattr(wmmse, "sum_rate", rating)
-    return plain_rate
+    monkeypatch.setattr(wmmse, "_rated", rating)
 
 
 def test_ao_solve_levels_stacks_the_candidate_evaluations(monkeypatch):
@@ -877,12 +956,7 @@ def test_ao_solve_levels_stacks_the_candidate_evaluations(monkeypatch):
     ``sum_rate`` call: at most one evaluation per round, fewer than the
     candidates tried, and at least one carries several lanes."""
     evaluations = []
-
-    def recording(h, V, noise, etas):
-        evaluations.append(etas)
-        return plain_rate(h, V, noise)
-
-    plain_rate = _hook_candidate_evaluations(monkeypatch, recording)
+    _hook_candidate_evaluations(monkeypatch, evaluations.append)
     cfg = small_config(n_ues=3, total_power=dbm_to_watt(50.0),
                        max_outer_iters=30, conv_threshold=1e-12)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
@@ -955,6 +1029,29 @@ def test_anderson_step_equals_one_lane_formula():
     assert np.isfinite(out[:-1]).all() and not np.isfinite(out[-1]).all()
 
 
+@pytest.mark.parametrize("points", [[1, 2, 3, 4, 5, 6], [2, 1, 3, 2],
+                                    [1, 1], [3, 4, 1, 2, 4]])
+def test_anderson_step_skips_only_slots_no_lane_uses(points):
+    """Stacks of lanes whose histories use 0...5 differences, among them
+    stacks that use fewer than the five slots the history holds: the
+    elimination runs over the slots some lane uses, and every lane keeps
+    the bits of the one-lane formula (``helpers.anderson_point``) on its
+    points since its last restart."""
+    rng = np.random.default_rng(len(points))
+    depth, rounds, n = wmmse._DEPTH, 8, 40
+    power = 10.0 ** rng.uniform(-4.0, 6.0, len(points))
+    xs = rng.standard_normal((len(points), rounds, n))
+    gs = xs + 0.3 * rng.standard_normal(xs.shape)
+    fs = gs - xs
+    dF = fs[:, -depth:] - fs[:, -depth - 1:-1]
+    dG = gs[:, -depth:] - gs[:, -depth - 1:-1]
+    used = np.minimum(np.array(points) - 1, depth)
+    out = wmmse._anderson_step(dF, dG, fs[:, -1], gs[:, -1], used, power)
+    for i, p in enumerate(points):
+        point = anderson_point(list(xs[i, -p:]), list(gs[i, -p:]), power[i])
+        assert _same_bits(out[i], point)
+
+
 def test_ao_solve_levels_counts_untried_and_non_finite_steps():
     """A lane tries a candidate after every map but its first (a one-point
     history) and its last. A non-finite candidate counts as rejected with
@@ -976,13 +1073,9 @@ def test_ao_solve_levels_counts_untried_and_non_finite_steps():
         def forced(*args):
             return np.full_like(plain(*args), fill)
 
-        def recording(h, V, noise, etas):
-            evaluations.append(etas)
-            return sum_rate(h, V, noise)
-
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wmmse, "_anderson_step", forced)
-            _hook_candidate_evaluations(patch, recording)
+            _hook_candidate_evaluations(patch, evaluations.append)
             runs[case] = (ao_solve_levels(channels, lanes), evaluations)
     (zero, evaluated), (non_finite, unevaluated) = runs["zero"], \
         runs["non-finite"]
@@ -1048,7 +1141,7 @@ def test_ao_solve_levels_follows_the_one_lane_anderson_loop(
     for res, (mode, cfg) in zip(ao_solve_levels(channels, lanes), lanes):
         (V, phi, sinr, rate, total, rows, trace, converged, accepted,
          rejected) = anderson_reference(channels, mode, cfg)
-        assert np.array_equal(res.solution.V, V)
+        assert np.array_equal(res.solution.V, lift(channels, V))
         assert np.array_equal(res.solution.passive.phi, phi)
         assert np.array_equal(res.report.sinr, sinr)
         assert np.array_equal(res.report.rate, rate)
@@ -1079,17 +1172,19 @@ def test_ao_solve_levels_isolates_a_failing_start(monkeypatch):
                             cfg)
     modes = [make_mode(16, 4, eta) for eta in range(1, 6)]
     alone = [ao_solve(channels, mode, cfg) for mode in modes]
-    h3 = effective_matrix(channels, PassiveBeam.uniform(16), modes[2])
+    h3 = wmmse._reduced_rows(
+        wmmse._lane_operands(channels, ModeStack((modes[2],))),
+        np.ones((1, 16), dtype=complex))[0]
     calls = []
-    plain = wmmse.zf_init
+    plain = wmmse._zf_columns
 
-    def failing(h, power):
+    def failing(h, power, matched):
         calls.append(len(h))
         if any(np.array_equal(lane, h3) for lane in h):
             raise ArithmeticError("forced start failure at level 3")
-        return plain(h, power)
+        return plain(h, power, matched)
 
-    monkeypatch.setattr(wmmse, "zf_init", failing)
+    monkeypatch.setattr(wmmse, "_zf_columns", failing)
     results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
     assert calls == [5, 1, 1, 1, 1, 1]
     _isolated(results, alone, channels, modes[2], cfg, "start failure")
@@ -1108,11 +1203,10 @@ def test_ao_solve_levels_isolates_a_failing_guard(monkeypatch):
     assert alone[2].accepted + alone[2].rejected > 0
     guards = []
 
-    def failing(h, V, noise, etas):
+    def failing(etas):
         guards.append(etas)
         if 3 in etas:
             raise ArithmeticError("forced guard failure at level 3")
-        return sum_rate(h, V, noise)
 
     _hook_candidate_evaluations(monkeypatch, failing)
     results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
@@ -1205,10 +1299,10 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
     maps = {}
     plain_map = wmmse._ao_map
 
-    def recording(channels, mode, noise, power, h, V, passive, zeta):
-        out = plain_map(channels, mode, noise, power, h, V, passive, zeta)
-        h1, V1, mu1, _, zeta1, rows = out
-        for i, lane in enumerate(mode.modes):
+    def recording(lanes, noise, power, h, V, S, S2, phi, zeta):
+        out = plain_map(lanes, noise, power, h, V, S, S2, phi, zeta)
+        h1, V1, _, _, mu1, _, zeta1, rows = out
+        for i, lane in enumerate(lanes.mode.modes):
             maps.setdefault(lane.eta, []).append(
                 ((h[i], V[i], zeta[i]), (h1[i], V1[i], mu1[i], zeta1[i],
                                          rows[i])))
@@ -1216,10 +1310,10 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
 
     monkeypatch.setattr(wmmse, "_ao_map", recording)
     cfg = small_config(n_ues=3, max_outer_iters=7, conv_threshold=1e-12)
-    geo = random_geometry(cfg, np.random.default_rng(19))
-    results = ao_solve_levels(los_channels(geo, cfg),
-                              [(make_mode(16, 4, eta), cfg)
-                               for eta in (1, 2, 3)])
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(19)),
+                            cfg)
+    results = ao_solve_levels(channels, [(make_mode(16, 4, eta), cfg)
+                                         for eta in (1, 2, 3)])
     power, noise = cfg.total_power, cfg.noise_power
     assert results[1].report.iterations == len(maps[2]) == 7
     assert results[1].accepted >= 1 and results[1].rejected >= 1
@@ -1242,7 +1336,8 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
                 assert rows[-1][0] <= rows[-2][3]
         assert extrapolated == res.accepted
         assert np.array_equal(res.surrogate_trace, np.asarray(rows))
-        np.testing.assert_array_equal(res.solution.V, lane_maps[-1][1][1])
+        np.testing.assert_array_equal(res.solution.V,
+                                      lift(channels, lane_maps[-1][1][1]))
 
 
 # Plain-loop rates at a 5000-map cap (seed 1, 50 dBm, the campaign layout
