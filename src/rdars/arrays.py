@@ -26,13 +26,13 @@ def steering(n: int, u: float, d: float, lam: float) -> np.ndarray:
 class ModeSelection:
     """Uniform sparse placement of the connected elements.
 
-    ``index_set`` holds the 1-based element indices m0 + m*eta for
-    m = 0..a-1; everything else reflects.
+    ``index_set`` holds the 1-based element indices 1 + m*eta for
+    m = 0..a-1, a uniform sparse array from the first element; everything
+    else reflects.
     """
 
     n_elems: int
     eta: int
-    m0: int
     index_set: np.ndarray
 
     @property
@@ -57,7 +57,7 @@ class ModeSelection:
 class ModeStack:
     """Sparsity levels of one aperture and connection count, one lane
     each (a level may repeat): the lane-stacked stand-in for a
-    ``ModeSelection`` that ``effective_matrix`` and the phase quadratic
+    ``ModeSelection`` that the phase quadratic and the lockstep solver
     accept. ``index0`` and ``a_vec`` gain a leading lane axis and are
     built once."""
 
@@ -83,20 +83,20 @@ class ModeStack:
         return stack
 
 
-def make_mode(n: int, a: int, eta: int, m0: int = 1) -> ModeSelection:
-    """Build the connected-element index set {m0 + m*eta : m = 0..a-1}."""
+def make_mode(n: int, a: int, eta: int) -> ModeSelection:
+    """Build the connected-element index set {1 + m*eta : m = 0..a-1}."""
     if n < 1 or not 1 <= a <= n:
         raise ValueError(f"need 1 <= a <= n, got a={a}, n={n}")
-    if eta < 1 or m0 < 1:
-        raise ValueError("eta and m0 must be positive integers")
-    last = m0 + (a - 1) * eta
+    if eta < 1:
+        raise ValueError("eta must be a positive integer")
+    last = 1 + (a - 1) * eta
     if last > n:
         raise ValueError(
             f"sparsity eta={eta} infeasible: last connected index {last} > n={n}"
         )
-    idx = m0 + eta * np.arange(a)
+    idx = 1 + eta * np.arange(a)
     idx.flags.writeable = False
-    return ModeSelection(n_elems=n, eta=eta, m0=m0, index_set=idx)
+    return ModeSelection(n_elems=n, eta=eta, index_set=idx)
 
 
 def feasible_sparsities(n: int, a: int) -> list[int]:
@@ -134,11 +134,12 @@ class ChannelSet:
 
 def los_channels(geometry: Geometry, config: SystemConfig) -> ChannelSet:
     """Line-of-sight channels: G is the rank-one steering outer product,
-    h_r[k] the scaled surface steering vector toward UE k."""
+    h_r[k] the scaled surface steering vector toward UE k. Both arrays lie
+    along x, so the backhaul has one spatial frequency at both ends."""
     n, nt = config.n_elems, config.n_tx
     d, lam = config.spacing, config.wavelength
     b_aoa = steering(n, geometry.u_br_aoa, d, lam)
-    b_aod = steering(nt, geometry.u_br_aod, d, lam)
+    b_aod = steering(nt, geometry.u_br_aoa, d, lam)
     G = geometry.kappa_br * np.outer(b_aoa, b_aod.conj())
     h_r = np.array([
         kr * steering(n, float(u), d, lam)
@@ -146,14 +147,6 @@ def los_channels(geometry: Geometry, config: SystemConfig) -> ChannelSet:
     ])
     return ChannelSet(G=G, h_r=h_r, kappa_br=float(geometry.kappa_br),
                       b_aoa=b_aoa, b_aod=b_aod)
-
-
-def _check_unit_modulus(phi: np.ndarray) -> None:
-    off = np.abs(np.abs(phi) - 1.0)
-    if (off > 1e-12).any():
-        worst = float(np.max(off))
-        raise ValueError(
-            f"phi entries must be unit modulus (worst |.|-1 = {worst:g})")
 
 
 @dataclass(frozen=True)
@@ -169,7 +162,10 @@ class PassiveBeam:
     def __post_init__(self):
         if self.phi.ndim != 1:
             raise ValueError("phi must be a vector")
-        _check_unit_modulus(self.phi)
+        off = np.abs(np.abs(self.phi) - 1.0)
+        if (off > 1e-12).any():
+            raise ValueError("phi entries must be unit modulus "
+                             f"(worst |.|-1 = {float(np.max(off)):g})")
 
     @classmethod
     def uniform(cls, n: int) -> "PassiveBeam":
@@ -180,29 +176,12 @@ class PassiveBeam:
         return cls(np.exp(1j * np.asarray(angles, dtype=float)))
 
 
-@dataclass(frozen=True)
-class BeamStack:
-    """Reflection beams of several lanes, one row of ``phi`` per lane: the
-    lane-stacked stand-in for a ``PassiveBeam``."""
-
-    phi: np.ndarray
-
-    def __post_init__(self):
-        if self.phi.ndim != 2:
-            raise ValueError("phi must be a stack of vectors")
-        _check_unit_modulus(self.phi)
-
-
-def effective_matrix(channels: ChannelSet, passive: PassiveBeam | BeamStack,
-                     mode: ModeSelection | ModeStack) -> np.ndarray:
+def effective_matrix(channels: ChannelSet, passive: PassiveBeam,
+                     mode: ModeSelection) -> np.ndarray:
     """All K effective rows stacked: [conj(h_r) * phi * (1-a_vec)] @ G on
-    the left, conj(h_r) at the connected indices on the right. With a
-    ``ModeStack`` and a ``BeamStack`` the rows gain a leading lane axis."""
-    if (channels.n_elems != mode.n_elems
-            or passive.phi.shape[-1] != mode.n_elems):
+    the left, conj(h_r) at the connected indices on the right."""
+    if channels.n_elems != mode.n_elems or passive.phi.size != mode.n_elems:
         raise ValueError("channel, passive-beam and mode sizes disagree")
     hc = channels.h_r.conj()
-    reflecting = (1.0 - mode.a_vec)[..., None, :]
-    reflect = (hc * passive.phi[..., None, :] * reflecting) @ channels.G
-    direct = hc.T[mode.index0].swapaxes(-2, -1)
-    return np.concatenate([reflect, direct], axis=-1)
+    reflect = (hc * passive.phi * (1.0 - mode.a_vec)) @ channels.G
+    return np.concatenate([reflect, hc[:, mode.index0]], axis=-1)

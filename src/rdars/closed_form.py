@@ -8,7 +8,7 @@ selector that picks sparsity levels without running the iterative solver.
 
 Conventions: ``du`` always denotes a difference of spatial frequencies,
 ``d`` the element spacing, ``lam`` the wavelength. Sums over the connected
-elements run over the index set {m0 + m*eta}.
+elements run over the index set {1 + m*eta}.
 """
 
 from __future__ import annotations
@@ -52,20 +52,19 @@ def dirichlet_kernel(a: int, eta: int, d: float, lam: float, du: float) -> float
     return math.sin(a * x) / den
 
 
-def center_phase(a: int, eta: int, d: float, lam: float, du: float,
-                 m0: int = 1) -> complex:
+def center_phase(a: int, eta: int, d: float, lam: float, du: float) -> complex:
     """Unit phase factor of the sparse-array geometric sum's centroid:
-    exp(j * (2*pi*d/lam) * (m0 - 1 + eta*(a-1)/2) * du)."""
+    exp(j * (2*pi*d/lam) * (eta*(a-1)/2) * du)."""
     return cmath.exp(1j * (2.0 * math.pi * d / lam)
-                     * (m0 - 1 + 0.5 * (a - 1) * eta) * du)
+                     * (0.5 * (a - 1) * eta) * du)
 
 
-def dirichlet_sparse(a: int, eta: int, d: float, lam: float, du: float,
-                     m0: int = 1) -> complex:
+def dirichlet_sparse(a: int, eta: int, d: float, lam: float,
+                     du: float) -> complex:
     """Coherent sum over the connected elements for a frequency offset du:
-    sum_m exp(j*(2*pi*d/lam)*(m0-1+m*eta)*du), evaluated in closed form as
+    sum_m exp(j*(2*pi*d/lam)*(m*eta)*du), evaluated in closed form as
     kernel times centroid phase."""
-    return dirichlet_kernel(a, eta, d, lam, du) * center_phase(a, eta, d, lam, du, m0)
+    return dirichlet_kernel(a, eta, d, lam, du) * center_phase(a, eta, d, lam, du)
 
 
 def steered_sums(mode: ModeSelection, d: float, lam: float,
@@ -128,7 +127,7 @@ def single_ue_solution(geometry: Geometry, config: SystemConfig,
     p_bs = k_br ** 2 * (n - a) ** 2 * nt * config.total_power / denom
     p_conn = a * config.total_power / denom
 
-    w = math.sqrt(p_bs / nt) * steering(nt, geometry.u_br_aod, d, lam)
+    w = math.sqrt(p_bs / nt) * steering(nt, geometry.u_br_aoa, d, lam)
     f = math.sqrt(p_conn / a) * b_ru[mode.index0]
     snr = k_ru ** 2 * config.total_power * denom / config.noise_power
     return SingleUeSolution(passive=passive, w=w, f=f, p_bs=p_bs,
@@ -195,7 +194,7 @@ def two_ue_analysis(geometry: Geometry, config: SystemConfig,
         d_full[k], s_sparse[k] = steered_sums(mode, d, lam, passive, float(du_k[k]))
     xi = k_br * k_ru * (d_full - s_sparse)
     d_k = math.sqrt(nt) * xi
-    s_cross = k_ru[0] * k_ru[1] * dirichlet_sparse(a, mode.eta, d, lam, du, mode.m0)
+    s_cross = k_ru[0] * k_ru[1] * dirichlet_sparse(a, mode.eta, d, lam, du)
 
     num = abs(d_k[0] * np.conj(d_k[1]) + s_cross) ** 2
     den = ((abs(d_k[0]) ** 2 + k_ru[0] ** 2 * a)

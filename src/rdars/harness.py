@@ -77,8 +77,13 @@ class Campaign:
             raise ValueError(f"unknown algorithms {unknown}; "
                              f"choose from {ALGORITHMS}")
         for v in self.sweep_dbm:
-            if not math.isfinite(v):
-                raise ValueError(f"sweep value {v} is not finite")
+            try:
+                watt = dbm_to_watt(v)
+            except OverflowError:       # above about 3082 dBm
+                watt = math.inf
+            if not 0.0 < watt < math.inf:
+                raise ValueError(f"sweep value {v} dBm is not a positive "
+                                 f"finite power in watts ({watt:g} W)")
 
     def sweep_points(self) -> tuple[float, ...]:
         if self.sweep_dbm:
@@ -149,7 +154,7 @@ class _Trial:
         if missing:
             config = self._scenario.config
             modes = {eta: make_mode(config.n_elems, config.n_connected, eta)
-                     for _, eta in missing}
+                     for eta in {eta for _, eta in missing}}
             outcomes = ao_solve_levels(self.channels(), [
                 (modes[eta], self.configs[s]) for s, eta in missing])
             for key, out in zip(missing, outcomes):

@@ -32,17 +32,14 @@ class BeamformingSolution:
 
 @dataclass(frozen=True)
 class RateReport:
-    """Per-UE SINRs and rates plus solver metadata. ``wall_time`` of a
-    solve covers the whole call that made it: with several lanes (sparsity
-    levels, and in a campaign every sweep power of a trial) solved in
-    lockstep, the time of all of them. ``sum_rate`` evaluated on a stack
-    of lanes holds one sum per lane."""
+    """Per-UE SINRs and rates plus solver metadata: the maps a solve ran
+    and whether it converged. ``sum_rate`` evaluated on a stack of lanes
+    holds one sum per lane."""
 
     sinr: np.ndarray
     rate: np.ndarray
     sum_rate: float
     iterations: int = 0
-    wall_time: float = 0.0
     converged: bool = True
 
 

@@ -94,15 +94,15 @@ class Geometry:
     """Positions plus the derived spatial frequencies and path gains.
 
     Spatial frequencies are cosines of the angle between a link direction
-    and the owning array's axis, which is x for both arrays; kappa values
-    are linear amplitudes.
+    and the owning array's axis, which is x for both arrays, so the
+    backhaul's departure from the BS and arrival at the surface share
+    ``u_br_aoa``; kappa values are linear amplitudes.
     """
 
     bs_pos: np.ndarray
     rdars_pos: np.ndarray
     ue_pos: np.ndarray          # (K, 3)
     u_br_aoa: float
-    u_br_aod: float
     u_ru_aod: np.ndarray        # (K,)
     kappa_br: float
     kappa_ru: np.ndarray        # (K,)
@@ -136,7 +136,7 @@ def derive_geometry(bs_pos, rdars_pos, ue_pos, config: SystemConfig) -> Geometry
     if dist_br == 0.0:
         raise ScenarioError("BS and RDARS positions coincide")
     dir_br = link / dist_br
-    u_br_aod = u_br_aoa = float(np.clip(dir_br[0], -1.0, 1.0))
+    u_br_aoa = float(np.clip(dir_br[0], -1.0, 1.0))
 
     diffs = ue - rd
     dists = np.linalg.norm(diffs, axis=1)
@@ -152,7 +152,6 @@ def derive_geometry(bs_pos, rdars_pos, ue_pos, config: SystemConfig) -> Geometry
         rdars_pos=rd,
         ue_pos=ue,
         u_br_aoa=u_br_aoa,
-        u_br_aod=u_br_aod,
         u_ru_aod=u_ru.astype(float),
         kappa_br=kappa_br,
         kappa_ru=kappa_ru,

@@ -36,7 +36,6 @@ LoS factors and forms no N x N matrix.
 
 from __future__ import annotations
 
-import time
 from types import SimpleNamespace
 from dataclasses import dataclass, replace
 from functools import cached_property, partial
@@ -259,18 +258,11 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
     eigendecomposition, so the result never falls below the start value.
 
     Returns x and the trace of p^H D p, nondecreasing by construction; a
-    decrease beyond rounding noise raises ArithmeticError. A leading lane
-    axis on C, beta_vec and p0 (which a stack needs) runs independent
-    problems in lockstep, each exactly as alone; a lane's trace column
-    repeats its last value once it stopped.
+    decrease beyond rounding noise raises ArithmeticError.
     """
-    lanes = C.ndim == 3
-    if lanes and p0 is None:
-        raise ValueError("a stack of phase problems needs start points p0")
-    C, beta_vec = (C, beta_vec) if lanes else (C[None], beta_vec[None])
-    n_lanes, n = beta_vec.shape
-    D = -np.block([[C, beta_vec[..., None]],
-                   [beta_vec.conj()[:, None], np.zeros((n_lanes, 1, 1))]])
+    n = beta_vec.size
+    D = -np.block([[C[None], beta_vec[None, :, None]],
+                   [beta_vec.conj()[None, None], np.zeros((1, 1, 1))]])
     if p0 is None:
         lead = np.linalg.eigh(D[0])[1][:, -1]
         mags = np.abs(lead)
@@ -279,14 +271,12 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
         starts = [np.ones((1, n + 1), dtype=complex), lead[None]]
     else:
         p = np.asarray(p0, dtype=complex)
-        expected = (n_lanes, n + 1) if lanes else (n + 1,)
-        if p.shape != expected:
-            raise ValueError(f"p0 must have shape {expected}, got {p.shape}")
-        p = p.reshape(n_lanes, n + 1)
+        if p.shape != (n + 1,):
+            raise ValueError(f"p0 must have shape {(n + 1,)}, got {p.shape}")
         mags = np.abs(p)
         if (mags == 0.0).any():
             raise ValueError("p0 entries must be nonzero")
-        starts = [p / mags]
+        starts = [(p / mags)[None]]
     row_sums = np.abs(D).sum(axis=-1)
     diagonal = np.diagonal(D, axis1=-2, axis2=-1)
     shift = (row_sums - np.abs(diagonal) - diagonal.real
@@ -298,8 +288,8 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
         p_alt, hist_alt = _mm_steps(apply, offset, p_start, tol, max_iters)
         if hist_alt[-1, 0] > hist_best[-1, 0]:
             p_best, hist_best = p_alt, hist_alt
-    x = np.exp(1j * np.angle(p_best[:, :n] * np.conj(p_best[:, n:])))
-    return (x, hist_best) if lanes else (x[0], hist_best[:, 0])
+    x = np.exp(1j * np.angle(p_best[0, :n] * np.conj(p_best[0, n:])))
+    return x, hist_best[:, 0]
 
 
 def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
@@ -566,11 +556,6 @@ def _anderson_step(dF: np.ndarray, dG: np.ndarray, f: np.ndarray,
         return x * (np.sqrt(power) / np.sqrt(np.vecdot(x, x)))[:, None]
 
 
-# The lane state an ``AoResult`` reads
-_RESULT_KEYS = frozenset(("lane", "V", "phi", "sinr", "rates", "rate",
-                          "converged", "trace", "accepted"))
-
-
 def ao_solve(channels: ChannelSet, mode: ModeSelection,
              config: SystemConfig) -> AoResult:
     """Run the alternating optimization from the standard start point
@@ -611,20 +596,19 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     The running lanes' states (reduced rows and precoders with their
     product S = h V, phases, weights, rates, traces and Anderson
     histories) are arrays with one row per lane, next to the lane-fixed
-    operands of ``_Lanes``, and are dropped when the lane stops. One
-    stacked start serves all lanes; each round runs one ``_ao_map`` for
-    all lanes, whose S gives the rates, then one ``_anderson_step`` and one
-    stacked ``_rated`` of the candidates of the lanes that try one. A lane
-    runs exactly the operations of its solve alone, so every result (its
-    own copies, with W lifted to N_t x K) equals ``ao_solve`` bit for bit
-    apart from ``report.wall_time`` (the call's).
+    operands of ``_Lanes``. One stacked start serves all lanes; each round
+    runs one ``_ao_map`` for all lanes, whose S gives the rates, then one
+    ``_anderson_step`` and one stacked ``_rated`` of the candidates of the
+    lanes that try one. A lane's result (its own copies, with W lifted to
+    N_t x K) is built in the round it stops, and the lane is dropped. A
+    lane runs exactly the operations of its solve alone, so every result
+    equals ``ao_solve`` bit for bit.
 
     A stacked evaluation that raises is redone lane by lane. A lane whose
     own start point, map or candidate evaluation raises ends there, and
     its entry in the returned list (one per lane, in order) is that
     exception.
     """
-    t0 = time.perf_counter()
     lanes = list(lanes)
     if not lanes:
         return []
@@ -634,19 +618,17 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
             raise ValueError("lockstep lanes may differ only in total_power")
     noise, cap = configs[0].noise_power, configs[0].max_outer_iters
     threshold, tiny = configs[0].conv_threshold, np.finfo(float).tiny
-    errors, done = {}, []       # lane -> exception; (maps, rows) of stopped
+    outcomes = {}               # lane -> its AoResult or exception
     q = channels.b_aod / np.sqrt(channels.b_aod.size)
     # zf_init's rule at the full rows' N_t + a dimensions
     matched = channels.n_ues > channels.b_aod.size + lanes[0][0].n_connected
 
-    def take(state, rows, keys=None):
-        """These rows (indices or a mask) of every array of a lane state,
-        or of those under ``keys``."""
+    def take(state, rows):
+        """These rows (indices or a mask) of every array of a lane state."""
         rows = rows.nonzero()[0] if rows.dtype == bool else rows
         return SimpleNamespace(**{
             key: value.select(rows) if key == "lanes" else value.take(rows, 0)
-            for key, value in vars(state).items()
-            if keys is None or key in keys})
+            for key, value in vars(state).items()})
 
     def stacked(evaluate, rows):
         """``evaluate(rows)`` for all these lanes, or else lane by lane: a
@@ -661,7 +643,7 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
                 outs.append(evaluate(rows[j:j + 1]))
                 passed[j] = True
             except Exception as exc:    # this lane ends; the others go on
-                errors[int(s.lane[i])] = exc
+                outcomes[int(s.lane[i])] = exc
         return passed, tuple(map(np.concatenate, zip(*outs))) if outs else None
 
     def start(rows):
@@ -683,6 +665,23 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     def evaluate_candidates(rows):
         S, S2, report = _rated(s.h[rows], V_x[rows], noise)
         return S, S2, report.sinr, report.sum_rate
+
+    def result(j):
+        """The ``AoResult`` of running row j, which stops after ``maps``."""
+        V = s.V[j]
+        solution = BeamformingSolution(
+            W=q[:, None] * V[0], F=V[1:].copy(),
+            passive=PassiveBeam(s.phi[j].copy()))
+        report = RateReport(
+            sinr=s.sinr[j].copy(), rate=s.rates[j].copy(),
+            sum_rate=float(s.rate[j]), iterations=maps,
+            converged=bool(s.converged[j]))
+        return AoResult(solution=solution, mode=lanes[s.lane[j]][0],
+                        report=report,
+                        surrogate_trace=s.trace[j, :maps, :4].copy(),
+                        sum_rate_trace=s.trace[j, :maps, 4].copy(),
+                        accepted=int(s.accepted[j]),
+                        rejected=max(maps - 2, 0) - int(s.accepted[j]))
 
     power = np.array([config.total_power for config in configs])
     s = SimpleNamespace(                # the running lanes, a row each
@@ -764,35 +763,14 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
                     s.rate[taken] = rate[better]
                     s.accepted[taken] += 1
                     s.x[taken] = _unit(s.V.take(taken, 0), s.root.take(taken))
+        for j in stop.nonzero()[0].tolist():
+            if int(s.lane[j]) not in outcomes:  # not ended by an exception
+                outcomes[int(s.lane[j])] = result(j)
         if stop.all():
-            done.append((maps, s))
             break
         if stop.any():
-            done.append((maps, take(s, stop, _RESULT_KEYS)))
             s = take(s, ~stop)
-
-    wall = time.perf_counter() - t0
-
-    def result(maps, chunk, j):
-        V = chunk.V[j]
-        solution = BeamformingSolution(
-            W=q[:, None] * V[0], F=V[1:].copy(),
-            passive=PassiveBeam(chunk.phi[j].copy()))
-        report = RateReport(
-            sinr=chunk.sinr[j].copy(), rate=chunk.rates[j].copy(),
-            sum_rate=float(chunk.rate[j]), iterations=maps, wall_time=wall,
-            converged=bool(chunk.converged[j]))
-        return AoResult(solution=solution, mode=lanes[chunk.lane[j]][0],
-                        report=report,
-                        surrogate_trace=chunk.trace[j, :maps, :4].copy(),
-                        sum_rate_trace=chunk.trace[j, :maps, 4].copy(),
-                        accepted=int(chunk.accepted[j]),
-                        rejected=max(maps - 2, 0) - int(chunk.accepted[j]))
-
-    results = {i: result(maps, chunk, j) for maps, chunk in done
-               for j, i in enumerate(chunk.lane.tolist()) if i not in errors}
-    results.update(errors)
-    return [results[i] for i in range(len(lanes))]
+    return [outcomes[i] for i in range(len(lanes))]
 
 
 def sparsity_search(scan) -> tuple[AoResult, list[tuple[int, float]]]:

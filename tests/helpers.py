@@ -59,16 +59,15 @@ def synthetic_geometry(u_values, kappa_values, u_aoa=0.8574929257125442,
         rdars_pos=np.asarray(SURFACE, dtype=float),
         ue_pos=np.zeros((u.size, 3)),
         u_br_aoa=u_aoa,
-        u_br_aod=u_aoa,
         u_ru_aod=u,
         kappa_br=kappa_br,
         kappa_ru=np.asarray(kappa_values, dtype=float),
     )
 
 
-def brute_sparse_sum(a, eta, d, lam, du, m0=1):
+def brute_sparse_sum(a, eta, d, lam, du):
     """Direct geometric sum over the connected elements."""
-    return sum(cmath.exp(1j * 2.0 * math.pi * d / lam * (m0 - 1 + m * eta) * du)
+    return sum(cmath.exp(1j * 2.0 * math.pi * d / lam * (m * eta) * du)
                for m in range(a))
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars.arrays import (BeamStack, ModeStack, PassiveBeam, effective_matrix,
+from rdars.arrays import (ModeStack, PassiveBeam, effective_matrix,
                           feasible_sparsities, los_channels, make_mode,
                           steering)
 
@@ -45,15 +45,13 @@ def test_make_mode_index_sets():
     assert list(mode.index_set) == [1, 4, 7, 10]
     assert list(mode.index0) == [0, 3, 6, 9]
     assert mode.n_connected == 4
-    shifted = make_mode(16, 4, 3, m0=2)
-    assert list(shifted.index_set) == [2, 5, 8, 11]
 
 
 def test_make_mode_rejects_overhang():
     with pytest.raises(ValueError):
         make_mode(16, 4, 6)        # 1 + 3*6 = 19 > 16
     with pytest.raises(ValueError):
-        make_mode(16, 4, 5, m0=2)  # 2 + 3*5 = 17 > 16
+        make_mode(16, 4, 0)
     with pytest.raises(ValueError):
         make_mode(16, 0, 1)
 
@@ -139,26 +137,7 @@ def test_connected_element_phases_do_not_matter():
     np.testing.assert_allclose(h1, h2, rtol=1e-12, atol=1e-20)
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([1, 4, 16]))
-def test_effective_matrix_lane_stack_equals_per_lane_calls(seed, a):
-    """A ModeStack with a BeamStack gives, lane by lane, exactly the rows
-    of the two-dimensional call."""
-    rng = np.random.default_rng(seed)
-    cfg = small_config(n_ues=3, n_connected=a)
-    ch = los_channels(random_geometry(cfg, rng), cfg)
-    modes = [make_mode(16, a, eta) for eta in feasible_sparsities(16, a)]
-    phi = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (len(modes), 16)))
-    got = effective_matrix(ch, BeamStack(phi), ModeStack(tuple(modes)))
-    want = [effective_matrix(ch, PassiveBeam(p), m)
-            for p, m in zip(phi, modes)]
-    assert np.array_equal(got, np.stack(want))
-
-
-def test_beam_stack_validation():
-    with pytest.raises(ValueError):
-        BeamStack(np.ones(3, dtype=complex))
-    with pytest.raises(ValueError):
-        BeamStack(np.array([[1.0, 1.0], [1.0, 0.5]], dtype=complex))
+def test_mode_stack_stacks_index0_and_a_vec():
     stack = ModeStack((make_mode(16, 4, 1), make_mode(16, 4, 5)))
     assert stack.index0.tolist() == [[0, 1, 2, 3], [0, 5, 10, 15]]
     assert stack.a_vec.shape == (2, 16)

@@ -146,6 +146,24 @@ def test_oversize_sweep_is_reported(tiny_scenario, capsys):
     assert "10000 points" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sweep", ["ptot_dbm=4000:4000:1",
+                                   "ptot_dbm=-4000:-4000:1"])
+def test_sweep_power_out_of_float_range_is_reported(tiny_scenario, capsys,
+                                                    monkeypatch, sweep):
+    """4000 dBm overflows a float in watts and -4000 dBm underflows to 0 W;
+    both fail with the value named before any trial runs."""
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr("rdars.harness._run_trial_rows", no_trial)
+    code = main(["run", "--scenario", tiny_scenario, "--trials", "1",
+                 "--sweep", sweep])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.startswith("error: sweep value ")
+    assert sweep.split(":")[1] + ".0 dBm" in err
+
+
 def test_bad_sweep_is_reported(tiny_scenario, capsys):
     code = main(["run", "--scenario", tiny_scenario, "--sweep", "watts=1:2:1"])
     assert code == 2

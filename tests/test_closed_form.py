@@ -37,11 +37,10 @@ def test_dirichlet_sparse_reference_values(a, eta, du, expected):
     assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-@given(st.integers(1, 24), st.integers(1, 8), st.integers(1, 4),
-       st.floats(-2.0, 2.0))
-def test_dirichlet_sparse_equals_direct_sum(a, eta, m0, du):
-    got = dirichlet_sparse(a, eta, 0.5, 1.0, du, m0=m0)
-    want = brute_sparse_sum(a, eta, 0.5, 1.0, du, m0=m0)
+@given(st.integers(1, 24), st.integers(1, 8), st.floats(-2.0, 2.0))
+def test_dirichlet_sparse_equals_direct_sum(a, eta, du):
+    got = dirichlet_sparse(a, eta, 0.5, 1.0, du)
+    want = brute_sparse_sum(a, eta, 0.5, 1.0, du)
     assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
@@ -87,14 +86,14 @@ def test_steered_sums_against_direct_sums():
 
 
 def test_steered_sums_uniform_beam_reduces_to_kernels():
-    mode = make_mode(16, 4, 3, m0=2)
+    mode = make_mode(16, 4, 3)
     beam = PassiveBeam.uniform(16)
     du = -0.4
     full, sparse = steered_sums(mode, 0.5, 1.0, beam, du)
     assert full == pytest.approx(dirichlet_sparse(16, 1, 0.5, 1.0, du),
                                  rel=1e-12)
     assert sparse == pytest.approx(
-        dirichlet_sparse(4, 3, 0.5, 1.0, du, m0=2), rel=1e-12)
+        dirichlet_sparse(4, 3, 0.5, 1.0, du), rel=1e-12)
 
 
 # --- single-UE closed form ---------------------------------------------

@@ -87,6 +87,13 @@ def test_campaign_validation():
     with pytest.raises(ValueError):
         Campaign(sc, ("COMPACT_ETA1",), n_trials=1, seed=0,
                  sweep_dbm=(math.inf,))
+    # powers in watts that overflow a float or underflow to zero
+    for dbm in (4000.0, -4000.0):
+        with pytest.raises(ValueError, match=f"sweep value {dbm} dBm"):
+            Campaign(sc, ("COMPACT_ETA1",), n_trials=1, seed=0,
+                     sweep_dbm=(30.0, dbm))
+    Campaign(sc, ("COMPACT_ETA1",), n_trials=1, seed=0,
+             sweep_dbm=(-3000.0, 3080.0))
 
 
 def test_campaign_sweep_defaults_to_configured_power():
@@ -260,6 +267,34 @@ def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
     for lanes in lanes_solved:
         assert sorted(lanes) == sorted(
             (dbm_to_watt(s), eta) for s in (10.0, 30.0) for eta in range(1, 6))
+
+
+def test_solve_levels_builds_one_mode_per_level(monkeypatch):
+    """A trial builds one ModeSelection per sparsity level it solves, and
+    every sweep value's lane at that level shares it."""
+    built, lanes = [], []
+    make_mode, solve = harness.make_mode, harness.ao_solve_levels
+
+    def counted_make_mode(*args):
+        built.append(args[2])
+        return make_mode(*args)
+
+    def recorded_solve(channels, pairs):
+        lanes.extend(pairs)
+        return solve(channels, pairs)
+
+    monkeypatch.setattr(harness, "make_mode", counted_make_mode)
+    monkeypatch.setattr(harness, "ao_solve_levels", recorded_solve)
+    sweep = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0)
+    config = small_config(n_elems=32, n_ues=2, conv_threshold=1e-3,
+                          max_outer_iters=60)
+    camp = Campaign(Scenario(config=config, bs_pos=BS, rdars_pos=SURFACE,
+                             ue_center=CENTER), ("WA_OPT_ETA",),
+                    n_trials=1, seed=0, sweep_dbm=sweep)
+    harness._Trial(camp, 0, sweep).solve_levels(range(1, 11))
+    assert sorted(built) == list(range(1, 11))
+    assert len(lanes) == 60
+    assert len({id(mode) for mode, _ in lanes}) == 10
 
 
 def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
