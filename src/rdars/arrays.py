@@ -53,36 +53,6 @@ class ModeSelection:
         return v
 
 
-@dataclass(frozen=True)
-class ModeStack:
-    """Sparsity levels of one aperture and connection count, one lane
-    each (a level may repeat): the lane-stacked stand-in for a
-    ``ModeSelection`` that the phase quadratic and the lockstep solver
-    accept. ``index0`` and ``a_vec`` gain a leading lane axis and are
-    built once."""
-
-    modes: tuple[ModeSelection, ...]
-
-    @property
-    def n_elems(self) -> int:
-        return self.modes[0].n_elems
-
-    @cached_property
-    def index0(self) -> np.ndarray:
-        return np.stack([mode.index0 for mode in self.modes])
-
-    @cached_property
-    def a_vec(self) -> np.ndarray:
-        return np.stack([mode.a_vec for mode in self.modes])
-
-    def select(self, rows: np.ndarray) -> "ModeStack":
-        """The lanes at these row indices, slicing the cached stacks."""
-        stack = ModeStack(tuple(self.modes[i] for i in rows.tolist()))
-        stack.__dict__.update(index0=self.index0.take(rows, 0),
-                              a_vec=self.a_vec.take(rows, 0))
-        return stack
-
-
 def make_mode(n: int, a: int, eta: int) -> ModeSelection:
     """Build the connected-element index set {1 + m*eta : m = 0..a-1}."""
     if n < 1 or not 1 <= a <= n:

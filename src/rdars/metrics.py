@@ -69,8 +69,9 @@ def sum_rate(h: np.ndarray, V: np.ndarray, noise: float) -> RateReport:
 
 
 def _rate_report(g: np.ndarray) -> RateReport:
-    """``sum_rate``'s report at these SINRs."""
-    rate = np.log2(1.0 + g)
+    """``sum_rate``'s report at these SINRs. log1p keeps the digits of a
+    rate whose SINR is below the rounding of 1 + g."""
+    rate = np.log1p(g) / np.log(2.0)
     total = rate.sum(axis=-1)
     return RateReport(sinr=g, rate=rate,
                       sum_rate=float(total) if total.ndim == 0 else total)

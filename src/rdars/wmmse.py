@@ -38,11 +38,11 @@ from __future__ import annotations
 
 from types import SimpleNamespace
 from dataclasses import dataclass, replace
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
-from .arrays import (ChannelSet, ModeSelection, ModeStack, PassiveBeam,
+from .arrays import (ChannelSet, ModeSelection, PassiveBeam,
                      feasible_sparsities, los_channels, make_mode)
 from .metrics import (BeamformingSolution, RateReport, _mse_of, _rate_report,
                       _sinr_of, mse_all)
@@ -193,12 +193,12 @@ class PhaseQuadratic:
     linear: np.ndarray
 
 
-def build_phase_quadratic(channels: ChannelSet,
-                          mode: ModeSelection | ModeStack, W: np.ndarray,
-                          F: np.ndarray, mu: np.ndarray,
+def build_phase_quadratic(channels: ChannelSet, mode: ModeSelection,
+                          W: np.ndarray, F: np.ndarray, mu: np.ndarray,
                           zeta: np.ndarray) -> PhaseQuadratic:
     """Assemble the phase quadratic for the current precoders and weights
-    (one per lane for a ``ModeStack`` and lane-stacked W, F, mu, zeta).
+    (one per lane for a lane stack: any mode whose ``a_vec`` and
+    ``index0`` have a leading lane axis, with lane-stacked W, F, mu, zeta).
 
     Rows and columns at connected elements vanish (those elements do not
     reflect), so their phases are free and left untouched downstream.
@@ -328,58 +328,44 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
     return p, np.asarray(history)
 
 
-@dataclass(frozen=True)
-class _Lanes:
-    """The operands of the map that stay fixed per lane (one sparsity
-    level each) on one drop's LoS channels, built once per lockstep call.
+class _Lanes(SimpleNamespace):
+    """The lanes (one sparsity level and power each) of one lockstep call
+    on one drop's LoS channels: every array but the shared ``kappa``,
+    ``h_r`` and ``h0`` holds one row per lane.
 
     The map runs in the rank-one coordinates of G = kappa_br b_aoa b_aod^H:
     W = q t with q = b_aod / sqrt(N_t), so a state is V = [t; F] and the
     reduced row of UE k is [sqrt(N_t) g_k(phi), d_k], with g_k(phi) =
     kappa_br (P phi)_k for P[k, n] = (1 - a_n) b_aoa[n] conj(h_r[k, n])
     and d_k = conj(h_r[k]) at the connected elements. ``kappa`` is
-    kappa_br sqrt(N_t), the factor of P phi in that row. ``Bt``, ``abar``,
-    ``sel`` and ``dist`` serve ``_phase_operator``; ``h_r`` and ``h0``
-    (h_r[:, 0], real) are shared by all lanes. Every lane-stacked array is
-    C-contiguous, so a selection of lanes keeps the layout, and with it
-    the bits of every product."""
-
-    mode: ModeStack
-    kappa: float
-    h_r: np.ndarray
-    h0: np.ndarray
-    abar: np.ndarray       # (lanes, N) 1 - a
-    Pt: np.ndarray         # (lanes, K, N) P
-    sel: np.ndarray        # (lanes, K, a) h_r at the connected elements
-    direct: np.ndarray     # conj(sel): the d_k
-    Bt: np.ndarray         # (lanes, K + 1, N + 1) -[[P, 0], [0, 1]]
-    dist: np.ndarray       # (lanes, a, N) |i - connected index|
-
-    @cached_property
-    def flat_dist(self) -> np.ndarray:
-        """``dist`` as flat indices into a (lanes, N) array."""
-        n = self.dist.shape[-1]
-        return self.dist + n * np.arange(len(self.dist))[:, None, None]
+    kappa_br sqrt(N_t), the factor of P phi in that row; ``h0`` is
+    h_r[:, 0], real. ``_lane_operands`` builds the operands that stay
+    fixed per lane: ``abar`` (1 - a), ``Pt`` (P), ``sel`` (h_r at the
+    connected elements), ``direct`` (conj(sel), the d_k) and ``dist``
+    (|i - connected index|); ``ao_solve_levels`` adds the running state.
+    Every lane array is C-contiguous, so a selection of lanes keeps the
+    layout, and with it the bits of every product."""
 
     def select(self, rows: np.ndarray) -> "_Lanes":
-        """The lanes at these row indices."""
-        return _Lanes(self.mode.select(rows), self.kappa, self.h_r, self.h0,
-                      *(getattr(self, name).take(rows, 0) for name in (
-                          "abar", "Pt", "sel", "direct", "Bt", "dist")))
+        """The lanes at these rows (indices or a mask)."""
+        rows = rows.nonzero()[0] if rows.dtype == bool else rows
+        return _Lanes(**{key: value if key in ("kappa", "h_r", "h0")
+                         else value.take(rows, 0)
+                         for key, value in vars(self).items()})
 
 
-def _lane_operands(channels: ChannelSet, mode: ModeStack) -> _Lanes:
-    """``_Lanes`` of these levels on these channels."""
-    abar = 1.0 - mode.a_vec
-    n, n_ues = abar.shape[-1], channels.n_ues
+def _lane_operands(channels: ChannelSet,
+                   modes: list[ModeSelection]) -> _Lanes:
+    """``_Lanes`` of these levels (one lane each, of one connection count)
+    on these channels, with only the lane-fixed operands."""
+    abar = 1.0 - np.stack([mode.a_vec for mode in modes])
+    index0 = np.stack([mode.index0 for mode in modes])
     kappa = channels.kappa_br * np.sqrt(channels.b_aod.size)
     Pt = (abar * channels.b_aoa)[..., None, :] * channels.h_r.conj()
-    Bt = np.zeros((len(abar), n_ues + 1, n + 1), dtype=complex)
-    Bt[:, :n_ues, :n], Bt[:, n_ues, n] = -Pt, -1.0
-    dist = np.abs(np.arange(n) - mode.index0[..., None])
-    sel = np.ascontiguousarray(channels.h_r.T[mode.index0].swapaxes(-2, -1))
-    return _Lanes(mode, kappa, channels.h_r, channels.h_r[:, 0].real, abar,
-                  Pt, sel, sel.conj(), Bt, dist)
+    dist = np.abs(np.arange(abar.shape[-1]) - index0[..., None])
+    sel = np.ascontiguousarray(channels.h_r.T[index0].swapaxes(-2, -1))
+    return _Lanes(kappa=kappa, h_r=channels.h_r, h0=channels.h_r[:, 0].real,
+                  abar=abar, Pt=Pt, sel=sel, direct=sel.conj(), dist=dist)
 
 
 def _reduced_rows(lanes: _Lanes, phi: np.ndarray) -> np.ndarray:
@@ -397,8 +383,8 @@ def _phase_operator(lanes: _Lanes, t: np.ndarray, F: np.ndarray,
     p, Lambda), from the LoS factors; no N x N matrix is formed. G W =
     kappa b_aoa t with kappa = ``lanes.kappa``, so C = s P^T diag(w) conj(P)
     and beta = P^T v, where s = kappa^2 ||t||^2, w = zeta |mu|^2 and v =
-    kappa ((cross t) w - t zeta conj(mu)): D = B A with B = -[[P^T, 0],
-    [0, 1]] and A = [[s diag(w) conj(P), v], [beta^H, 0]]. D_ii <= 0, so
+    kappa ((cross t) w - t zeta conj(mu)): D p = -[P^T y_K; y_(K+1)] for
+    y = A p with A = [[s diag(w) conj(P), v], [beta^H, 0]]. D_ii <= 0, so
     Lambda is the row sums of |D| plus the margin. With h_r[k, m] =
     kappa_k e^{j theta_k m}, |C_ij| = s abar_i abar_j g(|i - j|) for
     g(d) = |sum_k w_k h_r[k, 0] h_r[k, d]|; its row sums take two prefix
@@ -417,16 +403,19 @@ def _phase_operator(lanes: _Lanes, t: np.ndarray, F: np.ndarray,
 
     g = np.abs(_matvec(lanes.h_r.T, w * lanes.h0))
     cum = g.cumsum(axis=-1)
-    connected = g.take(lanes.flat_dist).sum(axis=1)
+    connected = g.take(lanes.dist + n * np.arange(n_lanes)[:, None, None]
+                       ).sum(axis=1)
     spread = cum + cum[..., ::-1] - g[..., :1] - connected
     beta_abs = np.abs(beta)
     row_sums = np.concatenate([s[:, None] * lanes.abar * spread + beta_abs,
                                beta_abs.sum(axis=-1, keepdims=True)], axis=-1)
     shift = row_sums + 1e-9 * row_sums.max(axis=-1, keepdims=True)
-    B = lanes.Bt.swapaxes(-2, -1)
+    P = lanes.Pt.swapaxes(-2, -1)
 
     def apply(p):
-        return (B @ (A @ p[..., None]))[..., 0] + shift * p
+        y = A @ p[..., None]
+        return shift * p - np.concatenate([P @ y[:, :n_ues], y[:, n_ues:]],
+                                          axis=1)[..., 0]
 
     return apply, shift
 
@@ -595,8 +584,9 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
 
     The running lanes' states (reduced rows and precoders with their
     product S = h V, phases, weights, rates, traces and Anderson
-    histories) are arrays with one row per lane, next to the lane-fixed
-    operands of ``_Lanes``. One stacked start serves all lanes; each round
+    histories) are arrays with one row per lane, added to the ``_Lanes``
+    of the lane-fixed operands, so one ``select`` keeps the rows of the
+    lanes that go on. One stacked start serves all lanes; each round
     runs one ``_ao_map`` for all lanes, whose S gives the rates, then one
     ``_anderson_step`` and one stacked ``_rated`` of the candidates of the
     lanes that try one. A lane's result (its own copies, with W lifted to
@@ -623,13 +613,6 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     # zf_init's rule at the full rows' N_t + a dimensions
     matched = channels.n_ues > channels.b_aod.size + lanes[0][0].n_connected
 
-    def take(state, rows):
-        """These rows (indices or a mask) of every array of a lane state."""
-        rows = rows.nonzero()[0] if rows.dtype == bool else rows
-        return SimpleNamespace(**{
-            key: value.select(rows) if key == "lanes" else value.take(rows, 0)
-            for key, value in vars(state).items()})
-
     def stacked(evaluate, rows):
         """``evaluate(rows)`` for all these lanes, or else lane by lane: a
         mask of the rows that passed (None for all) and their outputs."""
@@ -647,16 +630,16 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         return passed, tuple(map(np.concatenate, zip(*outs))) if outs else None
 
     def start(rows):
-        part = s if len(rows) == len(s.lane) else take(s, rows)
-        h = _reduced_rows(part.lanes, part.phi)
+        part = s if len(rows) == len(s.lane) else s.select(rows)
+        h = _reduced_rows(part, part.phi)
         V = _zf_columns(h, part.power, matched)
         S, S2, report = _rated(h, V, noise)
         return h, V, S, S2, report.sinr, report.rate, report.sum_rate
 
     def plain_map(rows):
-        part = s if len(rows) == len(s.lane) else take(s, rows)
+        part = s if len(rows) == len(s.lane) else s.select(rows)
         h, V, S, S2, _, phi, zeta, surrogate = _ao_map(
-            part.lanes, noise, part.power, part.h, part.V, part.S, part.S2,
+            part, noise, part.power, part.h, part.V, part.S, part.S2,
             part.phi, part.zeta)
         report = _rate_report(_sinr_of(S2, noise))
         return (h, V, S, S2, phi, zeta, surrogate, report.sinr, report.rate,
@@ -683,13 +666,13 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
                         accepted=int(s.accepted[j]),
                         rejected=max(maps - 2, 0) - int(s.accepted[j]))
 
-    power = np.array([config.total_power for config in configs])
-    s = SimpleNamespace(                # the running lanes, a row each
-        lane=np.arange(len(lanes)), power=power, root=np.sqrt(power),
-        lanes=_lane_operands(channels, ModeStack(tuple(m for m, _ in lanes))),
-        phi=np.ones((len(lanes), lanes[0][0].n_elems), dtype=complex))
+    s = _lane_operands(channels, [mode for mode, _ in lanes])
+    s.lane = np.arange(len(lanes))      # the running lanes, a row each
+    s.power = np.array([config.total_power for config in configs])
+    s.root = np.sqrt(s.power)
+    s.phi = np.ones((len(lanes), lanes[0][0].n_elems), dtype=complex)
     passed, out = stacked(start, s.lane)
-    s = s if passed is None else take(s, passed)
+    s = s if passed is None else s.select(passed)
     if out is not None:
         s.h, s.V, s.S, s.S2, s.sinr, s.rates, s.rate = out
         s.zeta = np.ones(s.rates.shape)
@@ -708,7 +691,7 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
         if out is None:
             break
         if passed is not None:
-            s, rate_start = take(s, passed), rate_start[passed]
+            s, rate_start = s.select(passed), rate_start[passed]
         (s.h, s.V, s.S, s.S2, s.phi, s.zeta, surrogate, s.sinr, s.rates,
          s.rate) = out
         if maps == s.trace.shape[1]:
@@ -727,7 +710,8 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
                       [:, -_DEPTH:] for d, new, old in ((s.dF, f, s.f),
                                                         (s.dG, g, s.g)))
         s.f, s.g, s.x, s.points = f, g, g, s.points + 1
-        tried = (~stop & (s.points > 1)).nonzero()[0]
+        trying = ~stop & (s.points > 1)
+        tried = trying.nonzero()[0]
         if len(tried):
             every = len(tried) == len(s.lane)
             X = _anderson_step(*(a if every else a[tried] for a in (
@@ -745,14 +729,12 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
             if passed is not None:      # a lane whose evaluation raised ends
                 stop[rows[~passed]] = True
                 rows = rows[passed]
-            points = s.points.take(tried)
-            s.points[tried] = 1         # restart at the last map
             if out is not None:
                 S, S2, sinr, rate = out
                 better = rate >= s.rate.take(rows)
                 taken = rows[better]
-                if len(taken):          # ... unless the candidate was taken
-                    s.points[taken] = points[np.searchsorted(tried, taken)]
+                trying[taken] = False   # a taken candidate keeps the history
+                if len(taken):
                     # the map's outputs stay as they were returned
                     s.V, s.S, s.S2, s.zeta, s.rate, s.x = (
                         s.V.copy(), s.S.copy(), s.S2.copy(), s.zeta.copy(),
@@ -763,13 +745,14 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
                     s.rate[taken] = rate[better]
                     s.accepted[taken] += 1
                     s.x[taken] = _unit(s.V.take(taken, 0), s.root.take(taken))
+            s.points[trying] = 1        # the others restart at the last map
         for j in stop.nonzero()[0].tolist():
             if int(s.lane[j]) not in outcomes:  # not ended by an exception
                 outcomes[int(s.lane[j])] = result(j)
         if stop.all():
             break
         if stop.any():
-            s = take(s, ~stop)
+            s = s.select(~stop)
     return [outcomes[i] for i in range(len(lanes))]
 
 

@@ -5,11 +5,11 @@ from __future__ import annotations
 
 import cmath
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
 from rdars import wmmse
-from rdars.arrays import ModeStack
 from rdars.metrics import sum_rate
 from rdars.scenario import Geometry, SystemConfig, derive_geometry, drop_ues
 
@@ -136,6 +136,24 @@ def lift(channels, V):
     return np.vstack([q[:, None] * V[0], V[1:]])
 
 
+def mode_stack(modes):
+    """A lane stack of modes for ``wmmse.build_phase_quadratic``: their
+    ``a_vec`` and ``index0`` stacked along a leading lane axis."""
+    return SimpleNamespace(a_vec=np.stack([m.a_vec for m in modes]),
+                           index0=np.stack([m.index0 for m in modes]))
+
+
+def lane_etas(lanes):
+    """The sparsity level of each lane of a ``wmmse._Lanes``, read from its
+    ``abar``: the connected elements sit at 0, eta, 2 eta, ..., and a
+    lone connected element has level 1."""
+    etas = []
+    for abar in lanes.abar:
+        connected = np.flatnonzero(abar == 0.0)
+        etas.append(int(connected[1]) if len(connected) > 1 else 1)
+    return etas
+
+
 def anderson_reference(channels, mode, config, step=anderson_point):
     """One-lane Anderson loop, written plainly as the reference for the
     lockstep driver ``wmmse.ao_solve_levels``. After each plain map that
@@ -152,8 +170,7 @@ def anderson_reference(channels, mode, config, step=anderson_point):
     sum-rate trace, converged, accepted, rejected), with V reduced (see
     ``lift``)."""
     power, noise = config.total_power, config.noise_power
-    lanes, powers = wmmse._lane_operands(channels, ModeStack((mode,))), \
-        np.array([power])
+    lanes, powers = wmmse._lane_operands(channels, [mode]), np.array([power])
     phi = np.ones((1, mode.n_elems), dtype=complex)
     h = wmmse._reduced_rows(lanes, phi)
     matched = channels.n_ues > channels.b_aod.size + mode.n_connected

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from rdars.arrays import (ModeStack, PassiveBeam, effective_matrix,
-                          feasible_sparsities, los_channels, make_mode,
-                          steering)
+from rdars.arrays import (PassiveBeam, effective_matrix, feasible_sparsities,
+                          los_channels, make_mode, steering)
 
 from helpers import brute_effective_rows, random_geometry, small_config
 
@@ -135,29 +134,3 @@ def test_connected_element_phases_do_not_matter():
     phases[mode.index0] += rng.uniform(0.1, 3.0, 4)
     h2 = effective_matrix(ch, PassiveBeam.from_phases(phases), mode)
     np.testing.assert_allclose(h1, h2, rtol=1e-12, atol=1e-20)
-
-
-def test_mode_stack_stacks_index0_and_a_vec():
-    stack = ModeStack((make_mode(16, 4, 1), make_mode(16, 4, 5)))
-    assert stack.index0.tolist() == [[0, 1, 2, 3], [0, 5, 10, 15]]
-    assert stack.a_vec.shape == (2, 16)
-    assert np.array_equal(stack.a_vec[1], make_mode(16, 4, 5).a_vec)
-
-
-def test_mode_stack_selection_equals_a_stack_of_the_same_modes():
-    """A row selection of a ModeStack (rows reordered or repeated, and a
-    selection of a selection) has the modes, index0 and a_vec of a
-    ModeStack built from the same modes."""
-    modes = [make_mode(16, 4, eta) for eta in (1, 2, 3, 4, 5, 2)]
-    stack = ModeStack(tuple(modes))
-    for rows in ([0], [5, 1, 3], [2, 2, 0], list(range(6))):
-        picked = stack.select(np.array(rows))
-        fresh = ModeStack(tuple(modes[i] for i in rows))
-        assert all(a is b for a, b in zip(picked.modes, fresh.modes))
-        assert len(picked.modes) == len(rows)
-        assert np.array_equal(picked.index0, fresh.index0)
-        assert np.array_equal(picked.a_vec, fresh.a_vec)
-    again = stack.select(np.array([5, 1, 3])).select(np.array([2, 0]))
-    assert [m.eta for m in again.modes] == [4, 2]
-    assert np.array_equal(again.a_vec, np.stack([modes[3].a_vec,
-                                                 modes[5].a_vec]))

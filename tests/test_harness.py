@@ -18,7 +18,7 @@ from rdars.scenario import (Scenario, derive_geometry, drop_ues,
                             scenario_geometry)
 from rdars.wmmse import solve_fixed_eta
 
-from helpers import BS, CENTER, SURFACE, small_config
+from helpers import BS, CENTER, SURFACE, lane_etas, small_config
 
 
 def _scenario(**overrides):
@@ -311,7 +311,7 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
     solved = []
 
     def failing(lanes, *args, **kwargs):
-        if any(lane.eta == fail_eta for lane in lanes.mode.modes):
+        if fail_eta in lane_etas(lanes):
             raise ArithmeticError(f"forced failure at level {fail_eta}")
         return plain(lanes, *args, **kwargs)
 
@@ -386,7 +386,7 @@ def test_finished_campaign_frees_its_trials(monkeypatch):
 
     def failing(lanes, *args, **kwargs):
         # the scan raises at level 2 and never reads level 3's exception
-        if any(lane.eta in (2, 3) for lane in lanes.mode.modes):
+        if {2, 3} & set(lane_etas(lanes)):
             raise ArithmeticError("forced failure")
         return plain(lanes, *args, **kwargs)
 

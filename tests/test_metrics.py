@@ -1,8 +1,9 @@
+import decimal
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from rdars.arrays import PassiveBeam
 from rdars.metrics import (BeamformingSolution, cscc, mse_all, sinr_all,
@@ -27,6 +28,25 @@ def test_sum_rate_reference_value():
     assert report.sum_rate == pytest.approx(3.169925001442312, rel=1e-14)
     np.testing.assert_allclose(report.rate, math.log2(3.0))
     assert report.converged
+
+
+@given(st.floats(min_value=-300.0, max_value=3.0))
+@example(log_sinr=-300.0)
+@example(log_sinr=-20.0)
+def test_rate_keeps_its_relative_digits_at_low_sinr(log_sinr):
+    """A rate keeps its relative digits down to SINR 1e-300, where 1 + SINR
+    rounds to 1: it equals log2(1 + SINR), taken in 400-digit decimals,
+    to 4 eps relative."""
+    report = sum_rate(np.array([[1.0]]),
+                      np.array([[10.0 ** (log_sinr / 2.0)]]), 1.0)
+    sinr = decimal.Decimal(float(report.sinr[0]))
+    with decimal.localcontext() as ctx:
+        ctx.prec = 400
+        exact = float((1 + sinr).ln() / decimal.Decimal(2).ln())
+    assert exact > 0.0
+    assert report.rate[0] == pytest.approx(exact, rel=4 * np.finfo(float).eps,
+                                           abs=0.0)
+    assert report.sum_rate == report.rate[0]
 
 
 def test_sinr_validation():
