@@ -21,6 +21,7 @@ import numpy as np
 
 from .arrays import (ModeSelection, PassiveBeam, feasible_sparsities, make_mode,
                      steering)
+from .metrics import rate_bits
 from .scenario import Geometry, SystemConfig
 
 CASE2 = "CASE2"
@@ -311,7 +312,7 @@ def _midpoint_rates(geometry: Geometry, config: SystemConfig,
         analysis = two_ue_analysis(geometry, config, mode, passive)
         gammas = two_ue_sinr("MMSE", p, analysis.beta, analysis.eps,
                              config.noise_power)
-        out.append((analysis.eps, np.log2(1.0 + gammas)))
+        out.append((analysis.eps, rate_bits(gammas)))
     return out
 
 

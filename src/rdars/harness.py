@@ -9,16 +9,16 @@ values and reruns are byte-identical apart from wall times.
 
 A campaign's unit of work is the trial. Its geometry, channels and random
 sparsity pick do not depend on the transmit power, so they are made once
-for every sweep value. The alternating optimization runs at most once per
-(sweep value, sparsity level), shared by every algorithm that needs that
-level: the first row that needs a level solves it at every sweep value of
-the trial in one lockstep ``ao_solve_levels`` call (``WA_OPT_ETA`` asks
-for every level and hands its sweep value's (level, outcome) scan to
-``sparsity_search``, ``COMPACT_ETA1`` for level 1, ``RANDOM_ETA`` for the
-pick). A (sweep value, level) whose solve raised keeps its exception,
-which every row needing it reports. Rows are the same as when each row
-runs alone; only ``wall_ms`` differs, because a shared piece of work is
-charged to the first row that needs it and later rows reuse it.
+for every sweep value. The alternating optimization runs once per trial:
+its first solver row plans every (sparsity level, sweep value) lane that
+the campaign's algorithms read (``WA_OPT_ETA`` every level, each sweep
+value's (level, outcome) scan going to ``sparsity_search``;
+``COMPACT_ETA1`` level 1; ``RANDOM_ETA`` the pick) and solves them in one
+lockstep ``ao_solve_levels`` call, whatever the order of the algorithms. A
+lane whose solve raised keeps its exception, which every row needing it
+reports. Rows are the same as when each row runs alone; only ``wall_ms``
+differs, because the trial's solve is charged to its first solver row and
+later rows read it.
 
 Row status is ``ok``; ``unconverged`` for a solver row whose alternating
 optimization stopped at its iteration cap (the row keeps that solve's last
@@ -35,9 +35,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .arrays import ChannelSet, feasible_sparsities, los_channels, make_mode
+from .arrays import feasible_sparsities, los_channels, make_mode
 from .closed_form import _midpoint_rates, select_two_ue_eta, single_ue_solution
-from .scenario import Geometry, Scenario, scenario_geometry
+from .metrics import rate_bits
+from .scenario import Geometry, Scenario, SystemConfig, scenario_geometry
 from .wmmse import AoResult, ao_solve_levels, sparsity_search
 
 CSV_FIELDS = ("trial", "sweep_value", "algorithm", "eta", "sum_rate_bits",
@@ -90,6 +91,14 @@ class Campaign:
             return self.sweep_dbm
         return (watt_to_dbm(self.scenario.config.total_power),)
 
+    def config_at(self, sweep_dbm: float) -> SystemConfig:
+        """The config at one sweep value: without a sweep, the scenario's
+        own, so that its power is not rounded through dBm."""
+        config = self.scenario.config
+        if not self.sweep_dbm and sweep_dbm == self.sweep_points()[0]:
+            return config
+        return replace(config, total_power=dbm_to_watt(sweep_dbm))
+
 
 @dataclass(frozen=True)
 class TrialRow:
@@ -109,22 +118,23 @@ class TrialRow:
 
 
 class _Trial:
-    """One seeded trial of a campaign at the given sweep values (in dBm).
-    The geometry (with the random sparsity pick drawn right after it), the
-    channels and one solve per (sweep value, sparsity level) are each made
-    on first use and kept. The algorithms read it at one sweep value
-    each; nothing it holds refers back to them or to the rows, so it is
-    freed as soon as its rows are made."""
+    """One seeded trial of a campaign at the given sweep values (in dBm),
+    for the given algorithms. The geometry, with the random sparsity pick
+    drawn right after it, is made on first use. The first outcome read
+    solves every (level, sweep value) lane that the solver algorithms read
+    (``_SOLVER_LEVELS``), level-major, in one ``ao_solve_levels`` call,
+    and keeps each outcome: the result, or the exception that ended that
+    lane without its traceback, whose frames would keep this trial alive
+    after its rows are made."""
 
-    def __init__(self, campaign: Campaign, trial: int, sweep_dbm):
+    def __init__(self, campaign: Campaign, trial: int, sweep_dbm, algorithms):
         self._scenario = campaign.scenario
         self._seed = campaign.seed ^ trial
-        self.configs = {s: replace(campaign.scenario.config,
-                                   total_power=dbm_to_watt(s))
-                        for s in sweep_dbm}
+        self._algorithms = algorithms
+        self.configs = {s: campaign.config_at(s) for s in sweep_dbm}
         self._geometry: Geometry | None = None
-        self._channels: ChannelSet | None = None
         self._solved: dict[tuple[float, int], AoResult | Exception] = {}
+        self.levels: list[int] = []
         self.random_eta = 0
 
     def geometry(self) -> Geometry:
@@ -132,73 +142,56 @@ class _Trial:
             rng = np.random.default_rng(self._seed)
             geometry = scenario_geometry(self._scenario, rng)
             config = self._scenario.config
-            fset = feasible_sparsities(config.n_elems, config.n_connected)
-            self.random_eta = fset[int(rng.integers(len(fset)))]
+            self.levels = feasible_sparsities(config.n_elems,
+                                              config.n_connected)
+            self.random_eta = self.levels[int(rng.integers(len(self.levels)))]
             self._geometry = geometry
         return self._geometry
 
-    def channels(self) -> ChannelSet:
-        if self._channels is None:
-            self._channels = los_channels(self.geometry(),
-                                          self._scenario.config)
-        return self._channels
-
-    def solve_levels(self, levels) -> None:
-        """Solve the given sparsity levels at every sweep value, all pairs
-        not solved yet in one lockstep ``ao_solve_levels`` call, and
-        memoize each outcome: the result, or the exception that ended that
-        lane (without its traceback, whose frames would keep this trial
-        alive)."""
-        missing = [(s, eta) for eta in levels for s in self.configs
-                   if (s, eta) not in self._solved]
-        if missing:
-            config = self._scenario.config
-            modes = {eta: make_mode(config.n_elems, config.n_connected, eta)
-                     for eta in {eta for _, eta in missing}}
-            outcomes = ao_solve_levels(self.channels(), [
-                (modes[eta], self.configs[s]) for s, eta in missing])
-            for key, out in zip(missing, outcomes):
-                if isinstance(out, Exception):
-                    out = out.with_traceback(None)
-                self._solved[key] = out
-
-    def solve_at(self, sweep_dbm: float, eta: int) -> AoResult:
-        """``ao_solve`` at one sweep value and sparsity level, memoized; a
-        failed lane raises its exception again, without another solve."""
-        result = self._solved.get((sweep_dbm, eta))
-        if result is None:
-            self.solve_levels((eta,))
-            result = self._solved[(sweep_dbm, eta)]
-        if isinstance(result, Exception):
-            raise result
-        return result
+    def solved(self, sweep_dbm: float, eta: int) -> AoResult | Exception:
+        """The outcome of the solve at one sweep value and sparsity level."""
+        if not self._solved:
+            geometry, config = self.geometry(), self._scenario.config
+            levels = sorted({level for alg in self._algorithms
+                             if alg in _SOLVER_LEVELS
+                             for level in _SOLVER_LEVELS[alg](self)})
+            keys = [(s, level) for level in levels for s in self.configs]
+            modes = {level: make_mode(config.n_elems, config.n_connected,
+                                      level) for level in levels}
+            outcomes = ao_solve_levels(
+                los_channels(geometry, config), config,
+                [(modes[level], self.configs[s].total_power)
+                 for s, level in keys])
+            self._solved = {
+                key: (out.with_traceback(None) if isinstance(out, Exception)
+                      else out) for key, out in zip(keys, outcomes)}
+        return self._solved[sweep_dbm, eta]
 
 
-def _solver_row(result: AoResult) -> tuple:
+# Solver algorithm name -> the sparsity levels its rows read in a trial.
+_SOLVER_LEVELS = {
+    "WA_OPT_ETA": lambda trial: trial.levels,
+    "COMPACT_ETA1": lambda trial: (1,),
+    "RANDOM_ETA": lambda trial: (trial.random_eta,),
+}
+
+
+def _solver_row(outcome: AoResult | Exception) -> tuple:
     """Row fields (eta, sum rate, min UE rate, iterations, status) of a
-    solver result."""
-    report = result.report
+    solver result; a lane's kept exception is raised again."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    report = outcome.report
     status = "ok" if report.converged else "unconverged"
-    return (result.mode.eta, report.sum_rate, float(np.min(report.rate)),
+    return (outcome.mode.eta, report.sum_rate, float(report.rate.min()),
             report.iterations, status)
-
-
-def _wa_opt_eta(trial: _Trial, sweep_dbm: float) -> tuple:
-    """Row fields of the scan: every level of the trial is solved in one
-    lockstep call, then ``sparsity_search`` scans this sweep value's
-    outcomes."""
-    config = trial.configs[sweep_dbm]
-    levels = feasible_sparsities(config.n_elems, config.n_connected)
-    trial.solve_levels(levels)
-    return _solver_row(sparsity_search(
-        [(eta, trial._solved[sweep_dbm, eta]) for eta in levels])[0])
 
 
 def _single_ue_closed(trial: _Trial, sweep_dbm: float) -> tuple:
     config = trial.configs[sweep_dbm]
     mode = make_mode(config.n_elems, config.n_connected, 1)
     sol = single_ue_solution(trial.geometry(), config, mode)
-    rate = math.log2(1.0 + sol.snr_max)
+    rate = float(rate_bits(sol.snr_max))
     return mode.eta, rate, rate, 0, "ok"
 
 
@@ -211,10 +204,11 @@ def _two_ue_prop1(trial: _Trial, sweep_dbm: float) -> tuple:
 
 # Algorithm name -> row fields of a trial at one sweep value.
 _ALGORITHMS = {
-    "WA_OPT_ETA": _wa_opt_eta,
-    "COMPACT_ETA1": lambda trial, s: _solver_row(trial.solve_at(s, 1)),
+    "WA_OPT_ETA": lambda trial, s: _solver_row(sparsity_search(
+        (eta, trial.solved(s, eta)) for eta in trial.levels)[0]),
+    "COMPACT_ETA1": lambda trial, s: _solver_row(trial.solved(s, 1)),
     "RANDOM_ETA": lambda trial, s: _solver_row(
-        trial.solve_at(s, trial.random_eta)),
+        trial.solved(s, trial.random_eta)),
     "SINGLE_UE_CLOSED": _single_ue_closed,
     "TWO_UE_PROP1": _two_ue_prop1,
 }
@@ -229,11 +223,11 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
     NaN rates and the exception text as ``message`` rather than aborting
     the campaign. ``run_campaign`` passes the ``_Trial`` it shares across
     sweep values and algorithms as ``_trial``; without it the row is made
-    from a trial of this sweep value alone, and is the same apart from
-    ``wall_ms``.
+    from a trial of this sweep value and algorithm alone, and is the same
+    apart from ``wall_ms``.
     """
     if _trial is None:
-        _trial = _Trial(campaign, trial, (sweep_dbm,))
+        _trial = _Trial(campaign, trial, (sweep_dbm,), (algorithm,))
     t0 = time.perf_counter()
     message = ""
     try:
@@ -259,7 +253,8 @@ def run_trial(campaign: Campaign, trial: int, algorithm: str,
 def _run_trial_rows(args) -> list[list[TrialRow]]:
     """Every row of one trial, one list per sweep value."""
     campaign, trial = args
-    shared = _Trial(campaign, trial, campaign.sweep_points())
+    shared = _Trial(campaign, trial, campaign.sweep_points(),
+                    campaign.algorithms)
     return [[run_trial(campaign, trial, alg, sweep, shared)
              for alg in campaign.algorithms]
             for sweep in campaign.sweep_points()]

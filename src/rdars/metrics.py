@@ -68,10 +68,14 @@ def sum_rate(h: np.ndarray, V: np.ndarray, noise: float) -> RateReport:
     return _rate_report(sinr_all(h, V, noise))
 
 
+def rate_bits(g):
+    """log2(1 + g) by log1p, which keeps its digits at any small SINR."""
+    return np.log1p(g) / np.log(2.0)
+
+
 def _rate_report(g: np.ndarray) -> RateReport:
-    """``sum_rate``'s report at these SINRs. log1p keeps the digits of a
-    rate whose SINR is below the rounding of 1 + g."""
-    rate = np.log1p(g) / np.log(2.0)
+    """``sum_rate``'s report at these SINRs."""
+    rate = rate_bits(g)
     total = rate.sum(axis=-1)
     return RateReport(sinr=g, rate=rate,
                       sum_rate=float(total) if total.ndim == 0 else total)

@@ -18,10 +18,11 @@ sum rate, and the recorded sum rate is nondecreasing by construction.
 
 ``ao_solve`` accelerates this map with Anderson acceleration on the
 precoders, guarded by the sum rate so that it stays monotone.
-``ao_solve_levels`` solves several (sparsity level, config) lanes of one
-drop in lockstep, each bit for bit as alone: the start, the kernels of
-the map, the Anderson step and the rate of its candidates take a leading
-lane axis and run once per round for all lanes at that step.
+``ao_solve_levels`` solves several (sparsity level, transmit power) lanes
+of one drop and one config in lockstep, each bit for bit as alone: the
+start, the kernels of the map, the Anderson step and the rate of its
+candidates take a leading lane axis and run once per round for all lanes
+at that step.
 
 The lockstep map runs in (1 + a)-dimensional LoS coordinates. The
 BS-surface channel is G = kappa b_aoa b_aod^H, so every precoder iterate
@@ -37,7 +38,7 @@ LoS factors and forms no N x N matrix.
 from __future__ import annotations
 
 from types import SimpleNamespace
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -570,17 +571,19 @@ def ao_solve(channels: ChannelSet, mode: ModeSelection,
 
     This is the one-lane call of ``ao_solve_levels``.
     """
-    (result,) = ao_solve_levels(channels, [(mode, config)])
+    (result,) = ao_solve_levels(channels, config,
+                                [(mode, config.total_power)])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
+def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
+                    lanes) -> list[AoResult | Exception]:
     """``ao_solve`` on one drop's channels for several lanes, each a
-    (sparsity level, config) pair, solved in lockstep. The levels share
-    one connection count; configs that differ in more than ``total_power``
-    raise ValueError.
+    (sparsity level, total power) pair, solved in lockstep under one
+    config, whose own ``total_power`` is not read. The levels share one
+    connection count.
 
     The running lanes' states (reduced rows and precoders with their
     product S = h V, phases, weights, rates, traces and Anderson
@@ -602,12 +605,8 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
     lanes = list(lanes)
     if not lanes:
         return []
-    configs = [config for _, config in lanes]
-    for config in set(configs):
-        if replace(config, total_power=configs[0].total_power) != configs[0]:
-            raise ValueError("lockstep lanes may differ only in total_power")
-    noise, cap = configs[0].noise_power, configs[0].max_outer_iters
-    threshold, tiny = configs[0].conv_threshold, np.finfo(float).tiny
+    noise, cap = config.noise_power, config.max_outer_iters
+    threshold, tiny = config.conv_threshold, np.finfo(float).tiny
     outcomes = {}               # lane -> its AoResult or exception
     q = channels.b_aod / np.sqrt(channels.b_aod.size)
     # zf_init's rule at the full rows' N_t + a dimensions
@@ -668,7 +667,7 @@ def ao_solve_levels(channels: ChannelSet, lanes) -> list[AoResult | Exception]:
 
     s = _lane_operands(channels, [mode for mode, _ in lanes])
     s.lane = np.arange(len(lanes))      # the running lanes, a row each
-    s.power = np.array([config.total_power for config in configs])
+    s.power = np.array([power for _, power in lanes])
     s.root = np.sqrt(s.power)
     s.phi = np.ones((len(lanes), lanes[0][0].n_elems), dtype=complex)
     passed, out = stacked(start, s.lane)
@@ -785,9 +784,9 @@ def wa_solve(geometry: Geometry, config: SystemConfig
     start on the same channels, and keep the best level's result by
     ``sparsity_search`` (a failed level raises its exception)."""
     levels = feasible_sparsities(config.n_elems, config.n_connected)
-    outcomes = ao_solve_levels(los_channels(geometry, config), [
-        (make_mode(config.n_elems, config.n_connected, eta), config)
-        for eta in levels])
+    outcomes = ao_solve_levels(los_channels(geometry, config), config, [
+        (make_mode(config.n_elems, config.n_connected, eta),
+         config.total_power) for eta in levels])
     best, _ = sparsity_search(zip(levels, outcomes))
     return best.solution, best.mode, best.report
 

@@ -14,8 +14,8 @@ from rdars.closed_form import analyze_two_ue, two_ue_rate
 from rdars.harness import (ALGORITHMS, CSV_FIELDS, Campaign, TrialRow,
                            dbm_to_watt, emit_csv, run_campaign, run_trial,
                            watt_to_dbm)
-from rdars.scenario import (Scenario, derive_geometry, drop_ues,
-                            scenario_geometry)
+from rdars.scenario import (Scenario, default_scenario, derive_geometry,
+                            drop_ues, scenario_geometry)
 from rdars.wmmse import solve_fixed_eta
 
 from helpers import BS, CENTER, SURFACE, lane_etas, small_config
@@ -231,9 +231,10 @@ def test_high_power_campaign_is_deterministic_across_jobs():
     assert len(first) == 2 * 3 * 2
     assert stripped(run_campaign(camp, jobs=1)) == first
     assert stripped(run_campaign(camp, jobs=2)) == first
-    solves = [harness._Trial(camp, trial, (sweep,)).solve_at(sweep, eta)
-              for trial in range(2) for sweep in (50.0, 70.0)
-              for eta in range(1, 6)]
+    trials = [harness._Trial(camp, trial, camp.sweep_dbm, ("WA_OPT_ETA",))
+              for trial in range(2)]
+    solves = [trial.solved(sweep, eta) for trial in trials
+              for sweep in (50.0, 70.0) for eta in range(1, 6)]
     assert sum(res.accepted for res in solves) > 0
     assert sum(res.rejected for res in solves) > 0
 
@@ -250,8 +251,8 @@ def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
         def wrapper(*args, **kwargs):
             counts[name] += 1
             if name == "ao_solve_levels":
-                lanes_solved.append([(cfg.total_power, mode.eta)
-                                     for mode, cfg in args[1]])
+                lanes_solved.append([(power, mode.eta)
+                                     for mode, power in args[2]])
             return inner(*args, **kwargs)
         return wrapper
 
@@ -269,9 +270,94 @@ def test_run_campaign_solves_each_level_once_per_drop(monkeypatch):
             (dbm_to_watt(s), eta) for s in (10.0, 30.0) for eta in range(1, 6))
 
 
+def _count_solves(monkeypatch):
+    """Count ``ao_solve_levels`` and ``los_channels`` calls of the harness."""
+    counts = {"ao_solve_levels": 0, "los_channels": 0}
+    for name in counts:
+        def counted(*args, _name=name, _inner=getattr(harness, name)):
+            counts[_name] += 1
+            return _inner(*args)
+        monkeypatch.setattr(harness, name, counted)
+    return counts
+
+
+def test_every_algorithm_order_solves_a_trial_in_one_call(monkeypatch):
+    """In any order of the algorithms, a trial with a solver algorithm makes
+    one ``ao_solve_levels`` call, and its rows equal the matching rows of
+    the campaign that lists ``WA_OPT_ETA`` first; a trial without one
+    builds no channels and solves nothing."""
+    def campaign(algorithms):
+        return Campaign(_scenario(n_ues=3), algorithms, n_trials=3, seed=42,
+                        sweep_dbm=(10.0, 30.0))
+
+    key = lambda r: (r.sweep_value, r.algorithm, r.trial)
+    stripped = lambda rows: {key(r): replace(r, wall_ms=0.0) for r in rows}
+    full = stripped(run_campaign(campaign(
+        ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"))))
+    # the random picks differ from level 1, so the two orders below would
+    # each ask for two levels if levels were solved as rows first read them
+    assert all(r.eta != 1 for r in full.values()
+               if r.algorithm == "RANDOM_ETA")
+    counts = _count_solves(monkeypatch)
+    for algorithms in (("COMPACT_ETA1", "RANDOM_ETA"),
+                       ("RANDOM_ETA", "WA_OPT_ETA", "COMPACT_ETA1")):
+        counts.update(ao_solve_levels=0, los_channels=0)
+        rows = stripped(run_campaign(campaign(algorithms)))
+        assert counts == {"ao_solve_levels": 3, "los_channels": 3}
+        assert rows == {k: full[k] for k in rows}
+        assert len(rows) == 2 * 3 * len(algorithms)
+    counts.update(ao_solve_levels=0, los_channels=0)
+    run_campaign(campaign(("SINGLE_UE_CLOSED", "TWO_UE_PROP1")))
+    assert counts == {"ao_solve_levels": 0, "los_channels": 0}
+
+
+def test_campaign_without_sweep_solves_at_the_scenario_power(monkeypatch):
+    """Without a sweep, a trial's lanes run at the scenario's own power, not
+    at that power rounded through dBm, which differs for some of these."""
+    watts = (0.5, 2.0, 0.25, 7.0)
+    assert any(dbm_to_watt(watt_to_dbm(w)) != w for w in watts)
+    powers = []
+    solve = harness.ao_solve_levels
+
+    def recorded_solve(channels, config, lanes):
+        powers.extend(power for _, power in lanes)
+        return solve(channels, config, lanes)
+
+    monkeypatch.setattr(harness, "ao_solve_levels", recorded_solve)
+    for watt in watts:
+        scenario = _scenario()
+        scenario = replace(scenario, config=replace(scenario.config,
+                                                    total_power=watt))
+        camp = Campaign(scenario, ("COMPACT_ETA1", "TWO_UE_PROP1"),
+                        n_trials=1, seed=3)
+        powers.clear()
+        rows = run_campaign(camp)
+        assert powers == [watt]
+        geo, _ = _drop_geometry(camp, 0, camp.sweep_points()[0])
+        assert rows[1].sum_rate_bits == two_ue_rate(geo, scenario.config,
+                                                    rows[1].eta)
+
+
+def test_single_ue_closed_rate_keeps_its_digits_at_low_power():
+    """The exact single-UE optimum keeps its relative digits at -200 dBm,
+    where log2(1 + SNR) reads 0: ten powers of ten below its -100 dBm
+    rate, and no lower than the solver's rate that it bounds."""
+    scenario = default_scenario()
+    scenario = replace(scenario, config=replace(
+        scenario.config, n_tx=8, n_elems=32, n_connected=4, n_ues=1))
+    camp = Campaign(scenario, ("SINGLE_UE_CLOSED", "WA_OPT_ETA"), n_trials=1,
+                    seed=0, sweep_dbm=(-200.0, -100.0))
+    rows = {(r.sweep_value, r.algorithm): r for r in run_campaign(camp)}
+    low = rows[-200.0, "SINGLE_UE_CLOSED"].sum_rate_bits
+    high = rows[-100.0, "SINGLE_UE_CLOSED"].sum_rate_bits
+    assert low == pytest.approx(high * 1e-10, rel=1e-9)
+    assert low >= rows[-200.0, "WA_OPT_ETA"].sum_rate_bits > 0.0
+
+
 def test_solve_levels_builds_one_mode_per_level(monkeypatch):
     """A trial builds one ModeSelection per sparsity level it solves, and
-    every sweep value's lane at that level shares it."""
+    every sweep value's lane at that level shares it; the lanes are
+    level-major."""
     built, lanes = [], []
     make_mode, solve = harness.make_mode, harness.ao_solve_levels
 
@@ -279,9 +365,9 @@ def test_solve_levels_builds_one_mode_per_level(monkeypatch):
         built.append(args[2])
         return make_mode(*args)
 
-    def recorded_solve(channels, pairs):
+    def recorded_solve(channels, config, pairs):
         lanes.extend(pairs)
-        return solve(channels, pairs)
+        return solve(channels, config, pairs)
 
     monkeypatch.setattr(harness, "make_mode", counted_make_mode)
     monkeypatch.setattr(harness, "ao_solve_levels", recorded_solve)
@@ -291,10 +377,12 @@ def test_solve_levels_builds_one_mode_per_level(monkeypatch):
     camp = Campaign(Scenario(config=config, bs_pos=BS, rdars_pos=SURFACE,
                              ue_center=CENTER), ("WA_OPT_ETA",),
                     n_trials=1, seed=0, sweep_dbm=sweep)
-    harness._Trial(camp, 0, sweep).solve_levels(range(1, 11))
+    harness._Trial(camp, 0, sweep, camp.algorithms).solved(0.0, 1)
     assert sorted(built) == list(range(1, 11))
-    assert len(lanes) == 60
     assert len({id(mode) for mode, _ in lanes}) == 10
+    # level-major: every sweep value of a level, then the next level
+    assert [(mode.eta, power) for mode, power in lanes] == [
+        (eta, dbm_to_watt(s)) for eta in range(1, 11) for s in sweep]
 
 
 def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
@@ -315,9 +403,9 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
             raise ArithmeticError(f"forced failure at level {fail_eta}")
         return plain(lanes, *args, **kwargs)
 
-    def counted(channels, lanes):
+    def counted(channels, config, lanes):
         solved.extend(mode.eta for mode, _ in lanes)
-        return wmmse.ao_solve_levels(channels, lanes)
+        return wmmse.ao_solve_levels(channels, config, lanes)
 
     monkeypatch.setattr(wmmse, "_phase_block", failing)
     monkeypatch.setattr(harness, "ao_solve_levels", counted)

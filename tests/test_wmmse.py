@@ -621,7 +621,8 @@ def test_phase_block_lane_alone_equals_lane_in_a_stack(monkeypatch):
         return plain(*args, **kwargs)
 
     monkeypatch.setattr(wmmse, "_phase_block", recording)
-    ao_solve_levels(channels, lanes)
+    ao_solve_levels(channels, cfg,
+                    [(mode, c.total_power) for mode, c in lanes])
     assert len(rounds[0][0][0].abar) == 12
     for (stack, t, F, mu, zeta, p0), kwargs in rounds:
         x = plain(stack, t, F, mu, zeta, p0, **kwargs)
@@ -796,7 +797,8 @@ def test_reduced_coordinates_match_the_full_rows(seed, n_connected, n_ues):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wmmse, "_zf_columns", recording)
-        results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+        results = ao_solve_levels(
+            channels, cfg, [(mode, cfg.total_power) for mode in modes])
     (start,) = starts
     uniform = wmmse._reduced_rows(wmmse._lane_operands(channels, modes),
                                   np.ones((lanes, 16), dtype=complex))
@@ -839,15 +841,17 @@ def test_ao_solve_levels_equals_one_level_solves(dbm, n_ues, n_connected,
                                                  cap, seed):
     """Lockstep levels, which stop in different rounds, give exactly the
     one-level ``ao_solve`` results: -40...90 dBm, K > N_t + a (the
-    matched-filter start), a = 1 and a = N."""
+    matched-filter start), a = 1 and a = N. No lanes give no outcomes."""
     cfg = small_config(n_ues=n_ues, n_connected=n_connected,
                        total_power=dbm_to_watt(dbm), max_outer_iters=cap)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(seed)),
                             cfg)
     modes = [make_mode(16, n_connected, eta)
              for eta in feasible_sparsities(16, n_connected)]
-    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    results = ao_solve_levels(channels, cfg,
+                              [(mode, cfg.total_power) for mode in modes])
     assert [r.mode for r in results] == modes
+    assert ao_solve_levels(channels, cfg, []) == []
     for mode, lockstep in zip(modes, results):
         _assert_same_solve(lockstep, ao_solve(channels, mode, cfg))
 
@@ -868,7 +872,8 @@ def test_ao_solve_levels_isolates_a_failing_level(monkeypatch):
         return plain(lanes, *args, **kwargs)
 
     monkeypatch.setattr(wmmse, "_phase_block", failing_at_three)
-    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    results = ao_solve_levels(channels, cfg,
+                              [(mode, cfg.total_power) for mode in modes])
     assert isinstance(results[2], ArithmeticError)
     for i in (0, 1, 3, 4):
         _assert_same_solve(results[i], alone[i])
@@ -951,22 +956,12 @@ def test_ao_solve_levels_mixed_powers_equal_one_lane_solves(dbms, n_ues, cap,
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(wmmse, "_phase_block", failing)
-        results = ao_solve_levels(channels, lanes)
+        results = ao_solve_levels(channels, base, [
+            (mode, cfg.total_power) for mode, cfg in lanes])
         solved = [_same_outcome(res, lane, channels)
                   for res, lane in zip(results, lanes)]
     failed = [lane[0].eta == fail_eta for lane in lanes]
     assert solved == [not f for f in failed]
-
-
-def test_ao_solve_levels_rejects_lanes_that_differ_beyond_power():
-    cfg = small_config(n_ues=3)
-    channels = los_channels(random_geometry(cfg, np.random.default_rng(4)),
-                            cfg)
-    mode = make_mode(16, 4, 1)
-    assert ao_solve_levels(channels, []) == []
-    with pytest.raises(ValueError, match="total_power"):
-        ao_solve_levels(channels, [(mode, cfg),
-                                   (mode, replace(cfg, max_outer_iters=5))])
 
 
 def _hook_candidate_evaluations(monkeypatch, observe):
@@ -1013,7 +1008,8 @@ def test_ao_solve_levels_stacks_the_candidate_evaluations(monkeypatch):
                             cfg)
     lanes = [(make_mode(16, 4, eta), replace(cfg, total_power=p))
              for eta in range(1, 6) for p in (cfg.total_power, 1.0)]
-    results = ao_solve_levels(channels, lanes)
+    results = ao_solve_levels(channels, cfg, [
+        (mode, lane_cfg.total_power) for mode, lane_cfg in lanes])
     rounds = max(r.report.iterations for r in results)
     tried = sum(r.accepted + r.rejected for r in results)
     assert 0 < len(evaluations) < rounds
@@ -1029,8 +1025,9 @@ def test_lockstep_results_hold_no_round_stacks():
     cfg = small_config(n_ues=3, max_outer_iters=8)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(6)),
                             cfg)
-    results = ao_solve_levels(channels, [(make_mode(16, 4, eta), cfg)
-                                         for eta in range(1, 6)])
+    results = ao_solve_levels(channels, cfg,
+                              [(make_mode(16, 4, eta), cfg.total_power)
+                               for eta in range(1, 6)])
     for res in results:
         for arr in (res.solution.W, res.solution.F, res.solution.passive.phi,
                     res.report.sinr, res.report.rate):
@@ -1112,8 +1109,8 @@ def test_ao_solve_levels_counts_untried_and_non_finite_steps():
                        max_outer_iters=20, conv_threshold=1e-12)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
                             cfg)
-    lanes = [(make_mode(16, 4, eta), cfg) for eta in range(1, 6)]
-    for res in ao_solve_levels(channels, lanes):
+    lanes = [(make_mode(16, 4, eta), cfg.total_power) for eta in range(1, 6)]
+    for res in ao_solve_levels(channels, cfg, lanes):
         assert res.accepted + res.rejected == max(res.report.iterations - 2, 0)
     plain = wmmse._anderson_step
     runs = {}
@@ -1126,7 +1123,7 @@ def test_ao_solve_levels_counts_untried_and_non_finite_steps():
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(wmmse, "_anderson_step", forced)
             _hook_candidate_evaluations(patch, evaluations.append)
-            runs[case] = (ao_solve_levels(channels, lanes), evaluations)
+            runs[case] = (ao_solve_levels(channels, cfg, lanes), evaluations)
     (zero, evaluated), (non_finite, unevaluated) = runs["zero"], \
         runs["non-finite"]
     assert evaluated and not unevaluated
@@ -1147,7 +1144,7 @@ def test_ao_solve_levels_extrapolates_only_when_the_stabilizing_map_fits(
                        max_outer_iters=cap, conv_threshold=1e-12)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
                             cfg)
-    lanes = [(make_mode(16, 4, eta), cfg) for eta in range(1, 6)]
+    lanes = [(make_mode(16, 4, eta), cfg.total_power) for eta in range(1, 6)]
     steps = []
     plain = wmmse._anderson_step
 
@@ -1156,7 +1153,7 @@ def test_ao_solve_levels_extrapolates_only_when_the_stabilizing_map_fits(
         return plain(*args)
 
     monkeypatch.setattr(wmmse, "_anderson_step", counting)
-    results = ao_solve_levels(channels, lanes)
+    results = ao_solve_levels(channels, cfg, lanes)
     assert all(r.report.iterations == cap for r in results)
     assert sum(steps) == (0 if cap == 2 else len(lanes))
     assert all(r.accepted + r.rejected == cap - 2 for r in results)
@@ -1188,7 +1185,9 @@ def test_ao_solve_levels_follows_the_one_lane_anderson_loop(
     lanes = [(make_mode(16, n_connected, eta),
               replace(base, total_power=dbm_to_watt(d)))
              for d in dbms for eta in feasible_sparsities(16, n_connected)]
-    for res, (mode, cfg) in zip(ao_solve_levels(channels, lanes), lanes):
+    results = ao_solve_levels(channels, base, [
+        (mode, cfg.total_power) for mode, cfg in lanes])
+    for res, (mode, cfg) in zip(results, lanes):
         (V, phi, sinr, rate, total, rows, trace, converged, accepted,
          rejected) = anderson_reference(channels, mode, cfg)
         assert np.array_equal(res.solution.V, lift(channels, V))
@@ -1235,7 +1234,8 @@ def test_ao_solve_levels_isolates_a_failing_start(monkeypatch):
         return plain(h, power, matched)
 
     monkeypatch.setattr(wmmse, "_zf_columns", failing)
-    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    results = ao_solve_levels(channels, cfg,
+                              [(mode, cfg.total_power) for mode in modes])
     assert calls == [5, 1, 1, 1, 1, 1]
     _isolated(results, alone, channels, modes[2], cfg, "start failure")
 
@@ -1259,7 +1259,8 @@ def test_ao_solve_levels_isolates_a_failing_guard(monkeypatch):
             raise ArithmeticError("forced guard failure at level 3")
 
     _hook_candidate_evaluations(monkeypatch, failing)
-    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    results = ao_solve_levels(channels, cfg,
+                              [(mode, cfg.total_power) for mode in modes])
     assert any(3 in etas and len(etas) > 1 for etas in guards)
     _isolated(results, alone, channels, modes[2], cfg, "guard failure")
 
@@ -1283,7 +1284,8 @@ def test_ao_solve_levels_keeps_criterion_05_under_accepted_candidates(
     channels = los_channels(random_geometry(cfg, np.random.default_rng(seed)),
                             cfg)
     modes = [make_mode(16, 4, eta) for eta in feasible_sparsities(16, 4)]
-    results = ao_solve_levels(channels, [(mode, cfg) for mode in modes])
+    results = ao_solve_levels(channels, cfg,
+                              [(mode, cfg.total_power) for mode in modes])
     noise, power = cfg.noise_power, cfg.total_power
     for mode, res in zip(modes, results):
         flat = res.surrogate_trace.ravel()
@@ -1388,8 +1390,9 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
     cfg = small_config(n_ues=3, max_outer_iters=7, conv_threshold=1e-12)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(19)),
                             cfg)
-    results = ao_solve_levels(channels, [(make_mode(16, 4, eta), cfg)
-                                         for eta in (1, 2, 3)])
+    results = ao_solve_levels(channels, cfg,
+                              [(make_mode(16, 4, eta), cfg.total_power)
+                               for eta in (1, 2, 3)])
     power, noise = cfg.total_power, cfg.noise_power
     assert results[1].report.iterations == len(maps[2]) == 7
     assert results[1].accepted >= 1 and results[1].rejected >= 1
@@ -1494,8 +1497,8 @@ def test_ao_solve_phase_block_runs_no_eigendecomposition(monkeypatch):
     assert calls == [wmmse._PHASE_STEPS] * res.report.iterations
     # in lockstep, one call per round: as many as the longest level's maps
     calls.clear()
-    results = ao_solve_levels(los_channels(geo, cfg),
-                              [(make_mode(16, 4, eta), cfg)
+    results = ao_solve_levels(los_channels(geo, cfg), cfg,
+                              [(make_mode(16, 4, eta), cfg.total_power)
                                for eta in range(1, 6)])
     rounds = max(r.report.iterations for r in results)
     assert rounds < sum(r.report.iterations for r in results)
