@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -64,12 +65,11 @@ def _cmd_run(args) -> int:
     sweep = parse_sweep(args.sweep) if args.sweep else ()
     campaign = Campaign(scenario=scenario, algorithms=algorithms,
                         n_trials=args.trials, seed=args.seed, sweep_dbm=sweep)
-    rows = run_campaign(campaign, jobs=args.jobs)
-    if args.output == "-":
-        emit_csv(rows, sys.stdout)
-    else:
-        with open(args.output, "w", encoding="utf-8", newline="") as fh:
-            emit_csv(rows, fh)
+    # opened before the run, so a bad path fails before any trial runs
+    with (nullcontext(sys.stdout) if args.output == "-" else
+          open(args.output, "w", encoding="utf-8", newline="")) as fh:
+        rows = run_campaign(campaign, jobs=args.jobs)
+        emit_csv(rows, fh)
     failed = [r for r in rows if r.status.startswith("failed:")]
     if failed:
         print(f"{len(failed)} of {len(rows)} rows failed", file=sys.stderr)

@@ -343,9 +343,16 @@ class _Lanes(SimpleNamespace):
     h_r[:, 0], real. ``_lane_operands`` builds the operands that stay
     fixed per lane: ``abar`` (1 - a), ``Pt`` (P), ``sel`` (h_r at the
     connected elements), ``direct`` (conj(sel), the d_k) and ``dist``
-    (|i - connected index|); ``ao_solve_levels`` adds the running state.
-    Every lane array is C-contiguous, so a selection of lanes keeps the
-    layout, and with it the bits of every product."""
+    (|i - connected index|). ``ao_solve_levels`` adds the running state:
+    ``lane`` (its index in the call), ``power`` and its square root
+    ``root``, the phases ``phi``, reduced rows ``h``, precoders ``V``, S =
+    h V and ``S2`` = |S|^2, the weights ``zeta``, the ``sinr``, ``rates``
+    and sum ``rate``, ``trace``, ``converged``, ``accepted``, and the
+    Anderson history: ``points`` since the last restart, the point ``x``
+    the next map starts from and the windows ``X`` and ``G`` of the
+    newest points and their map outputs. The operands and every lane
+    array of a selection are C-contiguous, so a selection of lanes keeps
+    the layout, and with it the bits of every product."""
 
     def select(self, rows: np.ndarray) -> "_Lanes":
         """The lanes at these rows (indices or a mask)."""
@@ -464,25 +471,24 @@ class AoResult:
     rejected: int
 
 
-def _ao_map(lanes: _Lanes, noise: float, power: np.ndarray, h: np.ndarray,
-            V: np.ndarray, S: np.ndarray, S2: np.ndarray, phi: np.ndarray,
-            zeta: np.ndarray) -> tuple:
+def _ao_map(lanes: _Lanes, noise: float) -> tuple:
     """One plain alternating-optimization map for every lane of a stack,
-    in the reduced coordinates of ``_Lanes``: ``power`` holds one transmit
-    power per lane; ``h`` (the reduced rows at the phases ``phi``), ``V``
-    = [t; F], S = h V, its powers ``S2`` = |S|^2 and ``zeta`` (the last
-    weights) have a leading lane axis. Updates the receivers, the weights
-    and the precoder exactly, then the phases by ``_phase_block``,
+    in the reduced coordinates of ``_Lanes``, from the state fields
+    ``power``, ``h`` (the reduced rows at the phases ``phi``), ``V`` =
+    [t; F], ``S`` = h V, ``S2`` = |S|^2 and ``zeta`` (the last weights),
+    which it leaves as they are. Updates the receivers, the weights and
+    the precoder exactly, then the phases by ``_phase_block``,
     warm-started. Returns the new (h, V, S, S2, mu, phi, zeta) and, per
     lane, the lifted objective after each block update."""
-    sig = effective_noise(V, noise, power)
-    mu = _receivers_of(S, S2, sig)
-    e = _mse_of(S, S2, mu, sig)
-    zeta_old, zeta = zeta, 1.0 / e         # update_weights at this state
+    power, h = lanes.power, lanes.h
+    sig = effective_noise(lanes.V, noise, power)
+    mu = _receivers_of(lanes.S, lanes.S2, sig)
+    e = _mse_of(lanes.S, lanes.S2, mu, sig)
+    zeta = 1.0 / e                         # update_weights at this state
     V, mu = update_precoders(h, mu, zeta, noise, power)
     S_pre = h @ V                          # before the phase update
 
-    p0 = np.concatenate([phi.conj(), np.ones((len(V), 1))], axis=1)
+    p0 = np.concatenate([lanes.phi.conj(), np.ones((len(V), 1))], axis=1)
     phi = _phase_block(lanes, V[:, 0], V[:, 1:], mu, zeta, p0,
                        max_iters=_PHASE_STEPS)
     h = _reduced_rows(lanes, phi)
@@ -492,7 +498,7 @@ def _ao_map(lanes: _Lanes, noise: float, power: np.ndarray, h: np.ndarray,
     S2 = both2[1]
     e_after = _mse_of(both, both2, mu, effective_noise(V, noise, power))
     # after the receiver, weight, precoder and phase updates
-    rows = _lifted_objective(np.stack([zeta_old, zeta, zeta, zeta]),
+    rows = _lifted_objective(np.stack([lanes.zeta, zeta, zeta, zeta]),
                              np.concatenate([np.stack([e, e]), e_after]))
     return h, V, S, S2, mu, phi, zeta, rows.T
 
@@ -513,24 +519,27 @@ def _unit(V: np.ndarray, root: np.ndarray) -> np.ndarray:
 _DEPTH = 5
 
 
-def _anderson_step(dF: np.ndarray, dG: np.ndarray, f: np.ndarray,
-                   g: np.ndarray, used: np.ndarray,
+def _anderson_step(X: np.ndarray, G: np.ndarray, used: np.ndarray,
                    power: np.ndarray) -> np.ndarray:
     """Type-II Anderson acceleration (Walker and Ni, SIAM J. Numer. Anal.
     2011) for a stack of lanes, on the real vectors x of V / sqrt(P): from
-    the last map's output g = G(x), its residual f = g - x and the newest
-    ``used`` differences of successive residuals (dF) and outputs (dG) of
-    each lane, g - dG gamma with gamma minimizing ||f - dF gamma||, solved
-    from its normal equations by elimination without pivoting (a Gram
-    matrix needs none), projected onto the full-power sphere: the real
-    vector of the candidate V. Unused slots come first and are padded with
-    the identity, so they change no bit; the slots no lane uses are left
-    out, and a lane using none gets g back. A singular system or an
-    overflowing step gives a non-finite candidate, not an exception."""
+    each lane's window of points ``X`` (the state field, oldest first)
+    and their map outputs ``G``, of which the newest ``used`` + 1 count,
+    with residuals f = g - x and the differences of successive residuals
+    (dF) and outputs (dG), g - dG gamma for the newest g and f and gamma
+    minimizing ||f - dF gamma||, solved from its normal equations by
+    elimination without pivoting (a Gram matrix needs none), projected
+    onto the full-power sphere: the real vector of the candidate V. Unused
+    slots come first and are padded with the identity, so they change no
+    bit; the slots no lane uses are left out, and a lane using none gets
+    g back. A singular system or an overflowing step gives a non-finite
+    candidate, not an exception."""
     depth = int(used.max(initial=0))
-    dF, dG = dF[:, dF.shape[1] - depth:], dG[:, dG.shape[1] - depth:]
+    X, G = X[:, X.shape[1] - depth - 1:], G[:, G.shape[1] - depth - 1:]
+    F = G - X                              # the residuals
+    dF, dG = F[:, 1:] - F[:, :-1], G[:, 1:] - G[:, :-1]
     valid = np.arange(depth + 1) >= depth - used[:, None]
-    cols = np.concatenate([dF, f[:, None]], axis=1)
+    cols = np.concatenate([dF, F[:, -1:]], axis=1)
     M = np.where(valid[:, :-1, None] & valid[:, None, :],
                  np.vecdot(dF[:, :, None], cols[:, None]),
                  np.eye(depth, depth + 1))      # [normal matrix | dF^T f]
@@ -542,7 +551,7 @@ def _anderson_step(dF: np.ndarray, dG: np.ndarray, f: np.ndarray,
         for j in reversed(range(depth)):
             gamma[:, j] /= M[:, j, j]
             gamma[:, :j] -= M[:, :j, j] * gamma[:, j, None]
-        x = g - (gamma[:, :, None] * dG).sum(axis=1)
+        x = G[:, -1] - (gamma[:, :, None] * dG).sum(axis=1)
         return x * (np.sqrt(power) / np.sqrt(np.vecdot(x, x)))[:, None]
 
 
@@ -585,22 +594,25 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
     config, whose own ``total_power`` is not read. The levels share one
     connection count.
 
-    The running lanes' states (reduced rows and precoders with their
-    product S = h V, phases, weights, rates, traces and Anderson
-    histories) are arrays with one row per lane, added to the ``_Lanes``
-    of the lane-fixed operands, so one ``select`` keeps the rows of the
-    lanes that go on. One stacked start serves all lanes; each round
-    runs one ``_ao_map`` for all lanes, whose S gives the rates, then one
-    ``_anderson_step`` and one stacked ``_rated`` of the candidates of the
-    lanes that try one. A lane's result (its own copies, with W lifted to
-    N_t x K) is built in the round it stops, and the lane is dropped. A
-    lane runs exactly the operations of its solve alone, so every result
-    equals ``ao_solve`` bit for bit.
+    The running state (the fields that ``_Lanes`` lists) has one row per
+    lane, added to the ``_Lanes`` of the lane-fixed operands, so one
+    ``select`` keeps the rows of the lanes that go on. One stacked start
+    from ``phi`` and ``power`` writes ``h``, ``V``, ``S``, ``S2`` and the
+    rates. Each round runs one ``_ao_map`` for all lanes, whose outputs
+    replace ``h``, ``V``, ``S``, ``S2``, ``phi``, ``zeta`` and the rates
+    and extend ``trace``, ``X`` and ``G``; then one ``_anderson_step`` on
+    the windows of the lanes that try one, and one stacked ``_rated`` of
+    the finite candidates as the part ``_Lanes(lane, h, V)``. A taken
+    candidate replaces ``V``, ``S``, ``S2``, ``zeta``, ``rate`` and ``x``.
+    A lane's result (its own copies, with W lifted to N_t x K) is built
+    in the round it stops, and the lane is dropped. A lane runs exactly
+    the operations of its solve alone, so every result equals
+    ``ao_solve`` bit for bit.
 
-    A stacked evaluation that raises is redone lane by lane. A lane whose
-    own start point, map or candidate evaluation raises ends there, and
-    its entry in the returned list (one per lane, in order) is that
-    exception.
+    A stacked evaluation that raises is redone lane by lane through
+    ``select``. A lane whose own start point, map or candidate evaluation
+    raises ends there, and its entry in the returned list (one per lane,
+    in order) is that exception.
     """
     lanes = list(lanes)
     if not lanes:
@@ -612,41 +624,38 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
     # zf_init's rule at the full rows' N_t + a dimensions
     matched = channels.n_ues > channels.b_aod.size + lanes[0][0].n_connected
 
-    def stacked(evaluate, rows):
-        """``evaluate(rows)`` for all these lanes, or else lane by lane: a
-        mask of the rows that passed (None for all) and their outputs."""
+    def stacked(evaluate, part):
+        """``evaluate(part)`` for this ``_Lanes`` part, or else lane by lane
+        through ``part.select``: a mask of its lanes that passed (None for
+        all) and their outputs."""
         try:
-            return None, evaluate(rows)
+            return None, evaluate(part)
         except Exception:
             pass                    # redone outside the handler: no context
-        passed, outs = np.zeros(len(rows), dtype=bool), []
-        for j, i in enumerate(rows.tolist()):
+        passed, outs = np.zeros(len(part.lane), dtype=bool), []
+        for j in range(len(part.lane)):
             try:
-                outs.append(evaluate(rows[j:j + 1]))
+                outs.append(evaluate(part.select(np.arange(j, j + 1))))
                 passed[j] = True
             except Exception as exc:    # this lane ends; the others go on
-                outcomes[int(s.lane[i])] = exc
+                outcomes[int(part.lane[j])] = exc
         return passed, tuple(map(np.concatenate, zip(*outs))) if outs else None
 
-    def start(rows):
-        part = s if len(rows) == len(s.lane) else s.select(rows)
+    def start(part):
         h = _reduced_rows(part, part.phi)
         V = _zf_columns(h, part.power, matched)
         S, S2, report = _rated(h, V, noise)
         return h, V, S, S2, report.sinr, report.rate, report.sum_rate
 
-    def plain_map(rows):
-        part = s if len(rows) == len(s.lane) else s.select(rows)
-        h, V, S, S2, _, phi, zeta, surrogate = _ao_map(
-            part, noise, part.power, part.h, part.V, part.S, part.S2,
-            part.phi, part.zeta)
+    def plain_map(part):
+        h, V, S, S2, _, phi, zeta, surrogate = _ao_map(part, noise)
         report = _rate_report(_sinr_of(S2, noise))
         return (h, V, S, S2, phi, zeta, surrogate, report.sinr, report.rate,
                 report.sum_rate)
 
-    def evaluate_candidates(rows):
-        S, S2, report = _rated(s.h[rows], V_x[rows], noise)
-        return S, S2, report.sinr, report.sum_rate
+    def evaluate_candidates(part):
+        S, S2, report = _rated(part.h, part.V, noise)
+        return part.V, S, S2, report.sinr, report.sum_rate
 
     def result(j):
         """The ``AoResult`` of running row j, which stops after ``maps``."""
@@ -670,23 +679,19 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
     s.power = np.array([power for _, power in lanes])
     s.root = np.sqrt(s.power)
     s.phi = np.ones((len(lanes), lanes[0][0].n_elems), dtype=complex)
-    passed, out = stacked(start, s.lane)
+    passed, out = stacked(start, s)
     s = s if passed is None else s.select(passed)
     if out is not None:
         s.h, s.V, s.S, s.S2, s.sinr, s.rates, s.rate = out
         s.zeta = np.ones(s.rates.shape)
         s.trace = np.empty((len(s.lane), min(cap, 16), 5))   # surrogate, rate
-        # Anderson history: points since the last restart, the point the
-        # next map starts from, the newest residual and output, and the
-        # newest differences of successive ones
         s.accepted, s.points = np.zeros((2, len(s.lane)), int)
         s.x = _unit(s.V, s.root)
-        s.f = s.g = np.zeros_like(s.x)
-        s.dF = s.dG = np.empty((len(s.lane), 0, s.x.shape[1]))
+        s.X = s.G = np.empty((len(s.lane), 0, s.x.shape[1]))
     maps = 0                            # every running lane has made these
     while len(s.lane):
         rate_start = s.rate
-        passed, out = stacked(plain_map, np.arange(len(s.lane)))
+        passed, out = stacked(plain_map, s)
         if out is None:
             break
         if passed is not None:
@@ -704,42 +709,35 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
             rate_start, tiny)
         stop = s.converged | (maps >= cap)
         g = _unit(s.V, s.root)
-        f = g - s.x
-        s.dF, s.dG = (np.concatenate([d, (new - old)[:, None]], axis=1)
-                      [:, -_DEPTH:] for d, new, old in ((s.dF, f, s.f),
-                                                        (s.dG, g, s.g)))
-        s.f, s.g, s.x, s.points = f, g, g, s.points + 1
+        s.X, s.G = (np.concatenate([w, new[:, None]], axis=1)[:, -_DEPTH - 1:]
+                    for w, new in ((s.X, s.x), (s.G, g)))
+        s.x, s.points = g, s.points + 1
         trying = ~stop & (s.points > 1)
         tried = trying.nonzero()[0]
         if len(tried):
-            every = len(tried) == len(s.lane)
-            X = _anderson_step(*(a if every else a[tried] for a in (
-                s.dF, s.dG, f, g, np.minimum(s.points - 1, _DEPTH),
-                s.power)))
-            X = X.view(complex).reshape((len(tried),) + s.V.shape[1:])
-            if every:
-                V_x = X
-            else:
-                V_x = np.empty_like(s.V)
-                V_x[tried] = X
-            rows = tried[np.isfinite(X).all(axis=(1, 2))]
-            passed, out = (stacked(evaluate_candidates, rows) if len(rows)
-                           else (None, None))
+            V = _anderson_step(s.X[tried], s.G[tried], np.minimum(
+                s.points[tried] - 1, _DEPTH), s.power[tried]).view(complex)
+            V = V.reshape((len(tried),) + s.V.shape[1:])
+            finite = np.isfinite(V).all(axis=(1, 2))
+            rows = tried[finite]
+            passed, out = (stacked(evaluate_candidates, _Lanes(
+                lane=s.lane[rows], h=s.h[rows], V=V[finite]))
+                if len(rows) else (None, None))
             if passed is not None:      # a lane whose evaluation raised ends
                 stop[rows[~passed]] = True
                 rows = rows[passed]
             if out is not None:
-                S, S2, sinr, rate = out
+                V, S, S2, sinr, rate = out
                 better = rate >= s.rate.take(rows)
                 taken = rows[better]
                 trying[taken] = False   # a taken candidate keeps the history
                 if len(taken):
                     # the map's outputs stay as they were returned
-                    s.V, s.S, s.S2, s.zeta, s.rate, s.x = (
+                    s.V, s.S, s.S2, s.zeta, s.rate = (
                         s.V.copy(), s.S.copy(), s.S2.copy(), s.zeta.copy(),
-                        s.rate.copy(), g.copy())
+                        s.rate.copy())
                     s.V[taken], s.S[taken], s.S2[taken] = (
-                        V_x.take(taken, 0), S[better], S2[better])
+                        V[better], S[better], S2[better])
                     s.zeta[taken] = 1.0 + sinr[better]
                     s.rate[taken] = rate[better]
                     s.accepted[taken] += 1

@@ -188,8 +188,9 @@ def anderson_reference(channels, mode, config, step=anderson_point):
         start = total
         xs.append(unit(V))
         S = h @ V
-        h, V, _, _, _, phi, zeta, row = wmmse._ao_map(
-            lanes, noise, powers, h, V, S, np.abs(S) ** 2, phi, zeta)
+        h, V, _, _, _, phi, zeta, row = wmmse._ao_map(wmmse._Lanes(
+            **vars(lanes), power=powers, h=h, V=V, S=S, S2=np.abs(S) ** 2,
+            phi=phi, zeta=zeta), noise)
         report = sum_rate(h, V, noise)
         sinr, rate, total = report.sinr[0], report.rate[0], report.sum_rate[0]
         rows.append(row[0])

@@ -1,5 +1,6 @@
 import pytest
 
+from rdars import cli
 from rdars.cli import build_parser, main, parse_sweep
 
 TINY_SCENARIO = """\
@@ -117,6 +118,18 @@ def test_analyze_command_prints_table(tiny_scenario, capsys):
 
 def test_missing_scenario_file_is_reported(capsys):
     assert main(["run", "--scenario", "/no/such/file.cfg"]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_unwritable_output_fails_before_the_campaign_runs(
+        tiny_scenario, tmp_path, monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("the campaign ran before the output was opened")
+
+    monkeypatch.setattr(cli, "run_campaign", never)
+    code = main(["run", "--scenario", tiny_scenario, "--trials", "1",
+                 "--output", str(tmp_path / "missing" / "rows.csv")])
+    assert code == 2
     assert "error:" in capsys.readouterr().err
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import rdars
 from rdars import scenario
+from rdars.arrays import feasible_sparsities
 
 
 def test_public_names_resolve_once():
@@ -48,3 +49,17 @@ def test_import_loads_no_worker_pool():
     out = subprocess.run([sys.executable, "-c", probe], check=True,
                          capture_output=True, text=True).stdout
     assert out == "[]\n"
+
+
+def test_readme_quick_start_runs(capsys):
+    """The README's Quick start block runs as written and prints a
+    feasible sparsity level, a positive sum rate and a bool."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Quick start")[1]
+    exec(section.split("```python\n")[1].split("```")[0], {})
+    eta, rate, converged = capsys.readouterr().out.split()
+    config = scenario.default_scenario().config
+    assert int(eta) in feasible_sparsities(config.n_elems,
+                                           config.n_connected)
+    assert float(rate) > 0.0
+    assert converged in ("True", "False")

@@ -1037,6 +1037,49 @@ def test_lockstep_results_hold_no_round_stacks():
             assert root.ndim == arr.ndim
 
 
+def test_lane_arrays_are_c_contiguous(monkeypatch):
+    """The bits of a lane in a stack equal its bits alone because every
+    per-lane array of a ``_Lanes`` is C-contiguous (all but the shared
+    ``kappa``, ``h_r`` and ``h0``): as ``_lane_operands`` builds them at
+    a = 1 and a = 4 over several levels, after ``select`` by index and by
+    mask, and in every ``_Lanes`` that ``ao_solve_levels`` makes, among
+    them the (lane, h, V) parts of the candidates it evaluates."""
+    def layouts(lanes):
+        return {key: value.flags.c_contiguous
+                for key, value in vars(lanes).items()
+                if key not in ("kappa", "h_r", "h0")}
+
+    for n_connected in (1, 4):
+        cfg = small_config(n_ues=3, n_connected=n_connected)
+        channels = los_channels(
+            random_geometry(cfg, np.random.default_rng(5)), cfg)
+        modes = [make_mode(16, n_connected, eta)
+                 for eta in feasible_sparsities(16, n_connected)] * 2
+        lanes = wmmse._lane_operands(channels, modes)
+        assert len(modes) > 1 and all(layouts(lanes).values())
+        for rows in (np.array([1, 0]), np.arange(len(modes)) % 2 == 0):
+            assert all(layouts(lanes.select(rows)).values())
+
+    made = []
+
+    class Recorded(wmmse._Lanes):
+        def __init__(self, **fields):
+            super().__init__(**fields)
+            made.append(layouts(self))
+
+    monkeypatch.setattr(wmmse, "_Lanes", Recorded)
+    cfg = small_config(n_ues=3, total_power=dbm_to_watt(50.0),
+                       max_outer_iters=30, conv_threshold=1e-12)
+    channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
+                            cfg)
+    results = ao_solve_levels(channels, cfg, [
+        (make_mode(16, 4, eta), cfg.total_power) for eta in range(1, 6)])
+    assert sum(r.accepted + r.rejected for r in results) > 0
+    assert any(set(fields) == {"lane", "h", "V"} for fields in made)
+    assert [key for fields in made for key, c in fields.items() if not c] \
+        == []
+
+
 def _same_bits(a, b):
     return a.shape == b.shape and np.array_equal(
         a.view(float), b.view(float), equal_nan=True)
@@ -1046,7 +1089,7 @@ def test_anderson_step_equals_one_lane_formula():
     """The stacked Anderson step gives, lane by lane and for a lane alone,
     the bits of the one-lane formula on that lane's points since its last
     restart: a full window and shorter ones, restarted lanes whose older
-    slots hold stale differences, a one-point history (the map's output
+    slots hold stale points, a one-point history (the map's output
     back, projected) and an exactly singular system (non-finite)."""
     rng = np.random.default_rng(11)
     depth, rounds, n = wmmse._DEPTH, 8, 24
@@ -1059,17 +1102,14 @@ def test_anderson_step_equals_one_lane_formula():
     xs[-1] = 0.0
     gs[-1] = rng.integers(-3, 4, n) + np.arange(rounds)[:, None] * \
         rng.integers(-3, 4, n)
-    fs = gs - xs
-    dF = fs[:, -depth:] - fs[:, -depth - 1:-1]
-    dG = gs[:, -depth:] - gs[:, -depth - 1:-1]
+    X, G = xs[:, -depth - 1:], gs[:, -depth - 1:]
     used = np.minimum(np.array(points) - 1, depth)
-    out = wmmse._anderson_step(dF, dG, fs[:, -1], gs[:, -1], used, power)
+    out = wmmse._anderson_step(X, G, used, power)
     for i, p in enumerate(points):
         point = anderson_point(list(xs[i, -p:]), list(gs[i, -p:]), power[i])
         assert _same_bits(out[i], point)
         one = slice(i, i + 1)
-        alone = wmmse._anderson_step(dF[one], dG[one], fs[one, -1],
-                                     gs[one, -1], used[one], power[one])
+        alone = wmmse._anderson_step(X[one], G[one], used[one], power[one])
         assert _same_bits(alone[0], point)
     g = gs[3, -1]
     assert _same_bits(out[3], g * (math.sqrt(power[3]) / np.linalg.norm(g)))
@@ -1089,11 +1129,9 @@ def test_anderson_step_skips_only_slots_no_lane_uses(points):
     power = 10.0 ** rng.uniform(-4.0, 6.0, len(points))
     xs = rng.standard_normal((len(points), rounds, n))
     gs = xs + 0.3 * rng.standard_normal(xs.shape)
-    fs = gs - xs
-    dF = fs[:, -depth:] - fs[:, -depth - 1:-1]
-    dG = gs[:, -depth:] - gs[:, -depth - 1:-1]
     used = np.minimum(np.array(points) - 1, depth)
-    out = wmmse._anderson_step(dF, dG, fs[:, -1], gs[:, -1], used, power)
+    out = wmmse._anderson_step(xs[:, -depth - 1:], gs[:, -depth - 1:], used,
+                               power)
     for i, p in enumerate(points):
         point = anderson_point(list(xs[i, -p:]), list(gs[i, -p:]), power[i])
         assert _same_bits(out[i], point)
@@ -1377,13 +1415,13 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
     maps = {}
     plain_map = wmmse._ao_map
 
-    def recording(lanes, noise, power, h, V, S, S2, phi, zeta):
-        out = plain_map(lanes, noise, power, h, V, S, S2, phi, zeta)
+    def recording(lanes, noise):
+        out = plain_map(lanes, noise)
         h1, V1, _, _, mu1, _, zeta1, rows = out
         for i, eta in enumerate(lane_etas(lanes)):
             maps.setdefault(eta, []).append(
-                ((h[i], V[i], zeta[i]), (h1[i], V1[i], mu1[i], zeta1[i],
-                                         rows[i])))
+                ((lanes.h[i], lanes.V[i], lanes.zeta[i]),
+                 (h1[i], V1[i], mu1[i], zeta1[i], rows[i])))
         return out
 
     monkeypatch.setattr(wmmse, "_ao_map", recording)
