@@ -133,7 +133,7 @@ class PassiveBeam:
         if self.phi.ndim != 1:
             raise ValueError("phi must be a vector")
         off = np.abs(np.abs(self.phi) - 1.0)
-        if (off > 1e-12).any():
+        if not (off <= 1e-12).all():            # NaN fails too
             raise ValueError("phi entries must be unit modulus "
                              f"(worst |.|-1 = {float(np.max(off)):g})")
 
@@ -143,7 +143,8 @@ class PassiveBeam:
 
     @classmethod
     def from_phases(cls, angles) -> "PassiveBeam":
-        return cls(np.exp(1j * np.asarray(angles, dtype=float)))
+        with np.errstate(invalid="ignore"):     # a non-finite angle fails
+            return cls(np.exp(1j * np.asarray(angles, dtype=float)))
 
 
 def effective_matrix(channels: ChannelSet, passive: PassiveBeam,

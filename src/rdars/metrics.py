@@ -49,8 +49,8 @@ def sinr_all(h: np.ndarray, V: np.ndarray, noise: float) -> np.ndarray:
     columns V (dim x K). A leading lane axis on h and V gives one row of
     SINRs per lane."""
     h = np.atleast_2d(h)
-    if noise <= 0.0:
-        raise ValueError("noise power must be positive")
+    if not 0.0 < noise < np.inf:               # NaN fails too
+        raise ValueError("noise power must be positive and finite")
     if h.shape[-1] != V.shape[-2] or h.shape[-2] != V.shape[-1]:
         raise ValueError(f"shape mismatch: h {h.shape} vs V {V.shape}")
     return _sinr_of(np.abs(h @ V) ** 2, noise)

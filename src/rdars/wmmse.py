@@ -297,7 +297,10 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
               max_iters: int) -> tuple[np.ndarray, np.ndarray]:
     """The step loop of ``power_iteration`` for any form of the operator:
     ``apply(p)`` is (D + Lambda) p, one row per lane, ``offset`` is
-    tr Lambda. Returns the last p and the objective history by lane."""
+    tr Lambda. Every lane takes the same steps, at most ``max_iters``: the
+    loop ends once every lane's objective changes by at most ``tol``
+    (1 + |obj|) in one step. Returns the last p and the objective history
+    by lane."""
     def objective(p, z):
         return np.vecdot(p, z).real - offset
 
@@ -305,26 +308,19 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
         z = apply(p)
         obj = objective(p, z)
         history = [obj]
-        active = np.ones(len(p), dtype=bool)
         for _ in range(max_iters):
             mags = np.abs(z)
-            p_new = p.copy()
-            np.divide(z, mags, out=p_new, where=mags > 0.0)
-            z_new = apply(p_new)
-            obj_new = objective(p_new, z_new)
+            p = p.copy()
+            np.divide(z, mags, out=p, where=mags > 0.0)
+            z = apply(p)
+            obj_new = objective(p, z)
             change = (obj_new - obj) / (1.0 + np.abs(obj))
-            every = active.all()
-            if (change.min() if every else change[active].min()) < -1e-8:
+            if change.min() < -1e-8:
                 raise ArithmeticError("homogenized objective decreased "
                                       "during the phase power iteration")
-            if not every:               # stopped lanes keep their state
-                p_new = np.where(active[:, None], p_new, p)
-                z_new = np.where(active[:, None], z_new, z)
-                obj_new = np.where(active, obj_new, obj)
-            p, z, obj = p_new, z_new, obj_new
+            obj = obj_new
             history.append(obj)
-            active &= ~(np.abs(change) <= tol)
-            if not active.any():
+            if (np.abs(change) <= tol).all():
                 break
     return p, np.asarray(history)
 
@@ -428,32 +424,31 @@ def _phase_operator(lanes: _Lanes, t: np.ndarray, F: np.ndarray,
     return apply, shift
 
 
+# MM steps per phase block. Each step keeps the block monotone, all that
+# block successive upper-bound minimization needs (Razaviyayn, Hong, Luo,
+# SIAM J. Optim. 2013), so any fixed count will do; the count is the
+# same for every lane and every unit scale.
+_PHASE_STEPS = 3
+
+
 def _phase_block(lanes: _Lanes, t: np.ndarray, F: np.ndarray, mu: np.ndarray,
-                 zeta: np.ndarray, p0: np.ndarray, max_iters: int
-                 ) -> np.ndarray:
-    """The phase update of ``_ao_map``: at most ``max_iters`` steps of the
-    ``power_iteration`` loop, with its default stop test, on
-    ``_phase_operator`` from the start points ``p0`` (one row per lane);
+                 zeta: np.ndarray, p0: np.ndarray) -> np.ndarray:
+    """The phase update of ``_ao_map``: ``_PHASE_STEPS`` steps of the
+    ``power_iteration`` loop for every lane, on ``_phase_operator`` from
+    the start points ``p0`` (one row per lane), cut short only when no
+    lane's objective moves at all (a zero operator keeps every point);
     returns the new reflection phases (the conjugate of x)."""
     apply, shift = _phase_operator(lanes, t, F, mu, zeta)
-    p, _ = _mm_steps(apply, shift.sum(-1), p0 / np.abs(p0), 1e-10, max_iters)
+    p, _ = _mm_steps(apply, shift.sum(-1), p0 / np.abs(p0), 0.0, _PHASE_STEPS)
     phi = p[:, :-1].conj() * p[:, -1:]
     return phi / np.abs(phi)
-
-
-# Most MM steps per phase block (its stop test may end it sooner). Each
-# step keeps the block monotone, all that block successive upper-bound
-# minimization needs (Razaviyayn, Hong, Luo, SIAM J. Optim. 2013); on the
-# `campaign_sweep` rows three steps stay within 1.4e-5 of the block run
-# to its stop test, one step within 2e-4.
-_PHASE_STEPS = 3
 
 
 @dataclass(frozen=True)
 class AoResult:
     """A full alternating-optimization run: the beamformers, the mode they
     were optimized for, the rate report, the per-map traces, and the
-    accelerator's counts. The phase update of every plain map is at most
+    accelerator's counts. The phase update of every plain map is
     ``_PHASE_STEPS`` MM steps of the ``power_iteration`` loop.
 
     ``accepted`` and ``rejected`` count the Anderson candidates whose sum
@@ -489,8 +484,7 @@ def _ao_map(lanes: _Lanes, noise: float) -> tuple:
     S_pre = h @ V                          # before the phase update
 
     p0 = np.concatenate([lanes.phi.conj(), np.ones((len(V), 1))], axis=1)
-    phi = _phase_block(lanes, V[:, 0], V[:, 1:], mu, zeta, p0,
-                       max_iters=_PHASE_STEPS)
+    phi = _phase_block(lanes, V[:, 0], V[:, 1:], mu, zeta, p0)
     h = _reduced_rows(lanes, phi)
     S = h @ V
     both = np.stack([S_pre, S])

@@ -80,6 +80,13 @@ def test_passive_beam_validation():
         PassiveBeam(np.array([1.0, 0.5]))
     with pytest.raises(ValueError):
         PassiveBeam(np.ones((2, 2), dtype=complex))
+    # a NaN modulus is no unit modulus; exp(1j inf) is NaN
+    with pytest.raises(ValueError, match="unit modulus"):
+        PassiveBeam(np.array([1.0, np.nan]))
+    with pytest.raises(ValueError, match="unit modulus"):
+        PassiveBeam(np.array([1.0, complex(np.nan, 0.0)]))
+    with pytest.raises(ValueError, match="unit modulus"):
+        PassiveBeam.from_phases([0.0, math.inf])
     beam = PassiveBeam.uniform(5)
     np.testing.assert_allclose(beam.phi, 1.0)
     angles = np.array([0.0, math.pi / 2.0])

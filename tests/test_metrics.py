@@ -53,8 +53,11 @@ def test_sinr_validation():
     h = np.eye(2, dtype=complex)
     with pytest.raises(ValueError):
         sinr_all(h, np.ones((3, 2), dtype=complex), 1.0)
-    with pytest.raises(ValueError):
-        sinr_all(h, np.eye(2, dtype=complex), 0.0)
+    for noise in (0.0, -1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sinr_all(h, np.eye(2, dtype=complex), noise)
+    with pytest.raises(ValueError, match="positive and finite"):
+        sum_rate(h, np.eye(2, dtype=complex), math.nan)
 
 
 def test_mse_hand_case():
