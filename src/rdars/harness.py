@@ -32,6 +32,7 @@ import csv
 import math
 import time
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -176,15 +177,15 @@ _SOLVER_LEVELS = {
 }
 
 
-def _solver_row(outcome: AoResult | Exception) -> tuple:
-    """Row fields (eta, sum rate, min UE rate, iterations, status) of a
-    solver result; a lane's kept exception is raised again."""
-    if isinstance(outcome, Exception):
-        raise outcome
-    report = outcome.report
-    status = "ok" if report.converged else "unconverged"
-    return (outcome.mode.eta, report.sum_rate, float(report.rate.min()),
-            report.iterations, status)
+def _solver_row(levels, trial: _Trial, sweep_dbm: float) -> tuple:
+    """Row fields (eta, sum rate, min UE rate, iterations, status) of the
+    ``sparsity_search`` pick among the solves at ``levels(trial)``: a
+    single level's own result, or its kept exception raised again."""
+    best, _ = sparsity_search((eta, trial.solved(sweep_dbm, eta))
+                              for eta in levels(trial))
+    r = best.report     # min UE rate at argmin: a third of min()'s cost
+    return (best.mode.eta, r.sum_rate, r.rate.item(r.rate.argmin()),
+            r.iterations, "ok" if r.converged else "unconverged")
 
 
 def _single_ue_closed(trial: _Trial, sweep_dbm: float) -> tuple:
@@ -204,11 +205,8 @@ def _two_ue_prop1(trial: _Trial, sweep_dbm: float) -> tuple:
 
 # Algorithm name -> row fields of a trial at one sweep value.
 _ALGORITHMS = {
-    "WA_OPT_ETA": lambda trial, s: _solver_row(sparsity_search(
-        (eta, trial.solved(s, eta)) for eta in trial.levels)[0]),
-    "COMPACT_ETA1": lambda trial, s: _solver_row(trial.solved(s, 1)),
-    "RANDOM_ETA": lambda trial, s: _solver_row(
-        trial.solved(s, trial.random_eta)),
+    **{name: partial(_solver_row, levels)
+       for name, levels in _SOLVER_LEVELS.items()},
     "SINGLE_UE_CLOSED": _single_ue_closed,
     "TWO_UE_PROP1": _two_ue_prop1,
 }

@@ -140,6 +140,8 @@ def derive_geometry(bs_pos, rdars_pos, ue_pos, config: SystemConfig) -> Geometry
 
     diffs = ue - rd
     dists = np.linalg.norm(diffs, axis=1)
+    if (dists == 0.0).any():
+        raise ScenarioError("a UE and the RDARS position coincide")
     u_ru = np.clip(diffs[:, 0] / dists, -1.0, 1.0)
 
     c0 = config.ref_pathloss_db

@@ -325,35 +325,38 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
     return p, np.asarray(history)
 
 
+_SHARED = ("kappa", "h_r", "h0", "B")     # the drop's operands in _Lanes
+
+
 class _Lanes(SimpleNamespace):
     """The lanes (one sparsity level and power each) of one lockstep call
-    on one drop's LoS channels: every array but the shared ``kappa``,
-    ``h_r`` and ``h0`` holds one row per lane.
+    on one drop's LoS channels: every array but those named in ``_SHARED``
+    holds one row per lane.
 
     The map runs in the rank-one coordinates of G = kappa_br b_aoa b_aod^H:
     W = q t with q = b_aod / sqrt(N_t), so a state is V = [t; F] and the
     reduced row of UE k is [sqrt(N_t) g_k(phi), d_k], with g_k(phi) =
-    kappa_br (P phi)_k for P[k, n] = (1 - a_n) b_aoa[n] conj(h_r[k, n])
-    and d_k = conj(h_r[k]) at the connected elements. ``kappa`` is
-    kappa_br sqrt(N_t), the factor of P phi in that row; ``h0`` is
-    h_r[:, 0], real. ``_lane_operands`` builds the operands that stay
-    fixed per lane: ``abar`` (1 - a), ``Pt`` (P), ``sel`` (h_r at the
-    connected elements), ``direct`` (conj(sel), the d_k) and ``dist``
-    (|i - connected index|). ``ao_solve_levels`` adds the running state:
-    ``lane`` (its index in the call), ``power`` and its square root
-    ``root``, the phases ``phi``, reduced rows ``h``, precoders ``V``, S =
-    h V and ``S2`` = |S|^2, the weights ``zeta``, the ``sinr``, ``rates``
-    and sum ``rate``, ``trace``, ``converged``, ``accepted``, and the
-    Anderson history: ``points`` since the last restart, the point ``x``
-    the next map starts from and the windows ``X`` and ``G`` of the
-    newest points and their map outputs. The operands and every lane
-    array of a selection are C-contiguous, so a selection of lanes keeps
-    the layout, and with it the bits of every product."""
+    kappa_br (B (abar phi))_k on the drop's LoS base B = b_aoa conj(h_r)
+    (K x N) under the lane's 0/1 mask ``abar`` (1 - a), and d_k =
+    conj(h_r[k]) at the connected elements. ``kappa`` is kappa_br sqrt(N_t)
+    and ``h0`` is h_r[:, 0], real. ``_lane_operands`` builds the operands
+    that stay fixed per lane: ``abar``, ``sel`` (h_r at the connected
+    elements), ``direct`` (conj(sel), the d_k) and ``dist`` (|i - connected
+    index|). ``ao_solve_levels`` adds the running state: ``lane`` (its index
+    in the call), ``power`` and its square root ``root``, the phases
+    ``phi``, reduced rows ``h``, precoders ``V``, S = h V and ``S2`` =
+    |S|^2, the weights ``zeta``, the ``sinr``, ``rates`` and sum ``rate``,
+    ``trace``, ``converged``, ``accepted``, and the Anderson history:
+    ``points`` since the last restart, the point ``x`` the next map starts
+    from and the windows ``X`` and ``G`` of the newest points and their map
+    outputs. The operands and every lane array of a selection are
+    C-contiguous, so a selection of lanes keeps the layout, and with it the
+    bits of every product."""
 
     def select(self, rows: np.ndarray) -> "_Lanes":
-        """The lanes at these rows (indices or a mask)."""
+        """The lanes at these rows (indices or a mask), sharing ``_SHARED``."""
         rows = rows.nonzero()[0] if rows.dtype == bool else rows
-        return _Lanes(**{key: value if key in ("kappa", "h_r", "h0")
+        return _Lanes(**{key: value if key in _SHARED
                          else value.take(rows, 0)
                          for key, value in vars(self).items()})
 
@@ -365,18 +368,18 @@ def _lane_operands(channels: ChannelSet,
     abar = 1.0 - np.stack([mode.a_vec for mode in modes])
     index0 = np.stack([mode.index0 for mode in modes])
     kappa = channels.kappa_br * np.sqrt(channels.b_aod.size)
-    Pt = (abar * channels.b_aoa)[..., None, :] * channels.h_r.conj()
     dist = np.abs(np.arange(abar.shape[-1]) - index0[..., None])
     sel = np.ascontiguousarray(channels.h_r.T[index0].swapaxes(-2, -1))
     return _Lanes(kappa=kappa, h_r=channels.h_r, h0=channels.h_r[:, 0].real,
-                  abar=abar, Pt=Pt, sel=sel, direct=sel.conj(), dist=dist)
+                  B=channels.b_aoa * channels.h_r.conj(), abar=abar, sel=sel,
+                  direct=sel.conj(), dist=dist)
 
 
 def _reduced_rows(lanes: _Lanes, phi: np.ndarray) -> np.ndarray:
-    """Every lane's K reduced rows [sqrt(N_t) g_k(phi), d_k] at its phases:
-    ``effective_matrix`` is these rows with the first column times
-    b_aod^H / sqrt(N_t)."""
-    g = lanes.kappa * _matvec(lanes.Pt, phi)
+    """Every lane's K reduced rows [sqrt(N_t) g_k(phi), d_k] at its phases,
+    g = kappa_br B (abar phi) on the shared base: ``effective_matrix`` is
+    these rows with the first column times b_aod^H / sqrt(N_t)."""
+    g = lanes.kappa * ((lanes.abar * phi)[:, None] @ lanes.B.T)[:, 0]
     return np.concatenate([g[..., None], lanes.direct], axis=-1)
 
 
@@ -384,42 +387,39 @@ def _phase_operator(lanes: _Lanes, t: np.ndarray, F: np.ndarray,
                     mu: np.ndarray, zeta: np.ndarray):
     """D + Lambda of ``power_iteration`` on each lane's phase quadratic
     (``build_phase_quadratic``'s at W = q t), as (apply: p -> (D + Lambda)
-    p, Lambda), from the LoS factors; no N x N matrix is formed. G W =
-    kappa b_aoa t with kappa = ``lanes.kappa``, so C = s P^T diag(w) conj(P)
-    and beta = P^T v, where s = kappa^2 ||t||^2, w = zeta |mu|^2 and v =
-    kappa ((cross t) w - t zeta conj(mu)): D p = -[P^T y_K; y_(K+1)] for
-    y = A p with A = [[s diag(w) conj(P), v], [beta^H, 0]]. D_ii <= 0, so
-    Lambda is the row sums of |D| plus the margin. With h_r[k, m] =
-    kappa_k e^{j theta_k m}, |C_ij| = s abar_i abar_j g(|i - j|) for
-    g(d) = |sum_k w_k h_r[k, 0] h_r[k, d]|; its row sums take two prefix
-    sums of g, less g at the distances to the connected elements."""
+    p, Lambda), from the shared base B and the lane's mask, forming no N x N
+    matrix and no M = B diag(abar). G W = kappa b_aoa t (``lanes.kappa``),
+    so C = s M^T diag(w) conj(M) and beta = M^T v, where s = kappa^2
+    ||t||^2, w = zeta |mu|^2 and v = kappa ((cross t) w - t zeta conj(mu)):
+    D p = -[M^T y; beta^H p_N] for y = s w conj(M) p_N + v p_(N+1). As
+    D_ii <= 0, Lambda is the row sums of |D| plus the margin. With h_r[k, m]
+    = kappa_k e^{j theta_k m}, |C_ij| = s abar_i abar_j g(|i - j|) for g(d)
+    = |sum_k w_k h_r[k, 0] h_r[k, d]|; its row sums take two prefix sums of
+    g, less g at the distances to the connected elements."""
     w = zeta * np.abs(mu) ** 2
     s = lanes.kappa ** 2 * np.vecdot(t, t).real
     u = _matvec(lanes.sel, _matvec(F.conj(), t))      # cross t
     kv = lanes.kappa * (u * w - t * zeta * mu.conj())
-    beta = _matvec(lanes.Pt.swapaxes(-2, -1), kv)
+    abar, B = lanes.abar, lanes.B
+    beta = abar * (kv[:, None] @ B)[:, 0]
 
-    n_lanes, n_ues = w.shape
-    n = lanes.abar.shape[-1]
-    A = np.zeros((n_lanes, n_ues + 1, n + 1), dtype=complex)
-    A[:, :n_ues, :n] = (s[:, None] * w)[..., None] * lanes.Pt.conj()
-    A[:, :n_ues, n], A[:, n_ues, :n] = kv, beta.conj()
-
+    n_lanes, n = abar.shape
     g = np.abs(_matvec(lanes.h_r.T, w * lanes.h0))
     cum = g.cumsum(axis=-1)
     connected = g.take(lanes.dist + n * np.arange(n_lanes)[:, None, None]
                        ).sum(axis=1)
     spread = cum + cum[..., ::-1] - g[..., :1] - connected
     beta_abs = np.abs(beta)
-    row_sums = np.concatenate([s[:, None] * lanes.abar * spread + beta_abs,
+    row_sums = np.concatenate([s[:, None] * abar * spread + beta_abs,
                                beta_abs.sum(axis=-1, keepdims=True)], axis=-1)
     shift = row_sums + 1e-9 * row_sums.max(axis=-1, keepdims=True)
-    P = lanes.Pt.swapaxes(-2, -1)
+    sw, Bh = s[:, None] * w, B.conj().T
 
     def apply(p):
-        y = A @ p[..., None]
-        return shift * p - np.concatenate([P @ y[:, :n_ues], y[:, n_ues:]],
-                                          axis=1)[..., 0]
+        y = sw * ((abar * p[:, :n])[:, None] @ Bh)[:, 0] + kv * p[:, n:]
+        return shift * p - np.concatenate([abar * (y[:, None] @ B)[:, 0],
+                                           np.vecdot(beta, p[:, :n])[:, None]],
+                                          axis=1)
 
     return apply, shift
 
@@ -433,13 +433,13 @@ _PHASE_STEPS = 3
 
 def _phase_block(lanes: _Lanes, t: np.ndarray, F: np.ndarray, mu: np.ndarray,
                  zeta: np.ndarray, p0: np.ndarray) -> np.ndarray:
-    """The phase update of ``_ao_map``: ``_PHASE_STEPS`` steps of the
-    ``power_iteration`` loop for every lane, on ``_phase_operator`` from
-    the start points ``p0`` (one row per lane), cut short only when no
-    lane's objective moves at all (a zero operator keeps every point);
-    returns the new reflection phases (the conjugate of x)."""
+    """The phase update of ``_ao_map``: exactly ``_PHASE_STEPS`` steps of
+    the ``power_iteration`` loop for every lane (``tol`` -1 passes no stop
+    test, which would read the whole stack), on ``_phase_operator`` from
+    the start points ``p0`` (one row per lane; a zero operator keeps each
+    point); returns the new reflection phases (the conjugate of x)."""
     apply, shift = _phase_operator(lanes, t, F, mu, zeta)
-    p, _ = _mm_steps(apply, shift.sum(-1), p0 / np.abs(p0), 0.0, _PHASE_STEPS)
+    p, _ = _mm_steps(apply, shift.sum(-1), p0 / np.abs(p0), -1.0, _PHASE_STEPS)
     phi = p[:, :-1].conj() * p[:, -1:]
     return phi / np.abs(phi)
 

@@ -111,9 +111,15 @@ def test_derive_geometry_default_layout():
 
 
 def test_derive_geometry_rejects_coincident_endpoints():
+    """Coincident BS and RDARS positions, or a UE at the RDARS position,
+    are rejected before a direction is divided by the zero distance, so no
+    RuntimeWarning comes first."""
     cfg = SystemConfig(n_ues=1)
     with pytest.raises(ScenarioError):
         derive_geometry(BS, BS, np.array([[95.0, 8.0, 1.5]]), cfg)
+    with pytest.raises(ScenarioError, match="UE and the RDARS position"):
+        derive_geometry(BS, SURFACE, np.array([SURFACE, (60.0, 30.0, 15.0)]),
+                        SystemConfig(n_ues=2))
 
 
 def test_derive_geometry_ue_count_mismatch():

@@ -1040,14 +1040,15 @@ def test_lockstep_results_hold_no_round_stacks():
 def test_lane_arrays_are_c_contiguous(monkeypatch):
     """The bits of a lane in a stack equal its bits alone because every
     per-lane array of a ``_Lanes`` is C-contiguous (all but the shared
-    ``kappa``, ``h_r`` and ``h0``): as ``_lane_operands`` builds them at
-    a = 1 and a = 4 over several levels, after ``select`` by index and by
-    mask, and in every ``_Lanes`` that ``ao_solve_levels`` makes, among
-    them the (lane, h, V) parts of the candidates it evaluates."""
+    ``_SHARED``): as ``_lane_operands`` builds them at a = 1 and a = 4
+    over several levels, after ``select`` by index and by mask, and in
+    every ``_Lanes`` that ``ao_solve_levels`` makes, among them the
+    (lane, h, V) parts of the candidates it evaluates. ``select`` hands
+    on the shared operands themselves, not copies."""
     def layouts(lanes):
         return {key: value.flags.c_contiguous
                 for key, value in vars(lanes).items()
-                if key not in ("kappa", "h_r", "h0")}
+                if key not in wmmse._SHARED}
 
     for n_connected in (1, 4):
         cfg = small_config(n_ues=3, n_connected=n_connected)
@@ -1058,7 +1059,10 @@ def test_lane_arrays_are_c_contiguous(monkeypatch):
         lanes = wmmse._lane_operands(channels, modes)
         assert len(modes) > 1 and all(layouts(lanes).values())
         for rows in (np.array([1, 0]), np.arange(len(modes)) % 2 == 0):
-            assert all(layouts(lanes.select(rows)).values())
+            chosen = lanes.select(rows)
+            assert all(layouts(chosen).values())
+            assert all(getattr(chosen, key) is getattr(lanes, key)
+                       for key in wmmse._SHARED)
 
     made = []
 
@@ -1209,6 +1213,8 @@ def test_ao_solve_levels_extrapolates_only_when_the_stabilizing_map_fits(
          threshold=1e-9, seed=23)
 @example(dbms=[30.0], n_ues=10, n_connected=4, cap=7, threshold=1e-4,
          seed=2)
+@example(dbms=[0.0], n_ues=10, n_connected=4, cap=200, threshold=1e-9,
+         seed=1)      # a lane with an exactly flat MM step beside moving ones
 def test_ao_solve_levels_follows_the_one_lane_anderson_loop(
         dbms, n_ues, n_connected, cap, threshold, seed):
     """Every lockstep lane equals, bit for bit, the plain one-lane Anderson
