@@ -182,6 +182,8 @@ class Scenario:
             if value is not None and not np.all(np.isfinite(
                     np.asarray(value, dtype=float))):
                 raise ScenarioError(f"{name} must be finite, got {value}")
+        if self.ue_pos is not None and np.size(self.ue_pos) == 0:
+            raise ScenarioError("ue_pos must be at least one x, y, z triple")
         if not (math.isfinite(self.ue_radius) and self.ue_radius >= 0.0):
             raise ScenarioError(
                 f"ue_radius must be finite and nonnegative, got {self.ue_radius}")

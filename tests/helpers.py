@@ -143,6 +143,96 @@ def mode_stack(modes):
                            index0=np.stack([m.index0 for m in modes]))
 
 
+# --- the seam to the lockstep's private kernels -------------------------
+# Tests reach the private names of ``rdars.wmmse`` only through this file
+# (this block, ``lane_etas`` and ``anderson_reference``), so renaming a
+# kernel or changing its signature edits no test file. Precoders
+# are the reduced V = [t; F] of ``wmmse._Lanes``, taken whole. A kernel is
+# aliased while its signature suits the tests, and adapted after that.
+
+SHARED = wmmse._SHARED              # the drop's operands, shared by the lanes
+DEPTH = wmmse._DEPTH                # differences an Anderson step uses at most
+PHASE_STEPS = wmmse._PHASE_STEPS    # MM steps in each phase block
+# (channels, modes) -> the lanes of a lockstep call, lane-fixed operands only
+lane_operands = wmmse._lane_operands
+reduced_rows = wmmse._reduced_rows  # (lanes, phi) -> each lane's K rows
+# (apply, offset, p0, tol, steps) -> the MM step loop's (points, history)
+mm_steps = wmmse._mm_steps
+# (X, G, used, power) -> the stacked Anderson candidates, real vectors of V
+anderson_step = wmmse._anderson_step
+
+
+def phase_operator(lanes, V, mu, zeta):
+    """Each lane's phase-block operator, as (apply: p -> (D + Lambda) p,
+    Lambda)."""
+    return wmmse._phase_operator(lanes, V[:, 0], V[:, 1:], mu, zeta)
+
+
+def phase_block(lanes, V, mu, zeta, p0):
+    """Each lane's reflection phases after one phase block from ``p0``."""
+    return wmmse._phase_block(lanes, V[:, 0], V[:, 1:], mu, zeta, p0)
+
+
+def _named(*names):
+    return lambda *values: SimpleNamespace(**dict(zip(names, values)))
+
+
+# what ``wrap`` wraps: the kernel, a view of a call's arguments by name (of
+# the map: a snapshot, as the solver replaces the state fields after it),
+# and the names of its outputs (None: one output, as it is)
+_KERNELS = {
+    "start": ("_zf_columns", _named("h", "power", "matched"), None),
+    "map": ("_ao_map", lambda lanes, noise: SimpleNamespace(
+        lanes=SimpleNamespace(**vars(lanes)), noise=noise),
+        ("h", "V", "S", "S2", "mu", "phi", "zeta", "rows")),
+    "phase_block": ("_phase_block", lambda lanes, t, F, mu, zeta, p0:
+                    SimpleNamespace(lanes=lanes, mu=mu, zeta=zeta, p0=p0,
+                                    V=np.concatenate([t[:, None], F], 1)),
+                    None),
+    "mm_steps": ("_mm_steps", _named("apply", "offset", "p0", "tol", "steps"),
+                 ("p", "history")),
+    "anderson": ("_anderson_step", _named("X", "G", "used", "power"), None),
+    "rates": ("_rated", _named("h", "V", "noise"), None),
+    "lanes": ("_Lanes", lambda **fields: SimpleNamespace(fields=fields), None),
+}
+
+
+def wrap(patch, kernel, around=None):
+    """While ``patch`` (a pytest MonkeyPatch) holds, record every call of
+    the lockstep's ``kernel`` (a key of ``_KERNELS``), and run
+    ``around(call)`` in its place if given. Returns the list of calls, in
+    order; each holds the call's arguments by name, ``plain()``, which
+    runs the kernel itself on them, and, once it returns, ``out``: its
+    output, by name if it has several."""
+    name, view, outputs = _KERNELS[kernel]
+    plain = getattr(wmmse, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        call = view(*args, **kwargs)
+        call.plain = lambda: plain(*args, **kwargs)
+        calls.append(call)
+        out = around(call) if around else call.plain()
+        call.out = _named(*outputs)(*out) if outputs else out
+        return out
+
+    patch.setattr(wmmse, name, wrapped)
+    return calls
+
+
+def fail_levels(patch, *etas):
+    """While ``patch`` holds, every phase block of lanes among which one
+    has one of these sparsity levels raises ArithmeticError("forced
+    failure at level <eta>")."""
+    def failing(call):
+        hit = [eta for eta in lane_etas(call.lanes) if eta in etas]
+        if hit:
+            raise ArithmeticError(f"forced failure at level {hit[0]}")
+        return call.plain()
+
+    wrap(patch, "phase_block", failing)
+
+
 def lane_etas(lanes):
     """The sparsity level of each lane of a ``wmmse._Lanes``, read from its
     ``abar``: the connected elements sit at 0, eta, 2 eta, ..., and a

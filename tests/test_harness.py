@@ -18,7 +18,7 @@ from rdars.scenario import (Scenario, default_scenario, derive_geometry,
                             drop_ues, scenario_geometry)
 from rdars.wmmse import solve_fixed_eta
 
-from helpers import BS, CENTER, SURFACE, lane_etas, small_config
+from helpers import BS, CENTER, SURFACE, fail_levels, small_config
 
 
 def _scenario(**overrides):
@@ -395,19 +395,13 @@ def test_failing_level_is_solved_once_and_spares_other_rows(monkeypatch):
     clean = run_campaign(camp)
     fail_eta = next(r.eta for r in clean
                     if r.algorithm == "RANDOM_ETA" and r.eta != 1)
-    plain = wmmse._phase_block
     solved = []
-
-    def failing(lanes, *args, **kwargs):
-        if fail_eta in lane_etas(lanes):
-            raise ArithmeticError(f"forced failure at level {fail_eta}")
-        return plain(lanes, *args, **kwargs)
 
     def counted(channels, config, lanes):
         solved.extend(mode.eta for mode, _ in lanes)
         return wmmse.ao_solve_levels(channels, config, lanes)
 
-    monkeypatch.setattr(wmmse, "_phase_block", failing)
+    fail_levels(monkeypatch, fail_eta)
     monkeypatch.setattr(harness, "ao_solve_levels", counted)
     forced = run_campaign(camp)
     drops = camp.n_trials * len(camp.sweep_dbm)
@@ -470,21 +464,14 @@ def test_finished_campaign_frees_its_trials(monkeypatch):
             super().__init__(*args)
             trials.append(weakref.ref(self))
 
-    plain = wmmse._phase_block
-
-    def failing(lanes, *args, **kwargs):
-        # the scan raises at level 2 and never reads level 3's exception
-        if {2, 3} & set(lane_etas(lanes)):
-            raise ArithmeticError("forced failure")
-        return plain(lanes, *args, **kwargs)
-
     monkeypatch.setattr(harness, "_Trial", Tracked)
     camp = Campaign(_scenario(conv_threshold=1e-12, max_outer_iters=3),
                     ("COMPACT_ETA1", "WA_OPT_ETA", "SINGLE_UE_CLOSED"),
                     n_trials=2, seed=3, sweep_dbm=(10.0, 30.0))
     for forced in (False, True):
         if forced:
-            monkeypatch.setattr(wmmse, "_phase_block", failing)
+            # the scan raises at level 2 and never reads level 3's exception
+            fail_levels(monkeypatch, 2, 3)
         trials.clear()
         gc.collect()
         gc.disable()

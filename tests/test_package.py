@@ -5,7 +5,7 @@ from dataclasses import fields
 from pathlib import Path
 
 import rdars
-from rdars import scenario
+from rdars import scenario, wmmse
 from rdars.arrays import feasible_sparsities
 
 
@@ -36,6 +36,37 @@ def test_runtime_imports_only_stdlib_and_numpy():
 def test_scenario_keys_match_config_fields():
     keys = scenario._INT_KEYS | scenario._FLOAT_KEYS
     assert keys == {f.name for f in fields(scenario.SystemConfig)}
+
+
+def test_only_helpers_name_private_wmmse_names():
+    """Every test but ``tests/helpers.py`` reaches the private names of
+    ``rdars.wmmse`` through helpers, so a kernel's rename or signature
+    change edits no other test file. Code may not name one: no attribute
+    ``wmmse._x``, no import of it, and no string literal that is ``_x`` or
+    a dotted path ending in ``._x``. Docstrings and comments may."""
+    private = {name for name in vars(wmmse) if name.startswith("_")
+               and not (name.startswith("__") and name.endswith("__"))}
+    found = []
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        if path.name == "helpers.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = []
+            if isinstance(node, ast.Attribute) and "wmmse" in (
+                    getattr(node.value, "id", None),
+                    getattr(node.value, "attr", None)):
+                names = [node.attr]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module == "rdars.wmmse"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Constant) and isinstance(node.value,
+                                                               str):
+                parts = node.value.split(".")
+                if all(map(str.isidentifier, parts)):
+                    names = parts[-1:]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name in private]
+    assert found == []
 
 
 def test_import_loads_no_worker_pool():

@@ -166,6 +166,8 @@ def test_parse_scenario_roundtrip():
     "bs_pos = nan,0,15",
     "ue_center = inf,0,1.5",
     "ue_pos = nan,0,1.5",
+    "ue_pos =",
+    "ue_pos = ;",
     "ue_radius = nan",
     "ue_radius = inf",
     "ue_radius = -5",
@@ -180,6 +182,7 @@ def test_parse_scenario_rejects_bad_lines(line):
     ("rdars_pos", (50.0, math.inf, 15.0)),
     ("ue_center", (100.0, 0.0, -math.inf)),
     ("ue_pos", ((95.0, 8.0, 1.5), (math.nan, 0.0, 1.5))),
+    ("ue_pos", ()),
     ("ue_radius", math.nan),
     ("ue_radius", math.inf),
     ("ue_radius", -5.0),

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rdars import wmmse
 from rdars.arrays import (PassiveBeam, effective_matrix, feasible_sparsities,
                           los_channels, make_mode)
 from rdars.harness import dbm_to_watt
@@ -19,8 +18,11 @@ from rdars.wmmse import (AoResult, PhaseQuadratic, ao_solve,
                          surrogate_value, update_precoders, update_receivers,
                          update_weights, wa_solve, zf_init)
 
-from helpers import (anderson_point, anderson_reference, lane_etas, lift,
-                     mode_stack, random_geometry, small_config)
+from helpers import (DEPTH, PHASE_STEPS, SHARED, anderson_point,
+                     anderson_reference, anderson_step, fail_levels,
+                     lane_etas, lane_operands, lift, mm_steps, mode_stack,
+                     phase_block, phase_operator, random_geometry,
+                     reduced_rows, small_config, wrap)
 
 
 def _random_h(rng, n_ues, dim, scale=1.0):
@@ -578,9 +580,10 @@ def test_phase_operator_matches_the_dense_one(n_connected, n_ues, zero_w,
 
     D, shift = _dense_shifted(build_phase_quadratic(
         channels, mode_stack(modes), W, F, mu, zeta))
-    lanes = wmmse._lane_operands(channels, modes)
+    lanes = lane_operands(channels, modes)
     t = channels.b_aod.conj() @ W / math.sqrt(cfg.n_tx)
-    apply, got_shift = wmmse._phase_operator(lanes, t, F, mu, zeta)
+    reduced = np.concatenate([t[:, None], F], axis=1)     # [t; F]
+    apply, got_shift = phase_operator(lanes, reduced, mu, zeta)
     z = (D @ p[..., None])[..., 0] + shift * p
     got_z = apply(p)
     objective = np.einsum("li,lij,lj->l", p.conj(), D, p).real
@@ -596,12 +599,12 @@ def test_phase_operator_matches_the_dense_one(n_connected, n_ues, zero_w,
     zero = n_connected == 16 or zero_w
     assert (scale == 0.0).all() == zero
     if zero:
-        phi = wmmse._phase_block(lanes, t, F, mu, zeta, p)
+        phi = phase_block(lanes, reduced, mu, zeta, p)
         np.testing.assert_allclose(phi, p[:, :-1].conj() * p[:, -1:],
                                    rtol=0.0, atol=1e-15)
 
 
-def test_phase_block_lane_alone_equals_lane_in_a_stack(monkeypatch):
+def test_phase_block_lane_alone_equals_lane_in_a_stack():
     """At N=64, one lane's phase block run alone is bit-equal to the same
     lane inside the 12-lane stack of a lockstep round (six levels at two
     powers, states recorded from ``ao_solve_levels``); so are its shift
@@ -612,29 +615,23 @@ def test_phase_block_lane_alone_equals_lane_in_a_stack(monkeypatch):
                             cfg)
     lanes = [(make_mode(64, 4, eta), replace(cfg, total_power=dbm_to_watt(d)))
              for eta in (1, 2, 5, 9, 13, 21) for d in (10.0, 60.0)]
-    rounds = []
-    plain = wmmse._phase_block
-
-    def recording(*args):
-        rounds.append(args)
-        return plain(*args)
-
-    monkeypatch.setattr(wmmse, "_phase_block", recording)
-    ao_solve_levels(channels, cfg,
-                    [(mode, c.total_power) for mode, c in lanes])
-    assert len(rounds[0][0].abar) == 12
-    for stack, t, F, mu, zeta, p0 in rounds:
-        x = plain(stack, t, F, mu, zeta, p0)
-        apply, shift = wmmse._phase_operator(stack, t, F, mu, zeta)
-        z = apply(p0)
-        for i, eta in enumerate(lane_etas(stack)):
+    with pytest.MonkeyPatch.context() as patch:
+        rounds = wrap(patch, "phase_block")
+        ao_solve_levels(channels, cfg,
+                        [(mode, c.total_power) for mode, c in lanes])
+    assert len(rounds[0].lanes.abar) == 12
+    for r in rounds:
+        x = phase_block(r.lanes, r.V, r.mu, r.zeta, r.p0)
+        apply, shift = phase_operator(r.lanes, r.V, r.mu, r.zeta)
+        z = apply(r.p0)
+        for i, eta in enumerate(lane_etas(r.lanes)):
             one = slice(i, i + 1)
-            args = (wmmse._lane_operands(channels, [make_mode(64, 4, eta)]),
-                    t[one], F[one], mu[one], zeta[one])
-            assert np.array_equal(plain(*args, p0[one])[0], x[i])
-            apply_one, shift_one = wmmse._phase_operator(*args)
+            args = (lane_operands(channels, [make_mode(64, 4, eta)]),
+                    r.V[one], r.mu[one], r.zeta[one])
+            assert np.array_equal(phase_block(*args, r.p0[one])[0], x[i])
+            apply_one, shift_one = phase_operator(*args)
             assert np.array_equal(shift_one[0], shift[i])
-            assert np.array_equal(apply_one(p0[one])[0], z[i])
+            assert np.array_equal(apply_one(r.p0[one])[0], z[i])
 
 
 # --- lane-stacked kernels -----------------------------------------------
@@ -714,16 +711,14 @@ def test_mm_steps_lane_stack_equals_per_lane_calls(seed, n_connected, n_ues):
     p0 = np.concatenate([phi.conj(), np.ones((lanes, 1))], axis=1)
 
     def steps(stack, rows):
-        apply, shift = wmmse._phase_operator(stack, V[rows, 0], V[rows, 1:],
-                                             mu[rows], zeta[rows])
+        apply, shift = phase_operator(stack, V[rows], mu[rows], zeta[rows])
         # no |change| is <= -1: every call takes all 8 steps
-        return wmmse._mm_steps(apply, shift.sum(-1), p0[rows], -1.0, 8)
+        return mm_steps(apply, shift.sum(-1), p0[rows], -1.0, 8)
 
-    p, hist = steps(wmmse._lane_operands(channels, modes), slice(None))
+    p, hist = steps(lane_operands(channels, modes), slice(None))
     assert hist.shape == (9, lanes)
     for i, mode in enumerate(modes):
-        p_i, hist_i = steps(wmmse._lane_operands(channels, [mode]),
-                            slice(i, i + 1))
+        p_i, hist_i = steps(lane_operands(channels, [mode]), slice(i, i + 1))
         assert np.array_equal(p[i], p_i[0])
         assert np.array_equal(hist[:, i], hist_i[:, 0])
     assert np.array_equal(p[-1], p0[-1]) and (hist[:, -1] == 0.0).all()
@@ -747,9 +742,9 @@ def test_mm_steps_guard_reads_every_lane():
 
     p0 = np.array([[1.0, 1j, -1.0]] * 2)        # exactly unit modulus
     with pytest.raises(ArithmeticError):
-        wmmse._mm_steps(apply, np.zeros(2), p0, 0.0, 6)
+        mm_steps(apply, np.zeros(2), p0, 0.0, 6)
     assert len(calls) == 3
-    p, hist = wmmse._mm_steps(lambda p: 2.0 * p, np.zeros(2), p0, 0.0, 6)
+    p, hist = mm_steps(lambda p: 2.0 * p, np.zeros(2), p0, 0.0, 6)
     assert np.array_equal(p, p0)
     assert np.array_equal(hist, [[6.0, 6.0]] * 2)
 
@@ -781,27 +776,20 @@ def test_reduced_coordinates_match_the_full_rows(seed, n_connected, n_ues):
     phi = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, (lanes, 16)))
     V = _random_h(rng, lanes * (1 + n_connected), n_ues).reshape(
         lanes, 1 + n_connected, n_ues)
-    reduced = wmmse._reduced_rows(wmmse._lane_operands(channels, modes), phi)
+    reduced = reduced_rows(lane_operands(channels, modes), phi)
     for i in range(lanes):
         full = effective_matrix(channels, PassiveBeam(phi[i]), modes[i])
         want = full @ lift(channels, V[i])
         got = reduced[i] @ V[i]
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
-    starts = []
-    plain = wmmse._zf_columns
-
-    def recording(*args):
-        starts.append(plain(*args))
-        return starts[-1]
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wmmse, "_zf_columns", recording)
+        starts = wrap(patch, "start")
         results = ao_solve_levels(
             channels, cfg, [(mode, cfg.total_power) for mode in modes])
-    (start,) = starts
-    uniform = wmmse._reduced_rows(wmmse._lane_operands(channels, modes),
-                                  np.ones((lanes, 16), dtype=complex))
+    (start,) = [call.out for call in starts]
+    uniform = reduced_rows(lane_operands(channels, modes),
+                           np.ones((lanes, 16), dtype=complex))
     for i, mode in enumerate(modes):
         want = zf_init(effective_matrix(channels, PassiveBeam.uniform(16),
                                         mode), cfg.total_power)
@@ -864,14 +852,7 @@ def test_ao_solve_levels_isolates_a_failing_level(monkeypatch):
                             cfg)
     modes = [make_mode(16, 4, eta) for eta in range(1, 6)]
     alone = [ao_solve(channels, mode, cfg) for mode in modes]
-    plain = wmmse._phase_block
-
-    def failing_at_three(lanes, *args, **kwargs):
-        if 3 in lane_etas(lanes):
-            raise ArithmeticError("forced failure at level 3")
-        return plain(lanes, *args, **kwargs)
-
-    monkeypatch.setattr(wmmse, "_phase_block", failing_at_three)
+    fail_levels(monkeypatch, 3)
     results = ao_solve_levels(channels, cfg,
                               [(mode, cfg.total_power) for mode in modes])
     assert isinstance(results[2], ArithmeticError)
@@ -947,15 +928,8 @@ def test_ao_solve_levels_mixed_powers_equal_one_lane_solves(dbms, n_ues, cap,
         random_geometry(base, np.random.default_rng(seed)), base)
     lanes = [(make_mode(16, 4, eta), replace(base, total_power=dbm_to_watt(d)))
              for d in dbms for eta in feasible_sparsities(16, 4)]
-    plain = wmmse._phase_block
-
-    def failing(lanes, *args, **kwargs):
-        if fail_eta in lane_etas(lanes):
-            raise ArithmeticError(f"forced failure at level {fail_eta}")
-        return plain(lanes, *args, **kwargs)
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wmmse, "_phase_block", failing)
+        fail_levels(patch, fail_eta)
         results = ao_solve_levels(channels, base, [
             (mode, cfg.total_power) for mode, cfg in lanes])
         solved = [_same_outcome(res, lane, channels)
@@ -966,34 +940,27 @@ def test_ao_solve_levels_mixed_powers_equal_one_lane_solves(dbms, n_ues, cap,
 
 def _hook_candidate_evaluations(monkeypatch, observe):
     """Call ``observe(etas)`` before every candidate evaluation of
-    ``ao_solve_levels``: a ``_rated`` call after a map (the start's
-    follows ``_zf_columns``), with the level of each lane found by its
-    reduced rows among the last map's."""
-    last = {}
-    plain_start = wmmse._zf_columns
-    plain_map, plain_rated = wmmse._ao_map, wmmse._rated
+    ``ao_solve_levels``: a stacked rate evaluation after a map (the
+    start's follows the zero-forcing start, which clears the maps), with
+    the level of each lane found by its reduced rows among the last
+    map's."""
+    maps = wrap(monkeypatch, "map")
 
-    def starting(*args):
-        last.clear()
-        return plain_start(*args)
+    def starting(call):
+        maps.clear()
+        return call.plain()
 
-    def mapping(lanes, *args):
-        out = plain_map(lanes, *args)
-        last.update(h=out[0], etas=lane_etas(lanes))
-        return out
-
-    def rating(h, V, noise):
-        if "h" in last:
-            etas = [eta for row in h
-                    for eta, h_map in zip(last["etas"], last["h"])
+    def rating(call):
+        if maps:
+            etas = [eta for row in call.h for eta, h_map in
+                    zip(lane_etas(maps[-1].lanes), maps[-1].out.h)
                     if np.array_equal(row, h_map)]
-            assert len(etas) == len(h)
+            assert len(etas) == len(call.h)
             observe(etas)
-        return plain_rated(h, V, noise)
+        return call.plain()
 
-    monkeypatch.setattr(wmmse, "_zf_columns", starting)
-    monkeypatch.setattr(wmmse, "_ao_map", mapping)
-    monkeypatch.setattr(wmmse, "_rated", rating)
+    wrap(monkeypatch, "start", starting)
+    wrap(monkeypatch, "rates", rating)
 
 
 def test_ao_solve_levels_stacks_the_candidate_evaluations(monkeypatch):
@@ -1045,10 +1012,9 @@ def test_lane_arrays_are_c_contiguous(monkeypatch):
     every ``_Lanes`` that ``ao_solve_levels`` makes, among them the
     (lane, h, V) parts of the candidates it evaluates. ``select`` hands
     on the shared operands themselves, not copies."""
-    def layouts(lanes):
+    def layouts(fields):
         return {key: value.flags.c_contiguous
-                for key, value in vars(lanes).items()
-                if key not in wmmse._SHARED}
+                for key, value in fields.items() if key not in SHARED}
 
     for n_connected in (1, 4):
         cfg = small_config(n_ues=3, n_connected=n_connected)
@@ -1056,22 +1022,15 @@ def test_lane_arrays_are_c_contiguous(monkeypatch):
             random_geometry(cfg, np.random.default_rng(5)), cfg)
         modes = [make_mode(16, n_connected, eta)
                  for eta in feasible_sparsities(16, n_connected)] * 2
-        lanes = wmmse._lane_operands(channels, modes)
-        assert len(modes) > 1 and all(layouts(lanes).values())
+        lanes = lane_operands(channels, modes)
+        assert len(modes) > 1 and all(layouts(vars(lanes)).values())
         for rows in (np.array([1, 0]), np.arange(len(modes)) % 2 == 0):
             chosen = lanes.select(rows)
-            assert all(layouts(chosen).values())
+            assert all(layouts(vars(chosen)).values())
             assert all(getattr(chosen, key) is getattr(lanes, key)
-                       for key in wmmse._SHARED)
+                       for key in SHARED)
 
-    made = []
-
-    class Recorded(wmmse._Lanes):
-        def __init__(self, **fields):
-            super().__init__(**fields)
-            made.append(layouts(self))
-
-    monkeypatch.setattr(wmmse, "_Lanes", Recorded)
+    made = wrap(monkeypatch, "lanes")
     cfg = small_config(n_ues=3, total_power=dbm_to_watt(50.0),
                        max_outer_iters=30, conv_threshold=1e-12)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
@@ -1079,6 +1038,7 @@ def test_lane_arrays_are_c_contiguous(monkeypatch):
     results = ao_solve_levels(channels, cfg, [
         (make_mode(16, 4, eta), cfg.total_power) for eta in range(1, 6)])
     assert sum(r.accepted + r.rejected for r in results) > 0
+    made = [layouts(call.fields) for call in made]
     assert any(set(fields) == {"lane", "h", "V"} for fields in made)
     assert [key for fields in made for key, c in fields.items() if not c] \
         == []
@@ -1096,7 +1056,7 @@ def test_anderson_step_equals_one_lane_formula():
     slots hold stale points, a one-point history (the map's output
     back, projected) and an exactly singular system (non-finite)."""
     rng = np.random.default_rng(11)
-    depth, rounds, n = wmmse._DEPTH, 8, 24
+    depth, rounds, n = DEPTH, 8, 24
     points = [8, 6, 3, 1, 2, 4]             # since each lane's last restart
     power = 10.0 ** rng.uniform(-4.0, 6.0, len(points))
     xs = rng.standard_normal((len(points), rounds, n))
@@ -1108,12 +1068,12 @@ def test_anderson_step_equals_one_lane_formula():
         rng.integers(-3, 4, n)
     X, G = xs[:, -depth - 1:], gs[:, -depth - 1:]
     used = np.minimum(np.array(points) - 1, depth)
-    out = wmmse._anderson_step(X, G, used, power)
+    out = anderson_step(X, G, used, power)
     for i, p in enumerate(points):
         point = anderson_point(list(xs[i, -p:]), list(gs[i, -p:]), power[i])
         assert _same_bits(out[i], point)
         one = slice(i, i + 1)
-        alone = wmmse._anderson_step(X[one], G[one], used[one], power[one])
+        alone = anderson_step(X[one], G[one], used[one], power[one])
         assert _same_bits(alone[0], point)
     g = gs[3, -1]
     assert _same_bits(out[3], g * (math.sqrt(power[3]) / np.linalg.norm(g)))
@@ -1129,13 +1089,12 @@ def test_anderson_step_skips_only_slots_no_lane_uses(points):
     the bits of the one-lane formula (``helpers.anderson_point``) on its
     points since its last restart."""
     rng = np.random.default_rng(len(points))
-    depth, rounds, n = wmmse._DEPTH, 8, 40
+    depth, rounds, n = DEPTH, 8, 40
     power = 10.0 ** rng.uniform(-4.0, 6.0, len(points))
     xs = rng.standard_normal((len(points), rounds, n))
     gs = xs + 0.3 * rng.standard_normal(xs.shape)
     used = np.minimum(np.array(points) - 1, depth)
-    out = wmmse._anderson_step(xs[:, -depth - 1:], gs[:, -depth - 1:], used,
-                               power)
+    out = anderson_step(xs[:, -depth - 1:], gs[:, -depth - 1:], used, power)
     for i, p in enumerate(points):
         point = anderson_point(list(xs[i, -p:]), list(gs[i, -p:]), power[i])
         assert _same_bits(out[i], point)
@@ -1154,16 +1113,12 @@ def test_ao_solve_levels_counts_untried_and_non_finite_steps():
     lanes = [(make_mode(16, 4, eta), cfg.total_power) for eta in range(1, 6)]
     for res in ao_solve_levels(channels, cfg, lanes):
         assert res.accepted + res.rejected == max(res.report.iterations - 2, 0)
-    plain = wmmse._anderson_step
     runs = {}
     for case, fill in (("zero", 0.0), ("non-finite", np.inf)):
         evaluations = []
-
-        def forced(*args):
-            return np.full_like(plain(*args), fill)
-
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(wmmse, "_anderson_step", forced)
+            wrap(patch, "anderson",
+                 lambda call: np.full_like(call.plain(), fill))
             _hook_candidate_evaluations(patch, evaluations.append)
             runs[case] = (ao_solve_levels(channels, cfg, lanes), evaluations)
     (zero, evaluated), (non_finite, unevaluated) = runs["zero"], \
@@ -1187,17 +1142,10 @@ def test_ao_solve_levels_extrapolates_only_when_the_stabilizing_map_fits(
     channels = los_channels(random_geometry(cfg, np.random.default_rng(23)),
                             cfg)
     lanes = [(make_mode(16, 4, eta), cfg.total_power) for eta in range(1, 6)]
-    steps = []
-    plain = wmmse._anderson_step
-
-    def counting(*args):
-        steps.append(len(args[-1]))
-        return plain(*args)
-
-    monkeypatch.setattr(wmmse, "_anderson_step", counting)
+    steps = wrap(monkeypatch, "anderson")
     results = ao_solve_levels(channels, cfg, lanes)
     assert all(r.report.iterations == cap for r in results)
-    assert sum(steps) == (0 if cap == 2 else len(lanes))
+    assert sum(len(c.power) for c in steps) == (0 if cap == 2 else len(lanes))
     assert all(r.accepted + r.rejected == cap - 2 for r in results)
 
 
@@ -1265,22 +1213,18 @@ def test_ao_solve_levels_isolates_a_failing_start(monkeypatch):
                             cfg)
     modes = [make_mode(16, 4, eta) for eta in range(1, 6)]
     alone = [ao_solve(channels, mode, cfg) for mode in modes]
-    h3 = wmmse._reduced_rows(
-        wmmse._lane_operands(channels, [modes[2]]),
-        np.ones((1, 16), dtype=complex))[0]
-    calls = []
-    plain = wmmse._zf_columns
+    h3 = reduced_rows(lane_operands(channels, [modes[2]]),
+                      np.ones((1, 16), dtype=complex))[0]
 
-    def failing(h, power, matched):
-        calls.append(len(h))
-        if any(np.array_equal(lane, h3) for lane in h):
+    def failing(call):
+        if any(np.array_equal(lane, h3) for lane in call.h):
             raise ArithmeticError("forced start failure at level 3")
-        return plain(h, power, matched)
+        return call.plain()
 
-    monkeypatch.setattr(wmmse, "_zf_columns", failing)
+    calls = wrap(monkeypatch, "start", failing)
     results = ao_solve_levels(channels, cfg,
                               [(mode, cfg.total_power) for mode in modes])
-    assert calls == [5, 1, 1, 1, 1, 1]
+    assert [len(call.h) for call in calls] == [5, 1, 1, 1, 1, 1]
     _isolated(results, alone, channels, modes[2], cfg, "start failure")
 
 
@@ -1379,10 +1323,8 @@ def test_phase_update_raises_the_rate_where_the_reflection_matters(
     mode = make_mode(32, 4, 2)
     solved = ao_solve(channels, mode, cfg).report.sum_rate
 
-    def frozen(lanes, t, F, mu, zeta, p0):
-        return p0[:, :-1].conj() * p0[:, -1:]
-
-    monkeypatch.setattr(wmmse, "_phase_block", frozen)
+    wrap(monkeypatch, "phase_block",
+         lambda call: call.p0[:, :-1].conj() * call.p0[:, -1:])
     start = ao_solve(channels, mode, cfg)
     assert np.all(start.solution.passive.phi == 1.0)
     assert solved >= 1.05 * start.report.sum_rate
@@ -1418,25 +1360,20 @@ def test_ao_solve_surrogate_trace_is_surrogate_value(monkeypatch):
     precoder step, and after the phase step. A map that starts from an
     accepted extrapolation starts below the last recorded value. Checked
     on every lane of a lockstep solve of three levels."""
-    maps = {}
-    plain_map = wmmse._ao_map
-
-    def recording(lanes, noise):
-        out = plain_map(lanes, noise)
-        h1, V1, _, _, mu1, _, zeta1, rows = out
-        for i, eta in enumerate(lane_etas(lanes)):
-            maps.setdefault(eta, []).append(
-                ((lanes.h[i], lanes.V[i], lanes.zeta[i]),
-                 (h1[i], V1[i], mu1[i], zeta1[i], rows[i])))
-        return out
-
-    monkeypatch.setattr(wmmse, "_ao_map", recording)
+    calls = wrap(monkeypatch, "map")
     cfg = small_config(n_ues=3, max_outer_iters=7, conv_threshold=1e-12)
     channels = los_channels(random_geometry(cfg, np.random.default_rng(19)),
                             cfg)
     results = ao_solve_levels(channels, cfg,
                               [(make_mode(16, 4, eta), cfg.total_power)
                                for eta in (1, 2, 3)])
+    maps = {}
+    for call in calls:
+        lanes, out = call.lanes, call.out
+        for i, eta in enumerate(lane_etas(lanes)):
+            maps.setdefault(eta, []).append(
+                ((lanes.h[i], lanes.V[i], lanes.zeta[i]),
+                 (out.h[i], out.V[i], out.mu[i], out.zeta[i], out.rows[i])))
     power, noise = cfg.total_power, cfg.noise_power
     assert results[1].report.iterations == len(maps[2]) == 7
     assert results[1].accepted >= 1 and results[1].rejected >= 1
@@ -1525,14 +1462,7 @@ def test_ao_solve_phase_block_runs_no_eigendecomposition(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
     monkeypatch.setattr(np.linalg, "eigh", forbidden)
-    calls = []
-    plain = wmmse._phase_block
-
-    def counting(*args):
-        calls.append(None)
-        return plain(*args)
-
-    monkeypatch.setattr("rdars.wmmse._phase_block", counting)
+    calls = wrap(monkeypatch, "phase_block")
     cfg = small_config(n_ues=3)
     geo = random_geometry(cfg, np.random.default_rng(20))
     res = ao_solve(los_channels(geo, cfg), make_mode(16, 4, 2), cfg)
@@ -1571,21 +1501,14 @@ def test_ao_phase_blocks_run_exactly_phase_steps(seed, etas, dbm):
     levels and power: the step count does not depend on the unit scale of
     the objective."""
     cfg, channels = _campaign_channels(seed)
-    steps = []
-    plain = wmmse._mm_steps
-
-    def counting(*args):
-        p, history = plain(*args)
-        steps.append((len(history) - 1, history.shape[1]))
-        return p, history
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(wmmse, "_mm_steps", counting)
+        calls = wrap(patch, "mm_steps")
         results = ao_solve_levels(channels, cfg, [
             (make_mode(32, 4, eta), dbm_to_watt(dbm)) for eta in etas])
+    steps = [(len(c.out.history) - 1, c.out.history.shape[1]) for c in calls]
     assert not any(isinstance(r, Exception) for r in results)
     assert len(steps) == max(r.report.iterations for r in results)
-    assert all(count == wmmse._PHASE_STEPS for count, _ in steps)
+    assert all(count == PHASE_STEPS for count, _ in steps)
     assert steps[0][1] == len(etas)
 
 
