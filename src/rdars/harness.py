@@ -277,19 +277,10 @@ def run_campaign(campaign: Campaign, jobs: int = 1) -> list[TrialRow]:
 
 
 def emit_csv(rows, stream) -> None:
-    """Write rows sorted by (sweep value, algorithm, trial); floats are
-    rendered with nine significant digits."""
+    """Write rows sorted by (sweep value, algorithm, trial), the columns of
+    ``CSV_FIELDS``, with floats rendered to nine significant digits."""
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_FIELDS)
     for row in sorted(rows, key=lambda r: (r.sweep_value, r.algorithm, r.trial)):
-        writer.writerow([
-            row.trial,
-            format(row.sweep_value, ".9g"),
-            row.algorithm,
-            row.eta,
-            format(row.sum_rate_bits, ".9g"),
-            format(row.min_ue_rate, ".9g"),
-            row.iters,
-            format(row.wall_ms, ".9g"),
-            row.status,
-        ])
+        writer.writerow([format(v, ".9g") if isinstance(v, float) else v
+                         for v in (getattr(row, f) for f in CSV_FIELDS)])

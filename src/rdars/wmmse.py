@@ -135,7 +135,8 @@ def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     Gram matrix and s0 the weight sum. At rho = sigma^2 / P this is the
     minimizer of the lifted objective over V, the solve that
     ``update_precoders`` makes. A lane stack takes one ``rho`` per lane
-    or one for all.
+    or one for all. A lane with no weight (s0 = 0) solves rho I V = 0
+    and gets zeros.
 
     With fewer UEs than dimensions it solves the K x K system of the
     push-through identity instead, V = h^H (diag(w) h h^H + rho s0 I)^{-1}
@@ -145,6 +146,7 @@ def precoders_at(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     n_ues, dim = h.shape[-2:]
     hH = h.conj().swapaxes(-2, -1)
     s0 = w.sum(axis=-1)[..., None, None]
+    s0 = np.where(s0 > 0.0, s0, 1.0)
     rho = np.asarray(rho)[..., None, None]
     if n_ues < dim:
         eye = np.eye(n_ues)
@@ -170,17 +172,10 @@ def update_precoders(h: np.ndarray, mu: np.ndarray, zeta: np.ndarray,
     anywhere (zeta |mu|^2 sums to 0) gets zeros and keeps its ``mu``. A
     lane stack takes one ``total_power`` per lane or one for all.
     """
-    rho = noise_power / total_power
     weighted = (zeta * np.abs(mu) ** 2).sum(axis=-1) > 0.0
-    shape = h.shape[:-2] + h.shape[:-3:-1]
     if not weighted.any():
-        return np.zeros(shape, dtype=complex), mu
-    if weighted.all():
-        V = precoders_at(h, mu, zeta, rho)
-    else:
-        V = np.zeros(shape, dtype=complex)
-        V[weighted] = precoders_at(h[weighted], mu[weighted], zeta[weighted],
-                                   np.broadcast_to(rho, weighted.shape)[weighted])
+        return np.zeros(h.shape[:-2] + h.shape[:-3:-1], dtype=complex), mu
+    V = precoders_at(h, mu, zeta, noise_power / total_power)
     c = np.sqrt(total_power / np.where(weighted, _power(V), total_power))
     return c[..., None, None] * V, mu / c[..., None]
 
@@ -259,7 +254,8 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
     eigendecomposition, so the result never falls below the start value.
 
     Returns x and the trace of p^H D p, nondecreasing by construction; a
-    decrease beyond rounding noise raises ArithmeticError.
+    decrease beyond rounding noise raises ArithmeticError, and a step that
+    overflows (an |z| below the smallest normal double) FloatingPointError.
     """
     n = beta_vec.size
     D = -np.block([[C[None], beta_vec[None, :, None]],
@@ -284,11 +280,8 @@ def power_iteration(C: np.ndarray, beta_vec: np.ndarray, tol: float = 1e-10,
              + 1e-9 * row_sums.max(axis=-1, keepdims=True))
     apply = partial(_matvec, D + shift[..., None] * np.eye(n + 1))
     offset = shift.sum(axis=-1)
-    p_best, hist_best = _mm_steps(apply, offset, starts[0], tol, max_iters)
-    for p_start in starts[1:]:
-        p_alt, hist_alt = _mm_steps(apply, offset, p_start, tol, max_iters)
-        if hist_alt[-1, 0] > hist_best[-1, 0]:
-            p_best, hist_best = p_alt, hist_alt
+    p_best, hist_best = max((_mm_steps(apply, offset, p, tol, max_iters)
+                             for p in starts), key=lambda run: run[1][-1, 0])
     x = np.exp(1j * np.angle(p_best[0, :n] * np.conj(p_best[0, n:])))
     return x, hist_best[:, 0]
 
@@ -299,19 +292,24 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
     ``apply(p)`` is (D + Lambda) p, one row per lane, ``offset`` is
     tr Lambda. Every lane takes the same steps, at most ``max_iters``: the
     loop ends once every lane's objective changes by at most ``tol``
-    (1 + |obj|) in one step. Returns the last p and the objective history
-    by lane."""
+    (1 + |obj|) in one step, and an overflow raises FloatingPointError.
+    Returns the last p and the objective history by lane."""
     def objective(p, z):
         return np.vecdot(p, z).real - offset
 
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         z = apply(p)
         obj = objective(p, z)
         history = [obj]
         for _ in range(max_iters):
             mags = np.abs(z)
             p = p.copy()
-            np.divide(z, mags, out=p, where=mags > 0.0)
+            try:
+                np.divide(z, mags, out=p, where=mags > 0.0)
+            except FloatingPointError:
+                raise FloatingPointError(
+                    "overflow in the phase step z / |z|: |z| is below the "
+                    "smallest normal double") from None
             z = apply(p)
             obj_new = objective(p, z)
             change = (obj_new - obj) / (1.0 + np.abs(obj))
@@ -325,33 +323,31 @@ def _mm_steps(apply, offset: np.ndarray, p: np.ndarray, tol: float,
     return p, np.asarray(history)
 
 
-_SHARED = ("kappa", "h_r", "h0", "B")     # the drop's operands in _Lanes
+_SHARED = ("kappa", "h_r", "B")     # the drop's operands in _Lanes
 
 
 class _Lanes(SimpleNamespace):
     """The lanes (one sparsity level and power each) of one lockstep call
     on one drop's LoS channels: every array but those named in ``_SHARED``
-    holds one row per lane.
+    holds one row per lane. Only S and S2 follow from other fields; they
+    come with the h and V that the step making them evaluated.
 
     The map runs in the rank-one coordinates of G = kappa_br b_aoa b_aod^H:
     W = q t with q = b_aod / sqrt(N_t), so a state is V = [t; F] and the
     reduced row of UE k is [sqrt(N_t) g_k(phi), d_k], with g_k(phi) =
     kappa_br (B (abar phi))_k on the drop's LoS base B = b_aoa conj(h_r)
     (K x N) under the lane's 0/1 mask ``abar`` (1 - a), and d_k =
-    conj(h_r[k]) at the connected elements. ``kappa`` is kappa_br sqrt(N_t)
-    and ``h0`` is h_r[:, 0], real. ``_lane_operands`` builds the operands
-    that stay fixed per lane: ``abar``, ``sel`` (h_r at the connected
-    elements), ``direct`` (conj(sel), the d_k) and ``dist`` (|i - connected
-    index|). ``ao_solve_levels`` adds the running state: ``lane`` (its index
-    in the call), ``power`` and its square root ``root``, the phases
-    ``phi``, reduced rows ``h``, precoders ``V``, S = h V and ``S2`` =
-    |S|^2, the weights ``zeta``, the ``sinr``, ``rates`` and sum ``rate``,
-    ``trace``, ``converged``, ``accepted``, and the Anderson history:
-    ``points`` since the last restart, the point ``x`` the next map starts
-    from and the windows ``X`` and ``G`` of the newest points and their map
-    outputs. The operands and every lane array of a selection are
-    C-contiguous, so a selection of lanes keeps the layout, and with it the
-    bits of every product."""
+    conj(h_r[k]) at the connected elements. ``kappa`` is kappa_br sqrt(N_t).
+    ``_lane_operands`` builds the operands that stay fixed per lane:
+    ``abar``, ``direct`` (the d_k) and ``dist`` (|i - connected index|).
+    ``ao_solve_levels`` adds the running state: ``lane`` (its index in the
+    call), ``power``, the phases ``phi``, reduced rows ``h``, precoders
+    ``V``, S = h V and ``S2`` = |S|^2, the weights ``zeta``, the sum
+    ``rate``, ``trace``, ``accepted``, and the Anderson history: ``points``
+    since the last restart and the windows ``X`` and ``G`` of the newest
+    points and their map outputs. The operands and every lane array of a
+    selection are C-contiguous, so a selection of lanes keeps the layout,
+    and with it the bits of every product."""
 
     def select(self, rows: np.ndarray) -> "_Lanes":
         """The lanes at these rows (indices or a mask), sharing ``_SHARED``."""
@@ -370,8 +366,8 @@ def _lane_operands(channels: ChannelSet,
     kappa = channels.kappa_br * np.sqrt(channels.b_aod.size)
     dist = np.abs(np.arange(abar.shape[-1]) - index0[..., None])
     sel = np.ascontiguousarray(channels.h_r.T[index0].swapaxes(-2, -1))
-    return _Lanes(kappa=kappa, h_r=channels.h_r, h0=channels.h_r[:, 0].real,
-                  B=channels.b_aoa * channels.h_r.conj(), abar=abar, sel=sel,
+    return _Lanes(kappa=kappa, h_r=channels.h_r,
+                  B=channels.b_aoa * channels.h_r.conj(), abar=abar,
                   direct=sel.conj(), dist=dist)
 
 
@@ -398,13 +394,13 @@ def _phase_operator(lanes: _Lanes, t: np.ndarray, F: np.ndarray,
     g, less g at the distances to the connected elements."""
     w = zeta * np.abs(mu) ** 2
     s = lanes.kappa ** 2 * np.vecdot(t, t).real
-    u = _matvec(lanes.sel, _matvec(F.conj(), t))      # cross t
+    u = _matvec(lanes.direct.conj(), _matvec(F.conj(), t))  # cross t
     kv = lanes.kappa * (u * w - t * zeta * mu.conj())
     abar, B = lanes.abar, lanes.B
     beta = abar * (kv[:, None] @ B)[:, 0]
 
     n_lanes, n = abar.shape
-    g = np.abs(_matvec(lanes.h_r.T, w * lanes.h0))
+    g = np.abs(_matvec(lanes.h_r.T, w * lanes.h_r[:, 0].real))
     cum = g.cumsum(axis=-1)
     connected = g.take(lanes.dist + n * np.arange(n_lanes)[:, None, None]
                        ).sum(axis=1)
@@ -504,9 +500,9 @@ def _rated(h: np.ndarray, V: np.ndarray, noise: float) -> tuple:
     return S, S2, _rate_report(_sinr_of(S2, noise))
 
 
-def _unit(V: np.ndarray, root: np.ndarray) -> np.ndarray:
-    """The real vector of V / sqrt(P), one row per lane, from sqrt(P)."""
-    return V.reshape(len(V), -1).view(float) / root[:, None]
+def _unit(V: np.ndarray, power: np.ndarray) -> np.ndarray:
+    """The real vector of V / sqrt(P), one row per lane."""
+    return V.reshape(len(V), -1).view(float) / np.sqrt(power)[:, None]
 
 
 # Differences of successive residuals an Anderson step uses at most
@@ -591,16 +587,18 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
     The running state (the fields that ``_Lanes`` lists) has one row per
     lane, added to the ``_Lanes`` of the lane-fixed operands, so one
     ``select`` keeps the rows of the lanes that go on. One stacked start
-    from ``phi`` and ``power`` writes ``h``, ``V``, ``S``, ``S2`` and the
-    rates. Each round runs one ``_ao_map`` for all lanes, whose outputs
-    replace ``h``, ``V``, ``S``, ``S2``, ``phi``, ``zeta`` and the rates
-    and extend ``trace``, ``X`` and ``G``; then one ``_anderson_step`` on
+    from ``phi`` and ``power`` writes ``h``, ``V``, ``S``, ``S2`` and
+    ``rate``. Each round runs one ``_ao_map`` for all lanes, whose outputs
+    replace ``h``, ``V``, ``S``, ``S2``, ``phi``, ``zeta`` and ``rate``
+    and extend ``trace``, and whose points V / sqrt(P) before and after
+    extend ``X`` and ``G`` and ``points``; then one ``_anderson_step`` on
     the windows of the lanes that try one, and one stacked ``_rated`` of
     the finite candidates as the part ``_Lanes(lane, h, V)``. A taken
-    candidate replaces ``V``, ``S``, ``S2``, ``zeta``, ``rate`` and ``x``.
-    A lane's result (its own copies, with W lifted to N_t x K) is built
-    in the round it stops, and the lane is dropped. A lane runs exactly
-    the operations of its solve alone, so every result equals
+    candidate replaces ``V``, ``S``, ``S2``, ``zeta`` and ``rate`` and
+    counts in ``accepted``; another resets ``points``. The lanes that stop
+    get their rates from ``S2`` in one stacked report and their results
+    (their own copies, with W lifted to N_t x K), and are dropped. A lane
+    runs exactly the operations of its solve alone, so every result equals
     ``ao_solve`` bit for bit.
 
     A stacked evaluation that raises is redone lane by lane through
@@ -639,28 +637,25 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
         h = _reduced_rows(part, part.phi)
         V = _zf_columns(h, part.power, matched)
         S, S2, report = _rated(h, V, noise)
-        return h, V, S, S2, report.sinr, report.rate, report.sum_rate
+        return h, V, S, S2, report.sum_rate
 
     def plain_map(part):
         h, V, S, S2, _, phi, zeta, surrogate = _ao_map(part, noise)
-        report = _rate_report(_sinr_of(S2, noise))
-        return (h, V, S, S2, phi, zeta, surrogate, report.sinr, report.rate,
-                report.sum_rate)
+        return (h, V, S, S2, phi, zeta, surrogate,
+                _rate_report(_sinr_of(S2, noise)).sum_rate)
 
     def evaluate_candidates(part):
         S, S2, report = _rated(part.h, part.V, noise)
         return part.V, S, S2, report.sinr, report.sum_rate
 
-    def result(j):
+    def result(j, sinr, rate, converged):
         """The ``AoResult`` of running row j, which stops after ``maps``."""
-        V = s.V[j]
         solution = BeamformingSolution(
-            W=q[:, None] * V[0], F=V[1:].copy(),
+            W=q[:, None] * s.V[j, 0], F=s.V[j, 1:].copy(),
             passive=PassiveBeam(s.phi[j].copy()))
         report = RateReport(
-            sinr=s.sinr[j].copy(), rate=s.rates[j].copy(),
-            sum_rate=float(s.rate[j]), iterations=maps,
-            converged=bool(s.converged[j]))
+            sinr=sinr.copy(), rate=rate.copy(), sum_rate=float(s.rate[j]),
+            iterations=maps, converged=bool(converged))
         return AoResult(solution=solution, mode=lanes[s.lane[j]][0],
                         report=report,
                         surrogate_trace=s.trace[j, :maps, :4].copy(),
@@ -671,27 +666,24 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
     s = _lane_operands(channels, [mode for mode, _ in lanes])
     s.lane = np.arange(len(lanes))      # the running lanes, a row each
     s.power = np.array([power for _, power in lanes])
-    s.root = np.sqrt(s.power)
     s.phi = np.ones((len(lanes), lanes[0][0].n_elems), dtype=complex)
     passed, out = stacked(start, s)
     s = s if passed is None else s.select(passed)
     if out is not None:
-        s.h, s.V, s.S, s.S2, s.sinr, s.rates, s.rate = out
-        s.zeta = np.ones(s.rates.shape)
+        s.h, s.V, s.S, s.S2, s.rate = out
+        s.zeta = np.ones(s.S2.shape[:-1])
         s.trace = np.empty((len(s.lane), min(cap, 16), 5))   # surrogate, rate
         s.accepted, s.points = np.zeros((2, len(s.lane)), int)
-        s.x = _unit(s.V, s.root)
-        s.X = s.G = np.empty((len(s.lane), 0, s.x.shape[1]))
+        s.X = s.G = np.empty((len(s.lane), 0, 2 * s.V[0].size))
     maps = 0                            # every running lane has made these
     while len(s.lane):
-        rate_start = s.rate
+        rate_start, x = s.rate, _unit(s.V, s.power)
         passed, out = stacked(plain_map, s)
         if out is None:
             break
         if passed is not None:
-            s, rate_start = s.select(passed), rate_start[passed]
-        (s.h, s.V, s.S, s.S2, s.phi, s.zeta, surrogate, s.sinr, s.rates,
-         s.rate) = out
+            s, rate_start, x = s.select(passed), rate_start[passed], x[passed]
+        s.h, s.V, s.S, s.S2, s.phi, s.zeta, surrogate, s.rate = out
         if maps == s.trace.shape[1]:
             s.trace = np.concatenate([s.trace, np.empty(
                 (len(s.lane), min(maps, cap - maps), 5))], axis=1)
@@ -699,13 +691,12 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
         maps += 1
 
         # multiplied out: the quotient overflows while the start rate is 0
-        s.converged = s.rate - rate_start < threshold * np.maximum(
+        converged = s.rate - rate_start < threshold * np.maximum(
             rate_start, tiny)
-        stop = s.converged | (maps >= cap)
-        g = _unit(s.V, s.root)
+        stop = converged | (maps >= cap)
         s.X, s.G = (np.concatenate([w, new[:, None]], axis=1)[:, -_DEPTH - 1:]
-                    for w, new in ((s.X, s.x), (s.G, g)))
-        s.x, s.points = g, s.points + 1
+                    for w, new in ((s.X, x), (s.G, _unit(s.V, s.power))))
+        s.points += 1
         trying = ~stop & (s.points > 1)
         tried = trying.nonzero()[0]
         if len(tried):
@@ -735,11 +726,13 @@ def ao_solve_levels(channels: ChannelSet, config: SystemConfig,
                     s.zeta[taken] = 1.0 + sinr[better]
                     s.rate[taken] = rate[better]
                     s.accepted[taken] += 1
-                    s.x[taken] = _unit(s.V.take(taken, 0), s.root.take(taken))
             s.points[trying] = 1        # the others restart at the last map
-        for j in stop.nonzero()[0].tolist():
-            if int(s.lane[j]) not in outcomes:  # not ended by an exception
-                outcomes[int(s.lane[j])] = result(j)
+        ended = [j for j in stop.nonzero()[0].tolist()
+                 if int(s.lane[j]) not in outcomes]  # not ended by exception
+        if ended:
+            report = _rate_report(_sinr_of(s.S2[ended], noise))
+            for j, sinr, rate in zip(ended, report.sinr, report.rate):
+                outcomes[int(s.lane[j])] = result(j, sinr, rate, converged[j])
         if stop.all():
             break
         if stop.any():

@@ -354,6 +354,24 @@ def test_single_ue_closed_rate_keeps_its_digits_at_low_power():
     assert low >= rows[-200.0, "WA_OPT_ETA"].sum_rate_bits > 0.0
 
 
+def test_solver_rows_below_the_normal_range_fail_on_the_phase_overflow():
+    """At -2950 dBm the received powers fall below the smallest normal
+    double and z / |z| of a phase step overflows: every solver row of the
+    campaign layout fails there with that overflow, not with a NaN that a
+    later step misreads, while every row at -2900 dBm still solves."""
+    scenario = default_scenario()
+    scenario = replace(scenario, config=replace(
+        scenario.config, n_tx=8, n_elems=32, n_connected=4, n_ues=4))
+    camp = Campaign(scenario, ("WA_OPT_ETA", "COMPACT_ETA1", "RANDOM_ETA"),
+                    n_trials=2, seed=0, sweep_dbm=(-2950.0, -2900.0))
+    rows = run_campaign(camp)
+    low = [r for r in rows if r.sweep_value == -2950.0]
+    assert len(low) == 6
+    assert {r.status for r in low} == {"failed:FloatingPointError"}
+    assert all("phase step" in r.message for r in low)
+    assert {r.status for r in rows if r.sweep_value == -2900.0} == {"ok"}
+
+
 def test_solve_levels_builds_one_mode_per_level(monkeypatch):
     """A trial builds one ModeSelection per sparsity level it solves, and
     every sweep value's lane at that level shares it; the lanes are

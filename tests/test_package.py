@@ -1,4 +1,5 @@
 import ast
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -31,6 +32,20 @@ def test_runtime_imports_only_stdlib_and_numpy():
                 if top != "numpy" and top not in sys.stdlib_module_names:
                     outside.append(f"{path.name}: {name}")
     assert outside == []
+
+
+def test_declared_runtime_dependencies_are_numpy_only():
+    """pyproject.toml declares numpy as the one runtime dependency, which
+    the import check above holds the code to. The array is read without
+    tomllib, which Python 3.10 lacks."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(
+        encoding="utf-8")
+    match = re.search(r"^dependencies\s*=\s*(\[.*?\])", text,
+                      re.MULTILINE | re.DOTALL)
+    assert match is not None
+    names = [re.split(r"[\s<>=!~;\[]", spec, maxsplit=1)[0]
+             for spec in ast.literal_eval(match.group(1))]
+    assert names == ["numpy"]
 
 
 def test_scenario_keys_match_config_fields():
